@@ -1,8 +1,9 @@
 """Command-line front end: spectra, bound verification, sweeps, conjecture scans.
 
 Exit codes: 0 success (all checked inequalities hold), 1 a verified bound was
-violated, 2 usage or configuration error.  Every output records the seed, and
-identical invocations are byte-identical.
+violated, 2 usage or configuration error, 3 numerical failure (an eigensolver
+did not converge, or the Schrodinger box is too small).  Every output records
+the seed, and identical invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -384,6 +385,9 @@ def run(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (fem.SolverFailure, schrodinger.WidenGridError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

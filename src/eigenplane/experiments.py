@@ -153,12 +153,17 @@ def spectrum_of(
     n: int,
     engine: str = "auto",
     opts: fem.FemOptions = fem.FemOptions(),
+    T: LinearMap2 | None = None,
 ) -> Spectrum:
-    """Spectrum by the exact engine for model shapes, FEM otherwise."""
-    model = classify_model_shape(d)
+    """Spectrum of d, or of its linear image T(d): exact for model shapes, FEM otherwise.
+
+    FEM solves T(d) on d's cached reference mesh (fem.spectrum_fem); the image
+    itself is built only to recognize model shapes.
+    """
     if engine not in ("auto", "exact", "fem"):
         raise ValueError(f"unknown engine {engine!r}")
-    use_exact = model is not None and engine != "fem"
+    model = None if engine == "fem" else classify_model_shape(d if T is None else apply_map(T, d))
+    use_exact = model is not None
     if use_exact and bc.kind == "robin" and bc.sigma > 0 and model[0] != "rectangle":
         use_exact = False  # Robin closed form only exists for rectangles
     if use_exact:
@@ -170,7 +175,7 @@ def spectrum_of(
         return disk_spectrum(data, bc, n)
     if engine == "exact":
         raise ValueError("exact engine is only available for model shapes")
-    return fem.spectrum_fem(d, bc, n, opts)
+    return fem.spectrum_fem(d, bc, n, opts, T)
 
 
 def normalized_sum(
@@ -213,9 +218,8 @@ def verify_linear_map_bound(
     _require_symmetry(d)
     if T.is_singular():
         raise ValueError("map is singular")
-    image = apply_map(T, d)
     coef = 0.5 * T.inverse().hs_norm_sq()
-    left = spectrum_of(image, bc, n, opts=opts)
+    left = spectrum_of(d, bc, n, opts=opts, T=T)
     right = spectrum_of(d, bc, n, opts=opts)
     lhs = left.sum_first(n)
     rhs = coef * right.sum_first(n)
@@ -251,11 +255,10 @@ def verify_robin_bound(
     _require_symmetry(d)
     if T.is_singular():
         raise ValueError("map is singular")
-    image = apply_map(T, d)
     sigma_image = sigma * T.inverse().hs_norm() / math.sqrt(2.0)
-    left = spectrum_of(image, robin(sigma_image), n, opts=opts)
+    left = spectrum_of(d, robin(sigma_image), n, opts=opts, T=T)
     right = spectrum_of(d, robin(sigma), n, opts=opts)
-    mi, md = moments(image), moments(d)
+    mi, md = moments(apply_map(T, d)), moments(d)
     ci = mi.area**3 / mi.inertia_centroid
     cd = md.area**3 / md.inertia_centroid
     lhs = left.sum_first(n) * ci

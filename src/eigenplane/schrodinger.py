@@ -123,7 +123,9 @@ def _fd_eigs(W: PotentialSpec, h: float, n: int, L: float, points: int) -> np.nd
     X1, X2 = np.meshgrid(xi, xi, indexing="ij")
     K = (h * lap + sparse.diags(W.values(X1, X2).ravel())).tocsc()
     try:
-        vals = splinalg.eigsh(K, k=n, sigma=0.0, which="LM", return_eigenvectors=False)
+        # fixed pseudo-random start (see fem.solve_eigs) keeps reruns bit-identical
+        vals = splinalg.eigsh(K, k=n, sigma=0.0, which="LM", return_eigenvectors=False,
+                              v0=np.random.default_rng(0).standard_normal(m * m))
     except (splinalg.ArpackNoConvergence, RuntimeError) as exc:
         raise SolverFailure(f"grid eigensolve failed ({points} points): {exc}") from exc
     return np.sort(vals)

@@ -5,6 +5,7 @@ import pytest
 
 from eigenplane import cli
 from eigenplane import experiments as xp
+from eigenplane import fem
 
 PI2 = math.pi**2
 
@@ -186,3 +187,41 @@ def test_violated_report_exit_code(capsys):
     capsys.readouterr()
     assert cli._report_block(Args(), [good]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "theorem1", "--shape", "disk", "--map", "1.5,0.3,-0.2,0.9", "-n", "3", "--levels", "4"],
+        ["spectrum", "--shape", "disk", "--engine", "fem", "--bc", "neumann", "--levels", "4"],
+        ["verify", "schrodinger", "--map", "1.2,0.3,0,0.9", "-n", "3"],
+    ],
+    ids=["theorem1-disk", "spectrum-disk-fem", "schrodinger"],
+)
+def test_shift_invert_reruns_are_byte_identical(capsys, argv):
+    # these runs go through shift-invert Lanczos, whose start vector is fixed
+    code1, out1 = run_capture(capsys, argv)
+    code2, out2 = run_capture(capsys, argv)
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
+def test_small_schrodinger_box_exits_3_with_one_line(capsys):
+    code = cli.run(["verify", "schrodinger", "--half-width", "1.5", "--points", "51", "--map", "2,0,0,1", "-n", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    suggested = float(lines[0].rsplit("half_width >= ", 1)[1])
+    assert suggested > 1.5
+
+
+def test_solver_failure_exits_3(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise fem.SolverFailure("shift-invert iteration failed")
+
+    monkeypatch.setattr(fem, "solve_eigs", fail)
+    code = cli.run(["spectrum", "--shape", "isosceles", "--aperture", "1.0", "-n", "2", "--levels", "3"])
+    assert code == 3
+    assert capsys.readouterr().err == "error: shift-invert iteration failed\n"

@@ -274,3 +274,128 @@ def test_fem_options_validation():
         fem.FemOptions(dense_threshold=10)
     with pytest.raises(ValueError):
         fem.FemOptions(max_refinement=0)
+
+
+# ---------------------------------------------------------------------------
+# linear images on the reference mesh
+# ---------------------------------------------------------------------------
+
+def _seeded_maps(seed, count):
+    """Random 2x2 maps, alternating det > 0 and det < 0."""
+    rng = np.random.default_rng(seed)
+    maps = []
+    while len(maps) < count:
+        m = rng.uniform(-2, 2, size=(2, 2))
+        det = np.linalg.det(m)
+        if abs(det) < 0.1:
+            continue
+        if (det > 0) != (len(maps) % 2 == 0):
+            m[0] *= -1.0
+        maps.append(g.LinearMap2.from_array(m))
+    return maps
+
+
+@pytest.mark.parametrize("d", [g.equilateral_triangle(), g.square(1.0), g.regular_polygon(6)],
+                         ids=["equilateral", "square", "hexagon"])
+@pytest.mark.parametrize("bc", [ex.DIRICHLET, ex.NEUMANN, ex.robin(1.3)], ids=["dirichlet", "neumann", "robin"])
+def test_mapped_polygon_matches_meshing_the_image(d, bc):
+    opts = fem.FemOptions(max_refinement=4)
+    for T in _seeded_maps(17, 4):
+        mapped = fem.spectrum_fem(d, bc, 4, opts, T).values
+        meshed = fem.spectrum_fem(g.apply_map(T, d), bc, 4, opts).values
+        # the Neumann kernel value is roundoff, so it gets an absolute floor
+        np.testing.assert_allclose(mapped, meshed, rtol=1e-10, atol=1e-10 * meshed[-1])
+
+
+@pytest.mark.parametrize("bc", [ex.DIRICHLET, ex.NEUMANN], ids=["dirichlet", "neumann"])
+def test_mapped_disk_within_error_estimate_of_meshing_the_image(bc):
+    # the image ellipse is meshed from its own axes, the mapped disk mesh is not
+    disk = g.Ellipse((0, 0), (1, 1))
+    opts = fem.FemOptions(max_refinement=3)
+    for T in _seeded_maps(5, 4):
+        mapped = fem.spectrum_fem(disk, bc, 4, opts, T)
+        meshed = fem.spectrum_fem(g.apply_map(T, disk), bc, 4, opts)
+        assert np.all(np.abs(mapped.values - meshed.values) <= meshed.error_estimates + 1e-10)
+
+
+@pytest.mark.parametrize("d, level", [(g.equilateral_triangle(), 4), (g.Ellipse((0, 0), (1, 1)), 2)],
+                         ids=["equilateral", "disk"])
+@pytest.mark.parametrize("bc", [ex.DIRICHLET, ex.NEUMANN], ids=["dirichlet", "neumann"])
+def test_discrete_theorem_holds_on_symmetric_reference_mesh(d, level, bc):
+    # The reference mesh is invariant under d's rotations, so the paper's proof
+    # applies to the Ritz values themselves: no error budget enters.
+    opts = fem.FemOptions(max_refinement=level, extrapolate=False)
+    rhs_vals = fem.spectrum_fem(d, bc, 6, opts).values
+    rng = np.random.default_rng(23)
+    similarities = []
+    for _ in range(4):
+        c, th = rng.uniform(0.4, 2.5), rng.uniform(0, 2 * math.pi)
+        flip = rng.choice([-1.0, 1.0])
+        similarities.append(g.LinearMap2.from_array(
+            c * np.array([[math.cos(th), -flip * math.sin(th)], [math.sin(th), flip * math.cos(th)]])))
+    first = 2 if bc.is_neumann_like else 1  # a Neumann 1-sum is the kernel's roundoff
+    for T in _seeded_maps(29, 12) + similarities:
+        coef = 0.5 * T.inverse().hs_norm_sq()
+        lhs_vals = fem.spectrum_fem(d, bc, 6, opts, T).values
+        for n in range(first, 7):
+            lhs, rhs = lhs_vals[:n].sum(), coef * rhs_vals[:n].sum()
+            assert lhs <= rhs * (1 + 1e-12)
+            if T in similarities:
+                assert lhs >= rhs * (1 - 1e-12)
+
+
+def test_reference_mesh_built_once_per_level_and_orientation(monkeypatch):
+    calls = []
+    mesh_domain = fem.mesh_domain
+    monkeypatch.setattr(fem, "mesh_domain", lambda d, level: calls.append(level) or mesh_domain(d, level))
+    monkeypatch.setattr(fem, "_REFERENCES", fem._ReferenceCache(fem.REFERENCE_CACHE_BYTES))
+    d = g.regular_polygon(6)
+    opts = fem.FemOptions(max_refinement=3)
+    for T in _seeded_maps(3, 6):
+        for bc in (ex.DIRICHLET, ex.NEUMANN, ex.robin(1.0)):
+            fem.spectrum_fem(d, bc, 2, opts, T)
+    fem.spectrum_fem(d, ex.DIRICHLET, 2, opts)
+    assert sorted(calls) == [2, 2, 3, 3]  # two levels, two signs of det T
+
+
+def test_reference_cache_stays_within_its_byte_bound():
+    refs = [fem._Reference(fem.mesh_domain(g.square(1.0), lev)) for lev in (3, 3, 2)]
+    cache = fem._ReferenceCache(refs[0].nbytes + refs[2].nbytes)
+    assert cache.get("a", lambda: refs[0]) is refs[0]
+    assert cache.get("b", lambda: refs[1]) is refs[1]  # evicts "a"
+    assert cache.get("a", lambda: refs[2]) is refs[2]
+    assert cache.get("b", lambda: refs[0]) is refs[1]
+    assert cache._bytes == refs[1].nbytes + refs[2].nbytes <= cache.max_bytes
+    big = fem._ReferenceCache(refs[2].nbytes)
+    big.get("c", lambda: refs[0])  # larger than the bound: not kept
+    assert big._bytes == 0
+
+
+def test_reference_cache_bookkeeping_under_threads():
+    import sys
+    import threading
+
+    refs = [fem._Reference(fem.mesh_domain(g.square(1.0), lev)) for lev in (1, 2, 3)]
+    cache = fem._ReferenceCache(refs[1].nbytes + refs[2].nbytes)
+    wrong = []
+
+    def work(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            i = int(rng.integers(0, 3))
+            if cache.get(i, lambda: refs[i]) is not refs[i]:
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(s,)) for s in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert cache._bytes == sum(r.nbytes for r in cache._entries.values()) <= cache.max_bytes
