@@ -7,7 +7,6 @@ from .geometry import (
     LinearMap2,
     PiecewiseLinearMap,
     Polygon,
-    Vec2,
     moments,
 )
 from .exact import (
@@ -31,7 +30,6 @@ __all__ = [
     "LinearMap2",
     "PiecewiseLinearMap",
     "Polygon",
-    "Vec2",
     "moments",
     "DIRICHLET",
     "NEUMANN",

@@ -67,6 +67,22 @@ def _parse_floats(text: str) -> list[float]:
         raise UsageError(f"bad numeric list: {exc}") from exc
 
 
+def _parse_pieces(text: str) -> PiecewiseLinearMap:
+    pieces = _parse_floats(text)
+    if len(pieces) != 4:
+        raise UsageError("--pieces needs a,b,c_plus,c_minus")
+    return PiecewiseLinearMap(*pieces)
+
+
+def _apertures(args) -> list[float]:
+    """--apertures if given, else --steps evenly spaced apertures from --from to --to."""
+    if args.apertures:
+        return _parse_floats(args.apertures)
+    if args.steps < 2:
+        raise UsageError("--steps must be at least 2")
+    return [args.start + i * (args.stop - args.start) / (args.steps - 1) for i in range(args.steps)]
+
+
 def _domain_from_args(args) -> object:
     shape = args.shape
     for name in ("side", "l1", "l2", "radius", "s1", "s2"):
@@ -155,6 +171,8 @@ def _cmd_verify(args) -> int:
     if args.bound == "theorem1":
         bc = _parse_bc(args.bc, 0.0)
         d = _domain_from_args(args)
+        if args.random < 0:
+            raise UsageError("--random must be >= 0")
         if args.random:
             maps = xp.random_invertible_maps(args.random, args.seed)
         else:
@@ -178,25 +196,16 @@ def _cmd_verify(args) -> int:
         reports = [xp.verify_schrodinger_bound(W, args.h, _parse_map(args.map), args.n, grid)]
         return _report_block(args, reports)
     if args.bound == "quad":
-        pieces = _parse_floats(args.pieces)
-        if len(pieces) != 4:
-            raise UsageError("--pieces needs a,b,c_plus,c_minus")
-        P = PiecewiseLinearMap(*pieces)
         bc = _parse_bc(args.bc, 0.0)
-        reports = [xp.verify_quad_bound(P, bc, args.n, opts)]
+        reports = [xp.verify_quad_bound(_parse_pieces(args.pieces), bc, args.n, opts)]
         return _report_block(args, reports)
     raise UsageError(f"unknown bound {args.bound!r}")
 
 
 def _cmd_sweep(args) -> int:
     if args.family == "isosceles":
-        apertures = (
-            _parse_floats(args.apertures)
-            if args.apertures
-            else [args.start + i * (args.stop - args.start) / (args.steps - 1) for i in range(args.steps)]
-        )
         bc = _parse_bc(args.bc, args.sigma)
-        rows = xp.sweep_isosceles(args.n, apertures, bc, _fem_opts(args))
+        rows = xp.sweep_isosceles(args.n, _apertures(args), bc, _fem_opts(args))
         _emit(args, _csv(args, rows))
         return 0
     if args.family == "rectangles":
@@ -216,11 +225,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_conjecture(args) -> int:
     if args.scan == "c1":
-        apertures = (
-            _parse_floats(args.apertures)
-            if args.apertures
-            else [args.start + i * (args.stop - args.start) / (args.steps - 1) for i in range(args.steps)]
-        )
+        apertures = _apertures(args)
         grid = [isosceles_triangle(a) for a in apertures]
         rows = xp.conjecture_scan_c1(grid, _fem_opts(args))
         # re-key rows by aperture for readability
@@ -233,15 +238,9 @@ def _cmd_conjecture(args) -> int:
         _emit(args, json.dumps(rec, sort_keys=True) + "\n")
         return 0
     if args.scan == "quad-inertia":
-        pieces = _parse_floats(args.pieces)
-        if len(pieces) != 4:
-            raise UsageError("--pieces needs a,b,c_plus,c_minus")
-        P = PiecewiseLinearMap(*pieces)
         bc = _parse_bc(args.bc, 0.0)
-        rep = xp.quad_bound_centroid_variant(P, bc, args.n, _fem_opts(args))
-        rec = json.loads(rep.to_json())
-        rec["seed"] = args.seed
-        _emit(args, json.dumps(rec, sort_keys=True) + "\n")
+        rep = xp.quad_bound_centroid_variant(_parse_pieces(args.pieces), bc, args.n, _fem_opts(args))
+        _report_block(args, [rep])
         return 0  # conjecture scans report, never fail
     raise UsageError(f"unknown conjecture scan {args.scan!r}")
 

@@ -27,7 +27,6 @@ from .exact import (
     robin,
 )
 from .geometry import (
-    INFINITE_ORDER,
     DomainSpec,
     Ellipse,
     LinearMap2,
@@ -35,8 +34,12 @@ from .geometry import (
     Polygon,
     apply_map,
     diamond_square,
+    functional_factor,
+    isosceles_triangle,
     moments,
-    quad_hs_combined_check,
+    rectangle,
+    require_rotational_symmetry,
+    square,
     symmetry_order,
 )
 from .schrodinger import GridSpec, PotentialSpec, schrodinger_spectrum, transformed_problem
@@ -86,18 +89,6 @@ class BoundReport:
             "inputs": self.inputs,
         }
         return json.dumps(rec, sort_keys=True)
-
-
-def _make_report(lhs: float, rhs: float, tolerance: float, inputs: dict) -> BoundReport:
-    slack = rhs - lhs
-    return BoundReport(
-        lhs=lhs,
-        rhs=rhs,
-        slack=slack,
-        tolerance=tolerance,
-        holds=bool(slack >= -tolerance),
-        inputs=inputs,
-    )
 
 
 @dataclass(frozen=True)
@@ -186,19 +177,26 @@ def normalized_sum(
     opts: fem.FemOptions = fem.FemOptions(),
 ) -> float:
     """(sum of the first n eigenvalues) * A^3 / I, with exact moments."""
-    spec = spectrum_of(d, bc, n, engine, opts)
-    m = moments(d)
-    return spec.sum_first(n) * m.area**3 / m.inertia_centroid
+    return spectrum_of(d, bc, n, engine, opts).sum_first(n) * functional_factor(d)
 
 
-def _tolerance(lhs: float, rhs: float, err_lhs: float, err_rhs: float) -> float:
-    return err_lhs + err_rhs + EXACT_REL_FLOOR * max(abs(lhs), abs(rhs))
+def _compare(
+    left: Spectrum, right: Spectrum, n: int, lhs_scale: float, rhs_scale: float, inputs: dict
+) -> BoundReport:
+    """Report on  lhs_scale * sum(left) <= rhs_scale * sum(right)  over the first n eigenvalues.
 
-
-def _require_symmetry(d: DomainSpec, what: str = "domain") -> None:
-    order = symmetry_order(d)
-    if order != INFINITE_ORDER and order < 3:
-        raise ValueError(f"{what} needs rotational symmetry of order >= 3, has {order}")
+    The tolerance is the scaled error budgets of both sums plus a floor of
+    EXACT_REL_FLOOR times the larger side.
+    """
+    lhs = left.sum_first(n) * lhs_scale
+    rhs = right.sum_first(n) * rhs_scale
+    tolerance = (
+        left.error_sum(n) * lhs_scale
+        + right.error_sum(n) * rhs_scale
+        + EXACT_REL_FLOOR * max(abs(lhs), abs(rhs))
+    )
+    slack = rhs - lhs
+    return BoundReport(lhs, rhs, slack, tolerance, bool(slack >= -tolerance), inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -215,28 +213,20 @@ def verify_linear_map_bound(
     """Check sum(eigs(T(D))) <= ||T^-1||_HS^2 / 2 * sum(eigs(D)) for symmetric D."""
     if bc.kind not in ("dirichlet", "neumann"):
         raise ValueError("this bound covers Dirichlet and Neumann eigenvalues")
-    _require_symmetry(d)
+    require_rotational_symmetry(symmetry_order(d))
     if T.is_singular():
         raise ValueError("map is singular")
     coef = 0.5 * T.inverse().hs_norm_sq()
     left = spectrum_of(d, bc, n, opts=opts, T=T)
     right = spectrum_of(d, bc, n, opts=opts)
-    lhs = left.sum_first(n)
-    rhs = coef * right.sum_first(n)
-    tol = _tolerance(lhs, rhs, left.error_sum(n), coef * right.error_sum(n))
-    return _make_report(
-        lhs,
-        rhs,
-        tol,
-        {
-            "bound": "linear_map",
-            "bc": bc.kind,
-            "n": n,
-            "map": [T.a11, T.a12, T.a21, T.a22],
-            "lhs_method": left.method,
-            "rhs_method": right.method,
-        },
-    )
+    return _compare(left, right, n, 1.0, coef, {
+        "bound": "linear_map",
+        "bc": bc.kind,
+        "n": n,
+        "map": [T.a11, T.a12, T.a21, T.a22],
+        "lhs_method": left.method,
+        "rhs_method": right.method,
+    })
 
 
 def verify_robin_bound(
@@ -252,32 +242,22 @@ def verify_robin_bound(
     """
     if sigma <= 0:
         raise ValueError("need sigma > 0 (sigma = 0 is the Neumann bound)")
-    _require_symmetry(d)
+    require_rotational_symmetry(symmetry_order(d))
     if T.is_singular():
         raise ValueError("map is singular")
     sigma_image = sigma * T.inverse().hs_norm() / math.sqrt(2.0)
     left = spectrum_of(d, robin(sigma_image), n, opts=opts, T=T)
     right = spectrum_of(d, robin(sigma), n, opts=opts)
-    mi, md = moments(apply_map(T, d)), moments(d)
-    ci = mi.area**3 / mi.inertia_centroid
-    cd = md.area**3 / md.inertia_centroid
-    lhs = left.sum_first(n) * ci
-    rhs = right.sum_first(n) * cd
-    tol = _tolerance(lhs, rhs, left.error_sum(n) * ci, right.error_sum(n) * cd)
-    return _make_report(
-        lhs,
-        rhs,
-        tol,
-        {
-            "bound": "robin",
-            "sigma": sigma,
-            "sigma_image": sigma_image,
-            "n": n,
-            "map": [T.a11, T.a12, T.a21, T.a22],
-            "lhs_method": left.method,
-            "rhs_method": right.method,
-        },
-    )
+    ci, cd = functional_factor(apply_map(T, d)), functional_factor(d)
+    return _compare(left, right, n, ci, cd, {
+        "bound": "robin",
+        "sigma": sigma,
+        "sigma_image": sigma_image,
+        "n": n,
+        "map": [T.a11, T.a12, T.a21, T.a22],
+        "lhs_method": left.method,
+        "rhs_method": right.method,
+    })
 
 
 def verify_robin_triangle_max(
@@ -299,8 +279,7 @@ def verify_robin_triangle_max(
     errors = []
     for t in triangles:
         spec = spectrum_of(t, bc, n, opts=opts)
-        m = moments(t)
-        c = m.area**3 / m.inertia_centroid
+        c = functional_factor(t)
         values.append(spec.sum_first(n) * c)
         errors.append(spec.error_sum(n) * c + EXACT_REL_FLOOR * abs(values[-1]))
     top = max(values)
@@ -315,27 +294,18 @@ def verify_schrodinger_bound(
     grid: GridSpec = GridSpec(),
 ) -> BoundReport:
     """Check the pushforward problem's eigenvalue sum against the original's."""
-    if W.symmetry_order() != INFINITE_ORDER and W.symmetry_order() < 3:
-        raise ValueError("potential needs rotational symmetry of order >= 3")
+    require_rotational_symmetry(W.symmetry_order(), "potential")
     wt, hp = transformed_problem(W, h, T)
     left = schrodinger_spectrum(wt, hp, n, grid)
     right = schrodinger_spectrum(W, h, n, grid)
-    lhs = left.sum_first(n)
-    rhs = right.sum_first(n)
-    tol = _tolerance(lhs, rhs, left.error_sum(n), right.error_sum(n))
-    return _make_report(
-        lhs,
-        rhs,
-        tol,
-        {
-            "bound": "schrodinger",
-            "potential": W.kind,
-            "h": h,
-            "h_image": hp,
-            "n": n,
-            "map": [T.a11, T.a12, T.a21, T.a22],
-        },
-    )
+    return _compare(left, right, n, 1.0, 1.0, {
+        "bound": "schrodinger",
+        "potential": W.kind,
+        "h": h,
+        "h_image": hp,
+        "n": n,
+        "map": [T.a11, T.a12, T.a21, T.a22],
+    })
 
 
 def _quad_image(P: PiecewiseLinearMap) -> Polygon:
@@ -347,30 +317,19 @@ def _quad_image(P: PiecewiseLinearMap) -> Polygon:
 def _quad_report(P: PiecewiseLinearMap, bc: BoundarySpec, n: int, opts: fem.FemOptions, about_origin: bool) -> BoundReport:
     if bc.kind not in ("dirichlet", "neumann"):
         raise ValueError("this bound covers Dirichlet and Neumann eigenvalues")
-    d = diamond_square()
+    d = diamond_square()  # centered at the origin, so both moments of D agree
     image = _quad_image(P)
-    md, mi = moments(d), moments(image)
-    cd = md.area**3 / md.inertia_origin  # centroid of D is the origin
-    denom = mi.inertia_origin if about_origin else mi.inertia_centroid
-    ci = mi.area**3 / denom
+    ci = functional_factor(image, about="origin" if about_origin else "centroid")
     left = spectrum_of(image, bc, n, opts=opts)
     right = spectrum_of(d, bc, n, opts=opts)
-    lhs = left.sum_first(n) * ci
-    rhs = right.sum_first(n) * cd
-    tol = _tolerance(lhs, rhs, left.error_sum(n) * ci, right.error_sum(n) * cd)
-    return _make_report(
-        lhs,
-        rhs,
-        tol,
-        {
-            "bound": "quad" if about_origin else "quad_centroid_variant",
-            "bc": bc.kind,
-            "n": n,
-            "pieces": [P.a, P.b, P.c_plus, P.c_minus],
-            "lhs_method": left.method,
-            "rhs_method": right.method,
-        },
-    )
+    return _compare(left, right, n, ci, functional_factor(d, about="origin"), {
+        "bound": "quad" if about_origin else "quad_centroid_variant",
+        "bc": bc.kind,
+        "n": n,
+        "pieces": [P.a, P.b, P.c_plus, P.c_minus],
+        "lhs_method": left.method,
+        "rhs_method": right.method,
+    })
 
 
 def verify_quad_bound(
@@ -414,16 +373,13 @@ def sweep_isosceles(
     opts: fem.FemOptions = fem.FemOptions(),
 ) -> list[SweepRow]:
     """Normalized eigenvalue sum over isosceles triangles of given apex angles."""
-    from .geometry import isosceles_triangle
-
     rows = []
     for alpha in apertures:
         if not 0.0 < alpha < math.pi:
             raise ValueError("aperture must lie strictly inside (0, pi)")
         tri = isosceles_triangle(alpha)
         spec = spectrum_of(tri, bc, n, opts=opts)
-        m = moments(tri)
-        c = m.area**3 / m.inertia_centroid
+        c = functional_factor(tri)
         rows.append(SweepRow(float(alpha), spec.sum_first(n) * c, spec.method, spec.error_sum(n) * c))
     return rows
 
@@ -438,8 +394,8 @@ def disk_vs_square(n_max: int) -> set[int]:
         raise ValueError("need n_max >= 1")
     sq = rectangle_spectrum(1.0, 1.0, DIRICHLET, n_max)
     dk = disk_spectrum(1.0, DIRICHLET, n_max)
-    csq = 6.0  # A^3/I for the unit square
-    cdk = 2.0 * math.pi**2  # A^3/I for the unit disk
+    csq = functional_factor(square(1.0))
+    cdk = functional_factor(Ellipse((0.0, 0.0), (1.0, 1.0)))
     sq_sums = np.cumsum(sq.values) * csq
     dk_sums = np.cumsum(dk.values) * cdk
     margins = np.abs(sq_sums - dk_sums)
@@ -458,7 +414,7 @@ def rectangle_sum_family(n: int, aspect_ratios: list[float]) -> list[SweepRow]:
         if a < 1:
             raise ValueError("aspect ratios are >= 1 (long side over short side)")
         spec = rectangle_spectrum(float(a), 1.0, DIRICHLET, n)
-        c = 12.0 / (a ** (-2) + 1.0)  # A^3/I of an a x 1 rectangle
+        c = functional_factor(rectangle(float(a), 1.0))
         rows.append(SweepRow(float(a), spec.sum_first(n) * c, "exact", spec.error_sum(n) * c))
     return rows
 
@@ -502,8 +458,7 @@ def conjecture_scan_c1(
     rows = []
     for i, d in enumerate(triangle_grid):
         spec = spectrum_of(d, DIRICHLET, 1, opts=opts)
-        m = moments(d)
-        c = m.area**3 / m.inertia_centroid
+        c = functional_factor(d)
         rows.append(SweepRow(float(i), spec.sum_first(1) * c, spec.method, spec.error_sum(1) * c))
     return rows
 

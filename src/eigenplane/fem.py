@@ -30,7 +30,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as splinalg
 
 from .exact import BoundarySpec, Spectrum
-from .geometry import DomainSpec, Ellipse, LinearMap2, Polygon
+from .geometry import DomainSpec, Ellipse, LinearMap2, Polygon, orient
 
 __all__ = [
     "Mesh",
@@ -102,19 +102,7 @@ def _boundary_edges_from_triangles(tris: np.ndarray) -> np.ndarray:
     return np.asarray(edges, dtype=int).reshape(-1, 2)
 
 
-def _is_convex(verts: np.ndarray) -> bool:
-    n = len(verts)
-    for i in range(n):
-        a, b, c = verts[i], verts[(i + 1) % n], verts[(i + 2) % n]
-        if (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]) < 0:
-            return False
-    return True
-
-
 def _point_in_triangle(p, a, b, c) -> bool:
-    def orient(u, v, w):
-        return (v[0] - u[0]) * (w[1] - u[1]) - (v[1] - u[1]) * (w[0] - u[0])
-
     eps = -1e-14
     return orient(a, b, p) >= eps and orient(b, c, p) >= eps and orient(c, a, p) >= eps
 
@@ -122,7 +110,7 @@ def _point_in_triangle(p, a, b, c) -> bool:
 def _triangulate_polygon(verts: np.ndarray) -> np.ndarray:
     """Fan a convex polygon, ear-clip otherwise."""
     n = len(verts)
-    if _is_convex(verts):
+    if all(orient(verts[i - 2], verts[i - 1], verts[i]) >= 0 for i in range(n)):
         return np.array([[0, i, i + 1] for i in range(1, n - 1)], dtype=int)
     idx = list(range(n))
     tris = []
@@ -135,8 +123,7 @@ def _triangulate_polygon(verts: np.ndarray) -> np.ndarray:
         for k in range(m):
             i0, i1, i2 = idx[(k - 1) % m], idx[k], idx[(k + 1) % m]
             a, b, c = verts[i0], verts[i1], verts[i2]
-            cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            if cross <= 1e-14 * (1 + np.abs(verts).max()) ** 2:
+            if orient(a, b, c) <= 1e-14 * (1 + np.abs(verts).max()) ** 2:
                 continue  # reflex or collinear corner
             if any(
                 _point_in_triangle(verts[j], a, b, c)

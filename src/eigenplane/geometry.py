@@ -14,7 +14,6 @@ import numpy as np
 from scipy.special import ellipe
 
 __all__ = [
-    "Vec2",
     "LinearMap2",
     "Polygon",
     "Ellipse",
@@ -25,6 +24,7 @@ __all__ = [
     "frame_average",
     "matrix_frame_average",
     "moments",
+    "functional_factor",
     "triangle_inertia_from_sides",
     "parallelogram_inertia_from_sides",
     "apply_map",
@@ -40,7 +40,6 @@ __all__ = [
     "diamond_square",
     "regular_polygon",
     "isosceles_triangle",
-    "triangle_from_sides",
     "domain_to_text",
     "domain_from_text",
     "INFINITE_ORDER",
@@ -52,24 +51,8 @@ INFINITE_ORDER = 0
 _SYMMETRY_TOL = 1e-9  # on coordinates scaled to unit diameter
 
 
-@dataclass(frozen=True)
-class Vec2:
-    """Point or vector in the plane."""
-
-    x1: float
-    x2: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.x2], dtype=float)
-
-    def norm_sq(self) -> float:
-        return self.x1 * self.x1 + self.x2 * self.x2
-
-
 def _vec(v) -> np.ndarray:
-    """Coerce Vec2 / sequence / array to a shape-(2,) float array."""
-    if isinstance(v, Vec2):
-        return v.as_array()
+    """Coerce a sequence or array to a shape-(2,) float array."""
     a = np.asarray(v, dtype=float)
     if a.shape != (2,):
         raise ValueError(f"expected a 2-vector, got shape {a.shape}")
@@ -294,10 +277,12 @@ def _signed_area2(v: np.ndarray) -> float:
     return float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def _segments_properly_intersect(p1, p2, q1, q2) -> bool:
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+def orient(a, b, c) -> float:
+    """Twice the signed area of triangle abc: positive iff a, b, c turn counterclockwise."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
+
+def _segments_properly_intersect(p1, p2, q1, q2) -> bool:
     d1 = orient(q1, q2, p1)
     d2 = orient(q1, q2, p2)
     d3 = orient(p1, p2, q1)
@@ -361,6 +346,16 @@ def moments(d: DomainSpec) -> GeometricMoments:
     )
 
 
+def functional_factor(d: DomainSpec, about: str = "centroid") -> float:
+    """A^3 / I, the scale factor of every bound; I about the centroid or the origin."""
+    m = moments(d)
+    if about == "centroid":
+        return m.area**3 / m.inertia_centroid
+    if about == "origin":
+        return m.area**3 / m.inertia_origin
+    raise ValueError(f"about must be 'centroid' or 'origin', got {about!r}")
+
+
 def triangle_inertia_from_sides(l1: float, l2: float, l3: float, area: float) -> float:
     """Centroidal moment of inertia of a triangle from its side lengths: (A/36)(l1^2+l2^2+l3^2)."""
     sides = sorted([l1, l2, l3])
@@ -415,25 +410,23 @@ def hs_inverse_identity_check(T: LinearMap2) -> tuple[float, float]:
     return lhs, rhs
 
 
-def _require_symmetric(d: DomainSpec, minimum: int = 3) -> None:
-    order = symmetry_order(d)
-    if order != INFINITE_ORDER and order < minimum:
-        raise ValueError(f"domain has rotational symmetry order {order} < {minimum}")
+def require_rotational_symmetry(order: int, what: str = "domain") -> None:
+    """Raise ValueError unless a symmetry order (see symmetry_order) is infinite or >= 3."""
+    if order != INFINITE_ORDER and order < 3:
+        raise ValueError(f"{what} needs rotational symmetry of order >= 3, has {order}")
 
 
 def hs_ratio_check(d: DomainSpec, T: LinearMap2) -> tuple[float, float]:
     """Both sides of  ||T^-1||_HS^2 / 2 = (I/A^3)(TD) / (I/A^3)(D)  for symmetric D."""
-    _require_symmetric(d)
+    require_rotational_symmetry(symmetry_order(d))
     lhs = 0.5 * T.inverse().hs_norm_sq()
-    md = moments(d)
-    mt = moments(apply_map(T, d))
-    rhs = (mt.inertia_centroid / mt.area**3) / (md.inertia_centroid / md.area**3)
+    rhs = functional_factor(d) / functional_factor(apply_map(T, d))
     return lhs, rhs
 
 
 def inverse_image_invariance_check(d: DomainSpec, T: LinearMap2) -> tuple[float, float]:
     """(I/A^2)(TD) and (I/A^2)(T^-1 D): equal for symmetric D."""
-    _require_symmetric(d)
+    require_rotational_symmetry(symmetry_order(d))
     mt = moments(apply_map(T, d))
     mi = moments(apply_map(T.inverse(), d))
     return mt.inertia_centroid / mt.area**2, mi.inertia_centroid / mi.area**2
@@ -524,7 +517,7 @@ def quad_hs_combined_check(P: PiecewiseLinearMap, d: Polygon) -> tuple[float, fl
     ml = moments(apply_map(P.minus(), lo))
     area_t = mu.area + ml.area
     i0_t = mu.inertia_origin + ml.inertia_origin
-    rhs = (i0_t / area_t**3) / (md.inertia_origin / md.area**3)
+    rhs = (i0_t / area_t**3) * functional_factor(d, about="origin")
     return lhs, rhs
 
 
@@ -568,16 +561,6 @@ def isosceles_triangle(aperture: float, leg: float = 1.0) -> Polygon:
         raise ValueError("aperture must lie in (0, pi)")
     h = aperture / 2.0
     return Polygon([[0.0, 0.0], [leg * math.sin(h), -leg * math.cos(h)], [-leg * math.sin(h), -leg * math.cos(h)]])
-
-
-def triangle_from_sides(l1: float, l2: float, l3: float) -> Polygon:
-    """Triangle with the given side lengths, one side on the x1-axis."""
-    sides = sorted([l1, l2, l3])
-    if sides[0] <= 0 or sides[0] + sides[1] <= sides[2]:
-        raise ValueError("side lengths violate the triangle inequality")
-    x = (l1 * l1 + l3 * l3 - l2 * l2) / (2.0 * l1)
-    y = math.sqrt(l3 * l3 - x * x)
-    return Polygon([[0.0, 0.0], [l1, 0.0], [x, y]])
 
 
 # ---------------------------------------------------------------------------

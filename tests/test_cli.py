@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eigenplane import cli
 from eigenplane import experiments as xp
@@ -225,3 +229,64 @@ def test_solver_failure_exits_3(capsys, monkeypatch):
     code = cli.run(["spectrum", "--shape", "isosceles", "--aperture", "1.0", "-n", "2", "--levels", "3"])
     assert code == 3
     assert capsys.readouterr().err == "error: shift-invert iteration failed\n"
+
+
+# numeric arguments: counts (steps, maps, eigenvalues, n_max) and FEM levels,
+# each on a command cheap enough to run at every value drawn
+COUNT_COMMANDS = [
+    "sweep isosceles --levels 2 --steps {}",
+    "conjecture c1 --levels 2 --steps {}",
+    "verify theorem1 --shape equilateral --levels 2 --random {}",
+    "verify theorem1 --shape square -n {}",
+    "verify schrodinger --points 51 --half-width 6 -n {}",
+    "spectrum --shape disk -n {}",
+    "spectrum --shape isosceles --aperture 1 --levels 2 -n {}",
+    "sweep rectangles -n {}",
+    "sweep kroger --shape disk --n-max {}",
+    "conjecture disk-vs-square --n-max {}",
+]
+LEVEL_COMMANDS = [
+    "spectrum --shape square --engine fem --levels {}",
+    "verify quad -n 1 --levels {}",
+    "conjecture quad-inertia --levels {}",
+]
+
+
+@given(
+    st.one_of(
+        st.tuples(st.sampled_from(COUNT_COMMANDS), st.integers(-3, 40)),
+        st.tuples(st.sampled_from(LEVEL_COMMANDS), st.integers(-2, 3)),
+    )
+)
+@example(("sweep isosceles --levels 2 --steps {}", 1))
+@example(("conjecture c1 --levels 2 --steps {}", 1))
+@example(("verify theorem1 --shape equilateral --levels 2 --random {}", -3))
+@settings(max_examples=50, deadline=None)
+def test_numeric_arguments_never_raise_a_traceback(case):
+    template, value = case
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.run(template.format(value).split())
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "isosceles", "--steps", "1"],
+        ["conjecture", "c1", "--steps", "1"],
+        ["verify", "theorem1", "--random", "-3"],
+    ],
+    ids=["sweep-steps-1", "c1-steps-1", "random-negative"],
+)
+def test_bad_counts_exit_2_with_one_line(capsys, argv):
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -176,6 +176,22 @@ def test_moments_offset_domain_parallel_axis():
     )
 
 
+@pytest.mark.parametrize("aspect", [1.0, 1.2, 1.633, 5.0])
+def test_functional_factor_closed_forms(aspect):
+    # A^3/I of an a x 1 rectangle is 12 / (a^-2 + 1); 6 for the unit square
+    assert g.functional_factor(g.rectangle(aspect, 1.0)) == pytest.approx(12.0 / (aspect**-2 + 1.0), rel=1e-14)
+    assert g.functional_factor(g.Ellipse((0.0, 0.0), (1.0, 1.0))) == pytest.approx(2.0 * math.pi**2, rel=1e-14)
+    assert g.functional_factor(g.equilateral_triangle()) == pytest.approx(9.0 / 4.0, rel=1e-13)
+
+
+def test_functional_factor_about_origin():
+    p = g.Polygon([[2, 1], [3, 1], [3, 2], [2, 2]])  # unit square centered at (2.5, 1.5)
+    assert g.functional_factor(p) == pytest.approx(6.0, rel=1e-13)
+    assert g.functional_factor(p, about="origin") == pytest.approx(1.0 / (1.0 / 6.0 + 2.5**2 + 1.5**2), rel=1e-13)
+    with pytest.raises(ValueError):
+        g.functional_factor(p, about="vertex")
+
+
 def test_triangle_inertia_equilateral():
     assert g.triangle_inertia_from_sides(1, 1, 1, SQRT3 / 4) == pytest.approx(SQRT3 / 48, rel=1e-13)
 
