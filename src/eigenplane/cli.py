@@ -168,11 +168,13 @@ def _report_block(args, reports: list[xp.BoundReport]) -> int:
 
 def _cmd_verify(args) -> int:
     opts = _fem_opts(args)
+    if args.random < 0:
+        raise UsageError("--random must be >= 0")
+    if args.random and args.bound != "theorem1":
+        raise UsageError(f"--random applies only to theorem1, not to {args.bound}")
     if args.bound == "theorem1":
         bc = _parse_bc(args.bc, 0.0)
         d = _domain_from_args(args)
-        if args.random < 0:
-            raise UsageError("--random must be >= 0")
         if args.random:
             maps = xp.random_invertible_maps(args.random, args.seed)
         else:

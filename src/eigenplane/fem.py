@@ -1,10 +1,13 @@
 """P1 finite elements for Laplace eigenvalues on polygons, ellipses and their linear images.
 
 Conforming piecewise-linear elements on uniformly refined triangulations.
-All local integrals (stiffness, mass, boundary mass) are exact, Dirichlet
-conditions are imposed by eliminating boundary nodes, and eigenvalues are
-extracted densely up to about 250 unknowns (the measured crossover) and by
-shift-invert Lanczos above it.  Conforming spaces on nested meshes make every
+Meshing is array code on one edge table (np.unique over sorted triangle
+sides) that numbers refinement midpoints and yields the boundary edges;
+meshes above MAX_TRIANGLES are refused before any work.  All local integrals
+(stiffness, mass, boundary mass) are exact, Dirichlet conditions are imposed
+by eliminating boundary nodes, and eigenvalues are extracted densely up to
+about 250 unknowns (the measured crossover) and by shift-invert Lanczos above
+it.  Conforming spaces on nested meshes make every
 Dirichlet eigenvalue a decreasing-in-refinement upper bound on the true one.
 
 A linear image T(D) is solved on D's mesh carried over by T.  Each domain is
@@ -44,6 +47,8 @@ __all__ = [
 ]
 
 ELLIPSE_BASE_SEGMENTS = 64
+#: Largest mesh built: the disk at level 7 (64 x 4^7), 48 s and 1.4 GB to solve on one thread.
+MAX_TRIANGLES = 2**20
 
 
 class SolverFailure(RuntimeError):
@@ -62,7 +67,6 @@ class Mesh:
     vertices: np.ndarray
     triangles: np.ndarray
     boundary_edges: np.ndarray
-    refinement_level: int = 0
 
     @property
     def num_vertices(self) -> int:
@@ -81,25 +85,19 @@ class Mesh:
         return np.nonzero(mask)[0]
 
 
-def _triangle_areas(verts: np.ndarray, tris: np.ndarray) -> np.ndarray:
-    a = verts[tris[:, 0]]
-    b = verts[tris[:, 1]]
-    c = verts[tris[:, 2]]
-    return 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+def _edges(tris: np.ndarray):
+    """Edges numbered by first appearance among the sides (0,1), (1,2), (2,0) of triangle 0, 1, ...
 
-
-def _boundary_edges_from_triangles(tris: np.ndarray) -> np.ndarray:
-    """Directed edges owned by exactly one triangle, in that triangle's (CCW) order."""
-    count: dict[tuple[int, int], int] = {}
-    directed: dict[tuple[int, int], tuple[int, int]] = {}
-    for t in tris:
-        for i in range(3):
-            a, b = int(t[i]), int(t[(i + 1) % 3])
-            key = (min(a, b), max(a, b))
-            count[key] = count.get(key, 0) + 1
-            directed[key] = (a, b)
-    edges = [directed[k] for k, c in count.items() if c == 1]
-    return np.asarray(edges, dtype=int).reshape(-1, 2)
+    Returns each edge's first directed occurrence (ne, 2), the edge of every
+    triangle side (nt, 3) and the number of triangles owning each edge.
+    """
+    sides = tris[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    a, b = sides.T
+    key = np.minimum(a, b) * (sides.max() + 1) + np.maximum(a, b)
+    # return_index is each key's first occurrence: numpy sorts stably for it
+    _, first, inverse, count = np.unique(key, return_index=True, return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    return sides[first[order]], np.argsort(order)[inverse].reshape(-1, 3), count[order]
 
 
 def _point_in_triangle(p, a, b, c) -> bool:
@@ -110,8 +108,8 @@ def _point_in_triangle(p, a, b, c) -> bool:
 def _triangulate_polygon(verts: np.ndarray) -> np.ndarray:
     """Fan a convex polygon, ear-clip otherwise."""
     n = len(verts)
-    if all(orient(verts[i - 2], verts[i - 1], verts[i]) >= 0 for i in range(n)):
-        return np.array([[0, i, i + 1] for i in range(1, n - 1)], dtype=int)
+    if np.all(orient(np.roll(verts, 2, axis=0).T, np.roll(verts, 1, axis=0).T, verts.T) >= 0):
+        return np.stack([np.zeros(n - 2, dtype=int), np.arange(1, n - 1), np.arange(2, n)], axis=1)
     idx = list(range(n))
     tris = []
     guard = 0
@@ -140,41 +138,34 @@ def _triangulate_polygon(verts: np.ndarray) -> np.ndarray:
     return np.asarray(tris, dtype=int)
 
 
-def _refine_once(verts, tris, boundary_project=None, boundary_params=None):
-    """Split every triangle into 4 congruent children via shared edge midpoints.
+def _refine(verts, tris, angles, project):
+    """Split every triangle into 4 congruent children; edge e's midpoint becomes vertex nv + e.
 
-    boundary_project(phi) with boundary_params (vertex -> parameter) projects
-    new midpoints of boundary edges onto a curved boundary; both None keeps
-    straight (nested) refinement.
+    With `angles` (each vertex's boundary parameter, NaN inside), `project`
+    places new boundary midpoints at the circular mean of their end angles,
+    one call per point; without, refinement is straight (nested).
     """
-    verts = list(map(np.asarray, verts))
-    boundary = {tuple(sorted(e)) for e in _boundary_edges_from_triangles(tris)}
-    midpoint: dict[tuple[int, int], int] = {}
-    new_params = dict(boundary_params) if boundary_params else {}
+    nv = len(verts)
+    edges, side_edge, count = _edges(tris)
+    mid = 0.5 * (verts[edges[:, 0]] + verts[edges[:, 1]])
+    # corners 0-2 and midpoints 3-5 of sides 01, 12, 20 -> the four children
+    tris = np.concatenate([tris, nv + side_edge], axis=1)[:, [[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]]]
+    if angles is not None:
+        boundary = np.nonzero(count == 1)[0]
+        pa, pb = angles[np.sort(edges[boundary], axis=1)].T  # pa at the smaller index: keeps the rounding
+        diff = (pb - pa + math.pi) % (2 * math.pi) - math.pi
+        phi = pa + diff / 2.0
+        mid[boundary] = [project(p) for p in phi.tolist()]
+        angles = np.concatenate([angles, np.full(len(edges), np.nan)])
+        angles[nv + boundary] = phi % (2 * math.pi)
+    return np.vstack([verts, mid]), tris.reshape(-1, 3), angles
 
-    def mid(a: int, b: int) -> int:
-        key = (min(a, b), max(a, b))
-        if key in midpoint:
-            return midpoint[key]
-        if boundary_project is not None and key in boundary:
-            pa, pb = new_params[key[0]], new_params[key[1]]
-            # circular midpoint of the two parameter angles
-            diff = (pb - pa + math.pi) % (2 * math.pi) - math.pi
-            phi = pa + diff / 2.0
-            p = boundary_project(phi)
-            new_params[len(verts)] = phi % (2 * math.pi)
-        else:
-            p = 0.5 * (verts[a] + verts[b])
-        midpoint[key] = len(verts)
-        verts.append(p)
-        return midpoint[key]
 
-    out = []
-    for t in tris:
-        i0, i1, i2 = map(int, t)
-        m01, m12, m20 = mid(i0, i1), mid(i1, i2), mid(i2, i0)
-        out.extend([[i0, m01, m20], [m01, i1, m12], [m20, m12, i2], [m01, m12, m20]])
-    return np.array(verts), np.asarray(out, dtype=int), new_params
+def _check_size(d: DomainSpec, level: int) -> None:
+    """Refuse, before any meshing, a level whose mesh would exceed MAX_TRIANGLES."""
+    base = len(d.vertices) - 2 if isinstance(d, Polygon) else ELLIPSE_BASE_SEGMENTS
+    if base * 4 ** min(level, 32) > MAX_TRIANGLES:  # capped: a huge level builds no huge integer
+        raise ValueError(f"level {level} would mesh {base} x 4^{level} triangles, more than {MAX_TRIANGLES}")
 
 
 def mesh_domain(d: DomainSpec, level: int = 0) -> Mesh:
@@ -183,31 +174,32 @@ def mesh_domain(d: DomainSpec, level: int = 0) -> Mesh:
     Polygons are fan/ear triangulated; refinements are nested.  Ellipses start
     from the inscribed regular 64-gon fanned around the center, and each
     refinement re-projects new boundary midpoints onto the true ellipse.
+    Levels whose mesh would exceed MAX_TRIANGLES raise ValueError up front.
     """
     if level < 0:
         raise ValueError("refinement level must be >= 0")
+    if not isinstance(d, (Polygon, Ellipse)):
+        raise TypeError(f"not a domain: {type(d).__name__}")
+    _check_size(d, level)
     if isinstance(d, Polygon):
         verts = d.vertices.copy()
         tris = _triangulate_polygon(verts)
-        project, params = None, None
-    elif isinstance(d, Ellipse):
+        angles = project = None
+    else:
         k = ELLIPSE_BASE_SEGMENTS
         phis = 2 * math.pi * np.arange(k) / k
-        ring = np.array([d.boundary_point(p) for p in phis])
-        verts = np.vstack([d.center[None, :], ring])
-        tris = np.array([[0, 1 + i, 1 + (i + 1) % k] for i in range(k)], dtype=int)
-        project = d.boundary_point
-        params = {1 + i: float(phis[i]) for i in range(k)}
-    else:
-        raise TypeError(f"not a domain: {type(d).__name__}")
+        verts = np.vstack([d.center[None, :], [d.boundary_point(p) for p in phis]])
+        ring = np.arange(1, k + 1)
+        tris = np.stack([np.zeros(k, dtype=int), ring, np.roll(ring, -1)], axis=1)
+        angles, project = np.concatenate([[np.nan], phis]), d.boundary_point
 
     for _ in range(level):
-        verts, tris, params = _refine_once(verts, tris, project, params)
+        verts, tris, angles = _refine(verts, tris, angles, project)
 
-    areas = _triangle_areas(verts, tris)
-    if np.any(areas <= 0):
+    if np.any(orient(*(verts[tris[:, i]].T for i in range(3))) <= 0):
         raise ValueError("triangulation produced a non-positively-oriented triangle")
-    return Mesh(verts, tris, _boundary_edges_from_triangles(tris), refinement_level=level)
+    edges, _, count = _edges(tris)
+    return Mesh(verts, tris, edges[count == 1])
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +228,7 @@ class _Reference:
         verts, tris = mesh.vertices, mesh.triangles
         nv = len(verts)
         a, b, c = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
-        area = _triangle_areas(verts, tris)[:, None]
+        area = 0.5 * orient(a.T, b.T, c.T)[:, None]
         # gradients of barycentric coordinates: rotate opposite edges
         gx = np.stack([b[:, 1] - c[:, 1], c[:, 1] - a[:, 1], a[:, 1] - b[:, 1]], axis=1) / (2.0 * area)
         gy = np.stack([c[:, 0] - b[:, 0], a[:, 0] - c[:, 0], b[:, 0] - a[:, 0]], axis=1) / (2.0 * area)
@@ -477,6 +469,7 @@ def spectrum_fem(
     """
     T = LinearMap2.identity() if T is None else T
     level = opts.max_refinement
+    _check_size(d, level)  # fail before the coarse level is solved
     coarse = _solve_level(d, T, bc, n, level - 1, opts)
     fine = _solve_level(d, T, bc, n, level, opts)
     err = np.abs(fine - coarse) / 3.0

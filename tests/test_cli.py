@@ -261,6 +261,7 @@ LEVEL_COMMANDS = [
 @example(("sweep isosceles --levels 2 --steps {}", 1))
 @example(("conjecture c1 --levels 2 --steps {}", 1))
 @example(("verify theorem1 --shape equilateral --levels 2 --random {}", -3))
+@example(("spectrum --shape disk --engine fem --levels {}", 8))
 @settings(max_examples=50, deadline=None)
 def test_numeric_arguments_never_raise_a_traceback(case):
     template, value = case
@@ -280,8 +281,13 @@ def test_numeric_arguments_never_raise_a_traceback(case):
         ["sweep", "isosceles", "--steps", "1"],
         ["conjecture", "c1", "--steps", "1"],
         ["verify", "theorem1", "--random", "-3"],
+        ["verify", "robin", "--shape", "square", "--map", "2,0,0,1", "--random", "5"],
+        ["verify", "schrodinger", "--random", "2"],
+        ["verify", "quad", "--random", "3"],
+        ["spectrum", "--shape", "disk", "--engine", "fem", "--levels", "8"],
     ],
-    ids=["sweep-steps-1", "c1-steps-1", "random-negative"],
+    ids=["sweep-steps-1", "c1-steps-1", "random-negative", "robin-random", "schrodinger-random",
+         "quad-random", "levels-8"],
 )
 def test_bad_counts_exit_2_with_one_line(capsys, argv):
     code = cli.run(argv)

@@ -358,6 +358,20 @@ def test_reference_mesh_built_once_per_level_and_orientation(monkeypatch):
     assert sorted(calls) == [2, 2, 3, 3]  # two levels, two signs of det T
 
 
+def test_oversized_meshes_are_refused_before_any_meshing(monkeypatch):
+    disk = g.Ellipse((0, 0), (1, 1))
+    fem._check_size(disk, 7)  # 64 x 4^7 = MAX_TRIANGLES
+    fem._check_size(g.square(1.0), 9)  # 2 x 4^9
+    for d, level in ((disk, 8), (g.square(1.0), 10), (disk, 10**9)):
+        with pytest.raises(ValueError, match="triangles, more than"):
+            fem.mesh_domain(d, level)
+    calls = []
+    monkeypatch.setattr(fem, "mesh_domain", lambda d, level: calls.append(level))
+    with pytest.raises(ValueError, match="triangles, more than"):
+        fem.spectrum_fem(disk, ex.DIRICHLET, 1, fem.FemOptions(max_refinement=8))
+    assert calls == []  # not even the coarse level was meshed
+
+
 def test_reference_cache_stays_within_its_byte_bound():
     refs = [fem._Reference(fem.mesh_domain(g.square(1.0), lev)) for lev in (3, 3, 2)]
     cache = fem._ReferenceCache(refs[0].nbytes + refs[2].nbytes)
