@@ -204,8 +204,26 @@ def _cmd_verify(args) -> int:
     raise UsageError(f"unknown bound {args.bound!r}")
 
 
+# sweep options that only the isosceles family reads: (flag, dest, default);
+# the parser leaves them None so that the other families can refuse them
+_ISOSCELES_OPTIONS = [
+    ("--from", "start", 0.3),
+    ("--to", "stop", 2.8),
+    ("--steps", "steps", 26),
+    ("--apertures", "apertures", None),
+    ("--bc", "bc", "dirichlet"),
+    ("--sigma", "sigma", 1.0),
+]
+
+
 def _cmd_sweep(args) -> int:
+    given = [flag for flag, dest, _ in _ISOSCELES_OPTIONS if getattr(args, dest) is not None]
+    if given and args.family != "isosceles":
+        raise UsageError(f"{given[0]} applies only to sweep isosceles, not to {args.family}")
     if args.family == "isosceles":
+        for _, dest, default in _ISOSCELES_OPTIONS:
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
         bc = _parse_bc(args.bc, args.sigma)
         rows = xp.sweep_isosceles(args.n, _apertures(args), bc, _fem_opts(args))
         _emit(args, _csv(args, rows))
@@ -313,13 +331,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="tabulate the normalized sum over a family")
     p.add_argument("family", choices=["isosceles", "rectangles", "kroger"])
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--from", dest="start", type=float, default=0.3)
-    p.add_argument("--to", dest="stop", type=float, default=2.8)
-    p.add_argument("--steps", type=int, default=26)
-    p.add_argument("--apertures", help="explicit comma-separated apertures")
+    p.add_argument("--from", dest="start", type=float, help="isosceles only")
+    p.add_argument("--to", dest="stop", type=float, help="isosceles only")
+    p.add_argument("--steps", type=int, help="isosceles only")
+    p.add_argument("--apertures", help="isosceles only: explicit comma-separated apertures")
     p.add_argument("--aspects", default="1,1.2,1.5", help="rectangle aspect ratios")
-    p.add_argument("--bc", default="dirichlet", choices=["dirichlet", "neumann", "robin"])
-    p.add_argument("--sigma", type=float, default=1.0)
+    p.add_argument("--bc", choices=["dirichlet", "neumann", "robin"], help="isosceles only")
+    p.add_argument("--sigma", type=float, help="isosceles only")
     p.add_argument("--shape", default="square", choices=["square", "disk", "equilateral"])
     p.add_argument("--n-max", type=int, default=100)
     p.add_argument("--series", default="kroger", choices=["kroger", "weyl"])

@@ -4,18 +4,20 @@ Dirichlet/Neumann eigenvalues of equilateral triangles and rectangles come
 from lattice enumeration of their classical formulas; disk eigenvalues from
 Bessel zeros; rectangle Robin eigenvalues from tensor sums of the 1D Robin
 problem.  Every enumeration uses a provable cutoff, so the first n values are
-guaranteed complete.
+guaranteed complete; more than MAX_EIGENVALUES values are refused up front.
+Each Bessel zero is solved once, into a grow-only table per order shared by
+all callers, on a bracket that does not depend on how many zeros were asked
+for.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import jv, jvp
 
 __all__ = [
     "BoundarySpec",
@@ -30,6 +32,9 @@ __all__ = [
     "disk_spectrum",
     "robin_interval_eigs",
 ]
+
+# exact spectra longer than this are refused before any enumeration starts
+MAX_EIGENVALUES = 10_000
 
 
 @dataclass(frozen=True)
@@ -120,73 +125,69 @@ class BesselZeroRequest:
 
 _BRENTQ_KW = dict(xtol=1e-13, rtol=8.9e-16, maxiter=200)
 
-
-def _round8(count: int) -> int:
-    # quantize cache keys so interlacing recursion reuses lower orders
-    return ((count + 7) // 8) * 8
-
-
-@lru_cache(maxsize=None)
-def _jn_zeros_cached(m: int, count: int) -> tuple[float, ...]:
-    if m == 0:
-        zeros = []
-        x, fx = 2.0, jv(0, 2.0)
-        while len(zeros) < count:
-            x2 = x + 1.0
-            fx2 = jv(0, x2)
-            if fx == 0.0:
-                zeros.append(x)
-            elif fx * fx2 < 0:
-                zeros.append(brentq(lambda t: jv(0, t), x, x2, **_BRENTQ_KW))
-            x, fx = x2, fx2
-        return tuple(zeros[:count])
-    prev = _jn_zeros_cached(m - 1, _round8(count + 1))
-    return tuple(
-        brentq(lambda t: jv(m, t), prev[p], prev[p + 1], **_BRENTQ_KW) for p in range(count)
-    )
+# (m, derivative) -> the first zeros of J_m (or J_m') found so far.  Tables only
+# grow, and zero p is always solved on the same bracket, so each zero is solved
+# once and its value never depends on how many zeros were asked for.
+_ZEROS: dict[tuple[int, bool], list[float]] = {}
+_ZEROS_LOCK = threading.RLock()  # reentrant: growing order m reads order m-1
 
 
-def _jn_zeros(m: int, count: int) -> tuple[float, ...]:
-    """First `count` positive zeros of J_m, by interlacing recursion over m.
+def _zeros(m: int, count: int, derivative: bool = False) -> list[float]:
+    """First `count` positive zeros of J_m, or of J_m' when `derivative` is set.
 
     Zeros of consecutive orders strictly interlace
     (j_{m-1,p} < j_{m,p} < j_{m-1,p+1}), so each bracket from order m-1
     contains exactly one zero of order m.  The base order m=0 is bracketed by
-    a unit-step sign scan, safe because J_0's zero spacing exceeds 2.9.
+    a unit-step sign scan from 2, safe because J_0's zero spacing exceeds 2.9.
+    For m >= 1 the zeros of J_m' interlace with those of J_m:
+    m < j'_{m,1} < j_{m,1} < j'_{m,2} < j_{m,2} < ...; J_0' = -J_1.
     """
-    return _jn_zeros_cached(m, _round8(count))[:count]
+    if derivative and m == 0:
+        m, derivative = 1, False
+    with _ZEROS_LOCK:
+        table = _ZEROS.setdefault((m, derivative), [])
+        if len(table) >= count:
+            return table[:count]
+        from scipy.optimize import brentq
+        from scipy.special import jv, jvp
 
-
-@lru_cache(maxsize=None)
-def _jnp_zeros_cached(m: int, count: int) -> tuple[float, ...]:
-    if m == 0:
-        return _jn_zeros(1, count)
-    jz = _jn_zeros(m, count)
-    out = [brentq(lambda t: jvp(m, t), max(float(m), 1e-3), jz[0], **_BRENTQ_KW)]
-    for p in range(1, count):
-        out.append(brentq(lambda t: jvp(m, t), jz[p - 1], jz[p], **_BRENTQ_KW))
-    return tuple(out)
-
-
-def _jnp_zeros(m: int, count: int) -> tuple[float, ...]:
-    """First `count` positive zeros of J_m'.
-
-    For m >= 1 they interlace with the zeros of J_m:
-    m < j'_{m,1} < j_{m,1} < j'_{m,2} < j_{m,2} < ...; J_m' changes sign
-    across each bracket.  J_0' = -J_1, so its positive zeros are J_1's.
-    """
-    return _jnp_zeros_cached(m, _round8(count))[:count]
+        if m == 0 and not derivative:
+            # resume the scan at the unit step after the last zero found
+            x = math.floor(table[-1]) + 1.0 if table else 2.0
+            fx = jv(0, x)
+            while len(table) < count:
+                x2 = x + 1.0
+                fx2 = jv(0, x2)
+                if fx == 0.0:
+                    table.append(x)
+                elif fx * fx2 < 0:
+                    table.append(brentq(lambda t: jv(0, t), x, x2, **_BRENTQ_KW))
+                x, fx = x2, fx2
+        else:
+            if derivative:
+                f, brackets = jvp, [max(float(m), 1e-3)] + _zeros(m, count)
+            else:
+                f, brackets = jv, _zeros(m - 1, count + 1)
+            for p in range(len(table), count):
+                table.append(brentq(lambda t: f(m, t), brackets[p], brackets[p + 1], **_BRENTQ_KW))
+        return table[:count]
 
 
 def bessel_zero(req: BesselZeroRequest) -> float:
     """Positive zero j_{m,p} of J_m, or j'_{m,p} of J_m', to ~1e-12 absolute."""
-    table = _jnp_zeros(req.m, req.p) if req.derivative else _jn_zeros(req.m, req.p)
-    return table[req.p - 1]
+    return _zeros(req.m, req.p, req.derivative)[req.p - 1]
 
 
 # ---------------------------------------------------------------------------
 # lattice spectra
 # ---------------------------------------------------------------------------
+
+def _check_count(n: int) -> None:
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if n > MAX_EIGENVALUES:
+        raise ValueError(f"asked for {n} exact eigenvalues, more than {MAX_EIGENVALUES}")
+
 
 def _first_n_sorted(candidates: list[float], n: int) -> np.ndarray:
     arr = np.sort(np.asarray(candidates, dtype=float))
@@ -202,8 +203,7 @@ def equilateral_spectrum(side: float, bc: BoundarySpec, n: int) -> Spectrum:
     """
     if side <= 0:
         raise ValueError("side must be positive")
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_count(n)
     if bc.kind == "robin" and bc.sigma != 0.0:
         raise ValueError("no closed-form Robin spectrum for triangles")
     start = 1 if bc.is_dirichlet else 0
@@ -232,8 +232,7 @@ def rectangle_spectrum(l1: float, l2: float, bc: BoundarySpec, n: int) -> Spectr
     """
     if l1 <= 0 or l2 <= 0:
         raise ValueError("side lengths must be positive")
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_count(n)
     if bc.kind == "robin" and bc.sigma > 0:
         return _rectangle_robin(l1, l2, bc.sigma, n)
     start = 1 if bc.is_dirichlet else 0
@@ -277,27 +276,21 @@ def disk_spectrum(radius: float, bc: BoundarySpec, n: int) -> Spectrum:
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_count(n)
     if bc.kind == "robin" and bc.sigma != 0.0:
         raise ValueError("no closed-form Robin spectrum for disks")
-    zeros_of = _jn_zeros if bc.is_dirichlet else _jnp_zeros
     bound = math.sqrt(4.0 * n + 40.0)  # zero magnitude cutoff, grown until complete
     while True:
         vals: list[float] = [] if bc.is_dirichlet else [0.0]
-        m = 0
-        while True:
+        for m in itertools.count():
+            p = 0
+            while (z := _zeros(m, p + 1, not bc.is_dirichlet)[p]) <= bound:
+                vals.extend([z * z] if m == 0 else [z * z, z * z])
+                p += 1
             # zeros increase with both order and index, so stop at the first
             # order whose smallest zero clears the cutoff
-            zs = zeros_of(m, 8)
-            if zs[0] > bound:
+            if p == 0:
                 break
-            while zs[-1] <= bound:
-                zs = zeros_of(m, 2 * len(zs))
-            for z in zs:
-                if z <= bound:
-                    vals.extend([z * z] if m == 0 else [z * z, z * z])
-            m += 1
         if len(vals) >= n:
             out = _first_n_sorted(vals, n) / radius**2
             err = 2.0 * np.sqrt(np.maximum(out, 0.0)) * 1e-12 / radius
@@ -324,6 +317,7 @@ def robin_interval_eigs(l: float, sigma: float, count: int) -> np.ndarray:
         raise ValueError("need count >= 1")
     if sigma == 0.0:
         return (math.pi * np.arange(count) / l) ** 2
+    from scipy.optimize import brentq
 
     def f(w: float) -> float:
         return (w * w - sigma * sigma) * math.sin(w * l) - 2.0 * sigma * w * math.cos(w * l)

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ellipe
 
 __all__ = [
     "LinearMap2",
@@ -330,6 +329,8 @@ def moments(d: DomainSpec) -> GeometricMoments:
         R = _rot_array(d.rotation)
         mc = R @ np.diag([math.pi * s1**3 * s2 / 4.0, math.pi * s1 * s2**3 / 4.0]) @ R.T
         m0 = mc + area * np.outer(c, c)
+        from scipy.special import ellipe
+
         a, b = max(s1, s2), min(s1, s2)
         perim = float(4.0 * a * ellipe(1.0 - (b / a) ** 2))
     else:

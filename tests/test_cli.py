@@ -285,9 +285,20 @@ def test_numeric_arguments_never_raise_a_traceback(case):
         ["verify", "schrodinger", "--random", "2"],
         ["verify", "quad", "--random", "3"],
         ["spectrum", "--shape", "disk", "--engine", "fem", "--levels", "8"],
+        ["spectrum", "--shape", "square", "--engine", "exact", "-n", "10001"],
+        ["spectrum", "--shape", "equilateral", "--engine", "exact", "-n", "10001"],
+        ["sweep", "kroger", "--n-max", "10001"],
+        ["sweep", "rectangles", "--aspects", "1", "--bc", "robin", "--sigma", "3"],
+        ["sweep", "rectangles", "--steps", "1", "--aspects", "1"],
+        ["sweep", "rectangles", "--apertures", "1.0"],
+        ["sweep", "kroger", "--from", "0.5"],
+        ["sweep", "kroger", "--to", "2.0"],
+        ["sweep", "kroger", "--sigma", "2"],
     ],
     ids=["sweep-steps-1", "c1-steps-1", "random-negative", "robin-random", "schrodinger-random",
-         "quad-random", "levels-8"],
+         "quad-random", "levels-8", "square-n-10001", "equilateral-n-10001", "kroger-n-max-10001",
+         "rectangles-bc-sigma", "rectangles-steps", "rectangles-apertures", "kroger-from",
+         "kroger-to", "kroger-sigma"],
 )
 def test_bad_counts_exit_2_with_one_line(capsys, argv):
     code = cli.run(argv)
@@ -296,3 +307,12 @@ def test_bad_counts_exit_2_with_one_line(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_cli_import_leaves_scipy_special_and_optimize_unloaded():
+    import subprocess
+    import sys
+
+    code = "import sys, eigenplane.cli; print(sorted({'scipy.special', 'scipy.optimize'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

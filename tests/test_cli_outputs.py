@@ -52,6 +52,8 @@ COMMANDS = [
     ("moments --shape isosceles --aperture 1.2", True),
     ("spectrum --shape disk --bc neumann -n 6", True),
     ("spectrum --shape rectangle --l1 2 --l2 1 --bc robin --sigma 0.5 -n 4", True),
+    ("spectrum --shape disk --engine exact -n 200 --bc dirichlet", True),
+    ("spectrum --shape disk --engine exact -n 200 --bc neumann", True),
     # usage errors: nothing on stdout, exit 2
     ("verify theorem1 --shape rectangle --l1 2 --map 1,0,0,1", True),
     ("verify robin --shape ellipse --s1 2 --map 1,0,0,1", True),

@@ -113,6 +113,73 @@ def test_bessel_zero_rejects_bad_request():
         ex.BesselZeroRequest(0, 0)
 
 
+def _assert_tables_sorted(tables):
+    for key, zeros in tables.items():
+        assert all(a < b for a, b in zip(zeros, zeros[1:])), key  # increasing, no duplicates
+
+
+def test_each_bessel_zero_is_solved_once(monkeypatch):
+    import scipy.optimize
+
+    calls = []
+    brentq = scipy.optimize.brentq
+
+    def counting(f, a, b, **kw):
+        calls.append((a, b))
+        return brentq(f, a, b, **kw)
+
+    monkeypatch.setattr(ex, "_ZEROS", {})
+    monkeypatch.setattr(scipy.optimize, "brentq", counting)
+    ex.disk_spectrum(1.0, ex.DIRICHLET, 400)
+    ex.disk_spectrum(1.0, ex.NEUMANN, 400)
+    entries = sum(len(zeros) for zeros in ex._ZEROS.values())
+    assert len(calls) == entries > 1000
+    _assert_tables_sorted(ex._ZEROS)
+    # shorter requests read the tables and solve nothing
+    ex.disk_spectrum(1.0, ex.NEUMANN, 200)
+    for m in range(5):
+        ex.bessel_zero(ex.BesselZeroRequest(m, 3))
+        ex.bessel_zero(ex.BesselZeroRequest(m, 3, derivative=True))
+    assert len(calls) == entries
+
+
+def test_bessel_zero_tables_grow_the_same_under_threads(monkeypatch):
+    import random
+    import sys
+    import threading
+
+    requests = [(m, count, d) for m in range(12) for count in (1, 4, 9, 17) for d in (False, True)]
+    monkeypatch.setattr(ex, "_ZEROS", {})
+    for m, count, d in requests:
+        ex._zeros(m, count, d)
+    single = ex._ZEROS
+
+    monkeypatch.setattr(ex, "_ZEROS", {})
+    got = []
+
+    def work(seed):
+        order = requests[:]
+        random.Random(seed).shuffle(order)
+        for req in order:
+            got.append((req, ex._zeros(*req)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(s,)) for s in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert ex._ZEROS == single
+    _assert_tables_sorted(ex._ZEROS)
+    assert len(got) == 4 * len(requests)
+    assert all(zeros == ex._zeros(*req) for req, zeros in got)
+
+
 # ---------------------------------------------------------------------------
 # boundary spec and spectrum
 # ---------------------------------------------------------------------------
@@ -228,6 +295,19 @@ def test_disk_dirichlet_multiplicities():
     np.testing.assert_allclose(
         s.values, [J01**2, j11**2, j11**2, j21**2, j21**2, J02**2], rtol=1e-12
     )
+
+
+def test_oversized_exact_spectra_are_refused_up_front(monkeypatch):
+    n = ex.MAX_EIGENVALUES
+    assert ex.rectangle_spectrum(1.0, 1.0, ex.DIRICHLET, n).n == n
+    monkeypatch.setattr(ex, "_zeros", None)  # the disk must fail before reading a zero
+    for spectrum in (
+        lambda: ex.equilateral_spectrum(1.0, ex.NEUMANN, n + 1),
+        lambda: ex.rectangle_spectrum(1.0, 1.0, ex.robin(1.0), n + 1),
+        lambda: ex.disk_spectrum(1.0, ex.DIRICHLET, n + 1),
+    ):
+        with pytest.raises(ValueError, match="more than 10000"):
+            spectrum()
 
 
 def test_disk_rejects_robin():
