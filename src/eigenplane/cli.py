@@ -4,6 +4,11 @@ Exit codes: 0 success (all checked inequalities hold), 1 a verified bound was
 violated, 2 usage or configuration error, 3 numerical failure (an eigensolver
 did not converge, or the Schrodinger box is too small).  Every output records
 the seed, and identical invocations are byte-identical.
+
+Each leaf command (`spectrum`, `moments`, `verify theorem1`, `sweep kroger`,
+...) accepts only the options its handler reads, so `eigenplane verify robin
+--help` lists exactly those.  Any other option, and any abbreviated flag, is
+a usage error: exit 2 with one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -35,18 +40,8 @@ class UsageError(Exception):
     pass
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.11e}"
-
-
 def _parse_bc(name: str, sigma: float) -> BoundarySpec:
-    if name == "dirichlet":
-        return DIRICHLET
-    if name == "neumann":
-        return NEUMANN
-    if name == "robin":
-        return robin(sigma)
-    raise UsageError(f"unknown boundary condition {name!r}")
+    return robin(sigma) if name == "robin" else {"dirichlet": DIRICHLET, "neumann": NEUMANN}[name]
 
 
 def _parse_map(text: str) -> LinearMap2:
@@ -100,12 +95,10 @@ def _domain_from_args(args) -> object:
         return Ellipse((0.0, 0.0), (args.s1, args.s2), args.theta)
     if shape == "isosceles":
         return isosceles_triangle(args.aperture)
-    if shape == "file":
-        if not args.domain_file:
-            raise UsageError("--shape file requires --domain-file")
-        with open(args.domain_file) as f:
-            return domain_from_text(f.read())
-    raise UsageError(f"unknown shape {shape!r}")
+    if not args.domain_file:  # --shape file
+        raise UsageError("--shape file requires --domain-file")
+    with open(args.domain_file) as f:
+        return domain_from_text(f.read())
 
 
 def _emit(args, text: str) -> None:
@@ -166,115 +159,106 @@ def _report_block(args, reports: list[xp.BoundReport]) -> int:
     return 0 if all(r.holds for r in reports) else 1
 
 
-def _cmd_verify(args) -> int:
+def _verify_theorem1(args) -> int:
     opts = _fem_opts(args)
     if args.random < 0:
         raise UsageError("--random must be >= 0")
-    if args.random and args.bound != "theorem1":
-        raise UsageError(f"--random applies only to theorem1, not to {args.bound}")
-    if args.bound == "theorem1":
-        bc = _parse_bc(args.bc, 0.0)
-        d = _domain_from_args(args)
-        if args.random:
-            maps = xp.random_invertible_maps(args.random, args.seed)
-        else:
-            maps = [_parse_map(args.map)]
-        reports = [xp.verify_linear_map_bound(d, T, bc, args.n, opts) for T in maps]
-        return _report_block(args, reports)
-    if args.bound == "robin":
-        d = _domain_from_args(args)
-        reports = [xp.verify_robin_bound(d, _parse_map(args.map), args.sigma, args.n, opts)]
-        return _report_block(args, reports)
-    if args.bound == "schrodinger":
-        if args.potential == "harmonic":
-            W = schrodinger.harmonic()
-        elif args.potential == "power":
-            W = schrodinger.power_radial(args.q)
-        elif args.potential == "trisym":
-            W = schrodinger.trisym(args.beta)
-        else:
-            raise UsageError(f"unknown potential {args.potential!r}")
-        grid = schrodinger.GridSpec(args.half_width, args.points)
-        reports = [xp.verify_schrodinger_bound(W, args.h, _parse_map(args.map), args.n, grid)]
-        return _report_block(args, reports)
-    if args.bound == "quad":
-        bc = _parse_bc(args.bc, 0.0)
-        reports = [xp.verify_quad_bound(_parse_pieces(args.pieces), bc, args.n, opts)]
-        return _report_block(args, reports)
-    raise UsageError(f"unknown bound {args.bound!r}")
+    bc = _parse_bc(args.bc, 0.0)
+    d = _domain_from_args(args)
+    maps = xp.random_invertible_maps(args.random, args.seed) if args.random else [_parse_map(args.map)]
+    return _report_block(args, [xp.verify_linear_map_bound(d, T, bc, args.n, opts) for T in maps])
 
 
-# sweep options that only the isosceles family reads: (flag, dest, default);
-# the parser leaves them None so that the other families can refuse them
-_ISOSCELES_OPTIONS = [
-    ("--from", "start", 0.3),
-    ("--to", "stop", 2.8),
-    ("--steps", "steps", 26),
-    ("--apertures", "apertures", None),
-    ("--bc", "bc", "dirichlet"),
-    ("--sigma", "sigma", 1.0),
-]
+def _verify_robin(args) -> int:
+    opts = _fem_opts(args)
+    d = _domain_from_args(args)
+    return _report_block(args, [xp.verify_robin_bound(d, _parse_map(args.map), args.sigma, args.n, opts)])
 
 
-def _cmd_sweep(args) -> int:
-    given = [flag for flag, dest, _ in _ISOSCELES_OPTIONS if getattr(args, dest) is not None]
-    if given and args.family != "isosceles":
-        raise UsageError(f"{given[0]} applies only to sweep isosceles, not to {args.family}")
-    if args.family == "isosceles":
-        for _, dest, default in _ISOSCELES_OPTIONS:
-            if getattr(args, dest) is None:
-                setattr(args, dest, default)
-        bc = _parse_bc(args.bc, args.sigma)
-        rows = xp.sweep_isosceles(args.n, _apertures(args), bc, _fem_opts(args))
-        _emit(args, _csv(args, rows))
-        return 0
-    if args.family == "rectangles":
-        rows = xp.rectangle_sum_family(args.n, _parse_floats(args.aspects))
-        _emit(args, _csv(args, rows))
-        return 0
-    if args.family == "kroger":
-        kroger, weyl = xp.kroeger_weyl_check(args.shape, args.n_max)
-        rows = kroger if args.series == "kroger" else weyl
-        bound = 2.0 * math.pi
-        _emit(args, _csv(args, rows))
-        if args.series == "kroger" and any(r.value > bound for r in rows):
-            return 1
-        return 0
-    raise UsageError(f"unknown sweep family {args.family!r}")
+def _verify_schrodinger(args) -> int:
+    W = {"harmonic": schrodinger.harmonic, "power": lambda: schrodinger.power_radial(args.q),
+         "trisym": lambda: schrodinger.trisym(args.beta)}[args.potential]()
+    grid = schrodinger.GridSpec(args.half_width, args.points)
+    return _report_block(args, [xp.verify_schrodinger_bound(W, args.h, _parse_map(args.map), args.n, grid)])
 
 
-def _cmd_conjecture(args) -> int:
-    if args.scan == "c1":
-        apertures = _apertures(args)
-        grid = [isosceles_triangle(a) for a in apertures]
-        rows = xp.conjecture_scan_c1(grid, _fem_opts(args))
-        # re-key rows by aperture for readability
-        rows = [xp.SweepRow(a, r.value, r.method, r.error) for a, r in zip(apertures, rows)]
-        _emit(args, _csv(args, rows))
-        return 0
-    if args.scan == "disk-vs-square":
-        winners = xp.disk_vs_square(args.n_max)
-        rec = {"seed": args.seed, "n_max": args.n_max, "square_larger": sorted(winners)}
-        _emit(args, json.dumps(rec, sort_keys=True) + "\n")
-        return 0
-    if args.scan == "quad-inertia":
-        bc = _parse_bc(args.bc, 0.0)
-        rep = xp.quad_bound_centroid_variant(_parse_pieces(args.pieces), bc, args.n, _fem_opts(args))
-        _report_block(args, [rep])
-        return 0  # conjecture scans report, never fail
-    raise UsageError(f"unknown conjecture scan {args.scan!r}")
+def _verify_quad(args) -> int:
+    opts = _fem_opts(args)
+    bc = _parse_bc(args.bc, 0.0)
+    return _report_block(args, [xp.verify_quad_bound(_parse_pieces(args.pieces), bc, args.n, opts)])
+
+
+def _sweep_isosceles(args) -> int:
+    bc = _parse_bc(args.bc, args.sigma)
+    _emit(args, _csv(args, xp.sweep_isosceles(args.n, _apertures(args), bc, _fem_opts(args))))
+    return 0
+
+
+def _sweep_rectangles(args) -> int:
+    _emit(args, _csv(args, xp.rectangle_sum_family(args.n, _parse_floats(args.aspects))))
+    return 0
+
+
+def _sweep_kroger(args) -> int:
+    kroger, weyl = xp.kroeger_weyl_check(args.shape, args.n_max)
+    rows = kroger if args.series == "kroger" else weyl
+    _emit(args, _csv(args, rows))
+    return int(args.series == "kroger" and any(r.value > 2.0 * math.pi for r in rows))
+
+
+def _conjecture_c1(args) -> int:
+    apertures = _apertures(args)
+    rows = xp.conjecture_scan_c1([isosceles_triangle(a) for a in apertures], _fem_opts(args))
+    # re-key rows by aperture for readability
+    rows = [xp.SweepRow(a, r.value, r.method, r.error) for a, r in zip(apertures, rows)]
+    _emit(args, _csv(args, rows))
+    return 0
+
+
+def _conjecture_disk_vs_square(args) -> int:
+    winners = xp.disk_vs_square(args.n_max)
+    rec = {"seed": args.seed, "n_max": args.n_max, "square_larger": sorted(winners)}
+    _emit(args, json.dumps(rec, sort_keys=True) + "\n")
+    return 0
+
+
+def _conjecture_quad_inertia(args) -> int:
+    bc = _parse_bc(args.bc, 0.0)
+    rep = xp.quad_bound_centroid_variant(_parse_pieces(args.pieces), bc, args.n, _fem_opts(args))
+    _report_block(args, [rep])
+    return 0  # conjecture scans report, never fail
 
 
 # ---------------------------------------------------------------------------
-# argument plumbing
+# argument plumbing: one parser leaf per handler, declaring only what it reads
 # ---------------------------------------------------------------------------
+
+class _Parser(argparse.ArgumentParser):
+    """Refuses abbreviated flags and turns every parse error into a UsageError."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value file; command-line flags override")
     p.add_argument("--output", help="write results here instead of stdout")
     p.add_argument("--seed", type=int, default=0, help="seed recorded in the output")
+
+
+def _add_fem(p: argparse.ArgumentParser) -> None:
     p.add_argument("--levels", type=int, default=5, help="finest FEM refinement level")
     p.add_argument("--no-extrapolate", action="store_true", help="skip Richardson extrapolation")
+
+
+def _add_apertures(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--from", dest="start", type=float, default=0.3)
+    p.add_argument("--to", dest="stop", type=float, default=2.8)
+    p.add_argument("--steps", type=int, default=26)
+    p.add_argument("--apertures", help="explicit comma-separated apertures")
 
 
 def _add_shape(p: argparse.ArgumentParser) -> None:
@@ -291,71 +275,78 @@ def _add_shape(p: argparse.ArgumentParser) -> None:
     p.add_argument("--domain-file")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="eigenplane",
-                                 description="Eigenvalue sums of plane domains: spectra, bounds, sweeps.")
-    sub = ap.add_subparsers(dest="command", required=True)
+def _leaf(sub, name: str, func, summary: str, *adders) -> argparse.ArgumentParser:
+    """One leaf command: the --config/--output/--seed options, `adders`, and its handler."""
+    p = sub.add_parser(name, help=summary)
+    for add in (_add_common, *adders):
+        add(p)
+    p.set_defaults(func=func)
+    return p
 
-    p = sub.add_parser("spectrum", help="first n eigenvalues of a domain")
-    _add_shape(p)
+
+def build_parser() -> argparse.ArgumentParser:
+    ap = _Parser(prog="eigenplane", description="Eigenvalue sums of plane domains: spectra, bounds, sweeps.")
+    sub = ap.add_subparsers(dest="command", required=True)
+    map_opt = dict(default="1,0,0,1", help="linear map a11,a12,a21,a22")
+
+    p = _leaf(sub, "spectrum", _cmd_spectrum, "first n eigenvalues of a domain", _add_shape, _add_fem)
     p.add_argument("--bc", default="dirichlet", choices=["dirichlet", "neumann", "robin"])
     p.add_argument("--sigma", type=float, default=1.0, help="Robin parameter")
     p.add_argument("-n", "--n", dest="n", type=int, default=5)
     p.add_argument("--engine", default="auto", choices=["auto", "exact", "fem"])
-    _add_common(p)
-    p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("moments", help="area, centroid, moments of inertia")
-    _add_shape(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_moments)
+    _leaf(sub, "moments", _cmd_moments, "area, centroid, moments of inertia", _add_shape)
 
-    p = sub.add_parser("verify", help="check one of the eigenvalue-sum bounds")
-    p.add_argument("bound", choices=["theorem1", "robin", "schrodinger", "quad"])
-    _add_shape(p)
-    p.add_argument("--map", default="1,0,0,1", help="linear map a11,a12,a21,a22")
+    verify = sub.add_parser("verify", help="check one of the eigenvalue-sum bounds")
+    bounds = verify.add_subparsers(dest="bound", required=True)
+    p = _leaf(bounds, "theorem1", _verify_theorem1, "linear images of a symmetric domain", _add_shape, _add_fem)
+    p.add_argument("--map", **map_opt)
     p.add_argument("--random", type=int, default=0, help="use this many seeded random maps instead")
     p.add_argument("--bc", default="dirichlet", choices=["dirichlet", "neumann"])
-    p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("-n", "--n", dest="n", type=int, default=1)
-    p.add_argument("--pieces", default="1,1,0,0", help="piecewise map a,b,c_plus,c_minus")
+    p = _leaf(bounds, "robin", _verify_robin, "the Robin analogue", _add_shape, _add_fem)
+    p.add_argument("--map", **map_opt)
+    p.add_argument("--sigma", type=float, default=1.0, help="Robin parameter")
+    p.add_argument("-n", "--n", dest="n", type=int, default=1)
+    p = _leaf(bounds, "schrodinger", _verify_schrodinger, "the Schrodinger analogue")
+    p.add_argument("--map", **map_opt)
+    p.add_argument("-n", "--n", dest="n", type=int, default=1)
     p.add_argument("--potential", default="harmonic", choices=["harmonic", "power", "trisym"])
-    p.add_argument("--q", type=int, default=4)
-    p.add_argument("--beta", type=float, default=schrodinger.DEFAULT_TRISYM_BETA)
+    p.add_argument("--q", type=int, default=4, help="power potential exponent")
+    p.add_argument("--beta", type=float, default=schrodinger.DEFAULT_TRISYM_BETA, help="trisym coefficient")
     p.add_argument("--h", type=float, default=1.0)
     p.add_argument("--half-width", type=float, default=8.0)
     p.add_argument("--points", type=int, default=201)
-    _add_common(p)
-    p.set_defaults(func=_cmd_verify)
+    p = _leaf(bounds, "quad", _verify_quad, "the equal-area-half quadrilateral bound", _add_fem)
+    p.add_argument("--pieces", default="1,1,0,0", help="piecewise map a,b,c_plus,c_minus")
+    p.add_argument("--bc", default="dirichlet", choices=["dirichlet", "neumann"])
+    p.add_argument("-n", "--n", dest="n", type=int, default=1)
 
-    p = sub.add_parser("sweep", help="tabulate the normalized sum over a family")
-    p.add_argument("family", choices=["isosceles", "rectangles", "kroger"])
+    sweep = sub.add_parser("sweep", help="tabulate the normalized sum over a family")
+    families = sweep.add_subparsers(dest="family", required=True)
+    p = _leaf(families, "isosceles", _sweep_isosceles, "isosceles triangles by aperture", _add_apertures, _add_fem)
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--from", dest="start", type=float, help="isosceles only")
-    p.add_argument("--to", dest="stop", type=float, help="isosceles only")
-    p.add_argument("--steps", type=int, help="isosceles only")
-    p.add_argument("--apertures", help="isosceles only: explicit comma-separated apertures")
+    p.add_argument("--bc", default="dirichlet", choices=["dirichlet", "neumann", "robin"])
+    p.add_argument("--sigma", type=float, default=1.0, help="Robin parameter")
+    p = _leaf(families, "rectangles", _sweep_rectangles, "rectangles by aspect ratio")
+    p.add_argument("--n", type=int, default=1)
     p.add_argument("--aspects", default="1,1.2,1.5", help="rectangle aspect ratios")
-    p.add_argument("--bc", choices=["dirichlet", "neumann", "robin"], help="isosceles only")
-    p.add_argument("--sigma", type=float, help="isosceles only")
+    p = _leaf(families, "kroger", _sweep_kroger, "the Neumann sum bound and the Weyl trend")
     p.add_argument("--shape", default="square", choices=["square", "disk", "equilateral"])
     p.add_argument("--n-max", type=int, default=100)
     p.add_argument("--series", default="kroger", choices=["kroger", "weyl"])
-    _add_common(p)
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("conjecture", help="exploratory scans (never fail the run)")
-    p.add_argument("scan", choices=["c1", "disk-vs-square", "quad-inertia"])
-    p.add_argument("--apertures")
-    p.add_argument("--from", dest="start", type=float, default=0.3)
-    p.add_argument("--to", dest="stop", type=float, default=2.8)
-    p.add_argument("--steps", type=int, default=26)
+    conjecture = sub.add_parser("conjecture", help="exploratory scans (never fail the run)")
+    scans = conjecture.add_subparsers(dest="scan", required=True)
+    _leaf(scans, "c1", _conjecture_c1, "Dirichlet fundamental tone over isosceles apertures",
+          _add_apertures, _add_fem)
+    p = _leaf(scans, "disk-vs-square", _conjecture_disk_vs_square, "the n where the square beats the disk")
     p.add_argument("--n-max", type=int, default=50)
-    p.add_argument("--pieces", default="1,1,0.3,-0.2")
+    p = _leaf(scans, "quad-inertia", _conjecture_quad_inertia,
+              "the quadrilateral bound with the centroidal moment", _add_fem)
+    p.add_argument("--pieces", default="1,1,0.3,-0.2", help="piecewise map a,b,c_plus,c_minus")
     p.add_argument("--bc", default="dirichlet", choices=["dirichlet", "neumann"])
     p.add_argument("--n", type=int, default=1)
-    _add_common(p)
-    p.set_defaults(func=_cmd_conjecture)
 
     return ap
 
@@ -398,10 +389,7 @@ def run(argv: list[str] | None = None) -> int:
         argv = _apply_config(argv)
         args = ap.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (fem.SolverFailure, schrodinger.WidenGridError) as exc:

@@ -129,7 +129,7 @@ _BRENTQ_KW = dict(xtol=1e-13, rtol=8.9e-16, maxiter=200)
 # grow, and zero p is always solved on the same bracket, so each zero is solved
 # once and its value never depends on how many zeros were asked for.
 _ZEROS: dict[tuple[int, bool], list[float]] = {}
-_ZEROS_LOCK = threading.RLock()  # reentrant: growing order m reads order m-1
+_ZEROS_LOCK = threading.Lock()
 
 
 def _zeros(m: int, count: int, derivative: bool = False) -> list[float]:
@@ -151,25 +151,30 @@ def _zeros(m: int, count: int, derivative: bool = False) -> list[float]:
         from scipy.optimize import brentq
         from scipy.special import jv, jvp
 
-        if m == 0 and not derivative:
-            # resume the scan at the unit step after the last zero found
-            x = math.floor(table[-1]) + 1.0 if table else 2.0
-            fx = jv(0, x)
-            while len(table) < count:
-                x2 = x + 1.0
-                fx2 = jv(0, x2)
-                if fx == 0.0:
-                    table.append(x)
-                elif fx * fx2 < 0:
-                    table.append(brentq(lambda t: jv(0, t), x, x2, **_BRENTQ_KW))
-                x, fx = x2, fx2
-        else:
-            if derivative:
-                f, brackets = jvp, [max(float(m), 1e-3)] + _zeros(m, count)
-            else:
-                f, brackets = jv, _zeros(m - 1, count + 1)
+        # J_m's first `count` zeros need count + m - k zeros of each lower
+        # order k; grow the short orders in a loop, from order 0 upward
+        for k in range(m + 1):
+            zs, want = _ZEROS.setdefault((k, False), []), count + m - k
+            if k > 0:
+                below = _ZEROS[(k - 1, False)]
+                for p in range(len(zs), want):
+                    zs.append(brentq(lambda t: jv(k, t), below[p], below[p + 1], **_BRENTQ_KW))
+            elif len(zs) < want:
+                # resume the scan at the unit step after the last zero found
+                x = math.floor(zs[-1]) + 1.0 if zs else 2.0
+                fx = jv(0, x)
+                while len(zs) < want:
+                    x2 = x + 1.0
+                    fx2 = jv(0, x2)
+                    if fx == 0.0:
+                        zs.append(x)
+                    elif fx * fx2 < 0:
+                        zs.append(brentq(lambda t: jv(0, t), x, x2, **_BRENTQ_KW))
+                    x, fx = x2, fx2
+        if derivative:
+            brackets = [float(m)] + _ZEROS[(m, False)]
             for p in range(len(table), count):
-                table.append(brentq(lambda t: f(m, t), brackets[p], brackets[p + 1], **_BRENTQ_KW))
+                table.append(brentq(lambda t: jvp(m, t), brackets[p], brackets[p + 1], **_BRENTQ_KW))
         return table[:count]
 
 
@@ -230,26 +235,31 @@ def rectangle_spectrum(l1: float, l2: float, bc: BoundarySpec, n: int) -> Spectr
     Dirichlet/Neumann: pi^2 ((j1/l1)^2 + (j2/l2)^2) with j >= 1 / j >= 0.
     Robin: tensor sums of 1D Robin eigenvalues in each direction.
     """
-    if l1 <= 0 or l2 <= 0:
-        raise ValueError("side lengths must be positive")
+    if not (0 < l1 < math.inf and 0 < l2 < math.inf):
+        raise ValueError("side lengths must be positive and finite")
     _check_count(n)
     if bc.kind == "robin" and bc.sigma > 0:
         return _rectangle_robin(l1, l2, bc.sigma, n)
     start = 1 if bc.is_dirichlet else 0
-    bound = math.pi**2 * (n + 4) * (1.0 / l1**2 + 1.0 / l2**2)
+    last = start + n - 1
+    value = lambda j1, j2: math.pi**2 * ((j1 / l1) ** 2 + (j2 / l2) ** 2)  # noqa: E731
+    # n values of the first row or column lie at or below `cap`: enumerating
+    # row by row, no index passes `last`, and the cutoff stops growing at `cap`
+    cap = min(value(last, start), value(start, last))
+    bound = min(math.pi**2 * (n + 4) * (1.0 / l1**2 + 1.0 / l2**2), cap)
     while True:
-        m1 = int(math.sqrt(bound) * l1 / math.pi) + 1
-        m2 = int(math.sqrt(bound) * l2 / math.pi) + 1
-        vals = [
-            math.pi**2 * ((j1 / l1) ** 2 + (j2 / l2) ** 2)
-            for j1 in range(start, m1 + 1)
-            for j2 in range(start, m2 + 1)
-            if math.pi**2 * ((j1 / l1) ** 2 + (j2 / l2) ** 2) <= bound
-        ]
+        vals = []
+        for j2 in range(start, last + 1):
+            if value(start, j2) > bound:
+                break
+            for j1 in range(start, last + 1):
+                if (v := value(j1, j2)) > bound:
+                    break
+                vals.append(v)
         if len(vals) >= n:
             out = _first_n_sorted(vals, n)
             return Spectrum(out, "exact", 1e-14 * np.maximum(out, 1.0))
-        bound *= 2.0
+        bound = min(2.0 * bound, cap)
 
 
 def _rectangle_robin(l1: float, l2: float, sigma: float, n: int) -> Spectrum:
@@ -279,7 +289,10 @@ def disk_spectrum(radius: float, bc: BoundarySpec, n: int) -> Spectrum:
     _check_count(n)
     if bc.kind == "robin" and bc.sigma != 0.0:
         raise ValueError("no closed-form Robin spectrum for disks")
-    bound = math.sqrt(4.0 * n + 40.0)  # zero magnitude cutoff, grown until complete
+    # zero cutoff, grown until complete.  Weyl's law counts about B^2/4 -+ B/2
+    # Dirichlet (Neumann) zeros below B, so Dirichlet starts 2 higher; then
+    # every n up to MAX_EIGENVALUES is complete in one pass
+    bound = math.sqrt(4.0 * n + 40.0) + (2.0 if bc.is_dirichlet else 0.0)
     while True:
         vals: list[float] = [] if bc.is_dirichlet else [0.0]
         for m in itertools.count():

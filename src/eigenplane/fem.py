@@ -374,6 +374,8 @@ def assemble(mesh: Mesh, bc: BoundarySpec):
 
 #: Largest problem solved densely; shift-invert Lanczos wins above ~250 unknowns.
 DENSE_THRESHOLD = 250
+#: Relative (and, near a zero eigenvalue, absolute) residual every eigenpair must meet.
+EIG_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -390,12 +392,11 @@ class FemOptions:
 
     max_refinement: int = 5
     dense_threshold: int = DENSE_THRESHOLD
-    eig_tolerance: float = 1e-8
     extrapolate: bool = True
 
     def __post_init__(self):
-        if self.max_refinement < 1 or self.eig_tolerance <= 0:
-            raise ValueError("options must be positive")
+        if self.max_refinement < 1:
+            raise ValueError("max_refinement must be >= 1")
         if self.dense_threshold < 100:
             raise ValueError("dense_threshold must be >= 100")
 
@@ -404,7 +405,6 @@ def solve_eigs(
     K,
     M,
     n: int,
-    tol: float = 1e-8,
     dense_threshold: int = DENSE_THRESHOLD,
     neumann_like: bool = False,
 ) -> np.ndarray:
@@ -433,7 +433,7 @@ def solve_eigs(
             raise SolverFailure(f"shift-invert iteration failed at dim={dim}, n={n}: {exc}") from exc
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-    _check_residuals(K, M, vals, vecs, tol)
+    _check_residuals(K, M, vals, vecs)
     return np.asarray(vals, dtype=float)
 
 
@@ -441,12 +441,12 @@ def _dense(A):
     return A.toarray() if sparse.issparse(A) else np.asarray(A, dtype=float)
 
 
-def _check_residuals(K, M, vals, vecs, tol):
+def _check_residuals(K, M, vals, vecs):
     for lam, u in zip(vals, vecs.T):
         res = np.linalg.norm(K @ u - lam * (M @ u))
-        bound = tol * np.linalg.norm(M @ u) * (1.0 + abs(lam))
+        bound = EIG_TOLERANCE * np.linalg.norm(M @ u) * (1.0 + abs(lam))
         # absolute floor guards tiny Neumann kernel values, where |lam| ~ 0
-        if res > max(bound, tol):
+        if res > max(bound, EIG_TOLERANCE):
             raise SolverFailure(
                 f"residual {res:.3e} exceeds {bound:.3e} for eigenvalue {lam:.6e}"
             )
@@ -491,9 +491,7 @@ def _solve_level(d, T, bc, n, level, opts):
             f"level {level} mesh has only {K.shape[0]} degrees of freedom, need {n}"
         )
     A = K + B if B.nnz else K
-    return solve_eigs(
-        A, M, n, opts.eig_tolerance, opts.dense_threshold, neumann_like=bc.is_neumann_like
-    )
+    return solve_eigs(A, M, n, opts.dense_threshold, neumann_like=bc.is_neumann_like)
 
 
 def mesh_to_text(mesh: Mesh) -> str:

@@ -1,7 +1,10 @@
+import argparse
 import contextlib
 import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -161,16 +164,22 @@ def test_missing_config_exits_2(capsys):
     assert code == 2
 
 
+def assert_usage_error(capsys, argv):
+    """cli.run returns 2, prints nothing on stdout and one `error:` line on stderr."""
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 2, argv
+    assert captured.out == "", argv
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), (argv, captured.err)
+
+
 def test_unknown_flag_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.run(["spectrum", "--frequency", "7"])
-    assert exc.value.code == 2
+    assert_usage_error(capsys, ["spectrum", "--frequency", "7"])
 
 
 def test_unknown_subcommand_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.run(["transmogrify"])
-    assert exc.value.code == 2
+    assert_usage_error(capsys, ["transmogrify"])
 
 
 def test_invalid_domain_parameters_exit_2(capsys):
@@ -267,10 +276,7 @@ def test_numeric_arguments_never_raise_a_traceback(case):
     template, value = case
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        try:
-            code = cli.run(template.format(value).split())
-        except SystemExit as exc:  # argparse's own usage errors
-            code = exc.code
+        code = cli.run(template.format(value).split())
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
 
@@ -301,12 +307,7 @@ def test_numeric_arguments_never_raise_a_traceback(case):
          "kroger-to", "kroger-sigma"],
 )
 def test_bad_counts_exit_2_with_one_line(capsys, argv):
-    code = cli.run(argv)
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert_usage_error(capsys, argv)
 
 
 def test_cli_import_leaves_scipy_special_and_optimize_unloaded():
@@ -316,3 +317,90 @@ def test_cli_import_leaves_scipy_special_and_optimize_unloaded():
     code = "import sys, eigenplane.cli; print(sorted({'scipy.special', 'scipy.optimize'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+def _leaves(parser, path=()):
+    """(command words, parser) for every leaf of the parser tree."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+        return
+    for name, child in subs[0].choices.items():
+        yield from _leaves(child, path + (name,))
+
+
+def _options(parser):
+    """The leaf's option actions, help aside."""
+    return [a for a in parser._actions if a.option_strings and not isinstance(a, argparse._HelpAction)]
+
+
+def _use(action):
+    """Arguments for one use of an option: its default, else a valid choice, else "1"."""
+    if action.nargs == 0:
+        return []
+    if action.default is not None:
+        return [str(action.default)]
+    return [action.choices[0] if action.choices else "1"]
+
+
+LEAVES = dict(_leaves(cli.build_parser()))
+# every option string some leaf accepts, with a use of it that some leaf takes
+USES = {opt: [opt, *_use(a)] for leaf in LEAVES.values() for a in _options(leaf) for opt in a.option_strings}
+
+
+def test_each_leaf_declares_only_the_options_it_reads():
+    assert sorted(" ".join(path) for path in LEAVES) == [
+        "conjecture c1", "conjecture disk-vs-square", "conjecture quad-inertia", "moments", "spectrum",
+        "sweep isosceles", "sweep kroger", "sweep rectangles",
+        "verify quad", "verify robin", "verify schrodinger", "verify theorem1",
+    ]
+    assert sum(len(_options(p)) for p in LEAVES.values()) == 132
+
+
+@pytest.mark.parametrize("path", list(LEAVES), ids=" ".join)
+def test_each_leaf_refuses_options_it_does_not_read(capsys, path):
+    own = {opt for action in _options(LEAVES[path]) for opt in action.option_strings}
+    foreign = sorted(set(USES) - own)
+    assert foreign
+    for opt in foreign:
+        assert_usage_error(capsys, [*path, *USES[opt]])
+
+
+def test_abbreviated_flags_are_refused(capsys):
+    assert_usage_error(capsys, ["sweep", "kroger", "--n", "3"])  # not --n-max
+    assert_usage_error(capsys, ["verify", "schrodinger", "--half", "6"])
+
+
+CONFIG_LEAVES = ["moments", "sweep rectangles", "sweep kroger", "conjecture disk-vs-square"]
+# every long option as a config key, except the two that name files
+CONFIG_KEYS = sorted({opt[2:] for opt in USES if opt.startswith("--")} - {"config", "output"})
+
+
+@given(
+    st.sampled_from(CONFIG_LEAVES),
+    st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from(CONFIG_KEYS), st.text("abcn-_ =#", max_size=6)),
+            st.one_of(
+                st.integers(-3, 60).map(str),
+                st.floats().map(repr),
+                st.sampled_from(["square", "disk", "equilateral", "rectangle", "weyl", "1,1.5", ""]),
+                st.text("0123456789.,-e ", max_size=8),
+            ),
+        ),
+        max_size=4,
+    ),
+)
+@example("sweep rectangles", [("aspects", "inf")])
+@example("sweep rectangles", [("aspects", "1e12"), ("n", "40")])
+@example("sweep rectangles", [("aspects", "nan")])
+@settings(max_examples=60, deadline=None)
+def test_config_files_never_raise_a_traceback(leaf, pairs):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "job.cfg"
+        cfg.write_text("".join(f"{key}={value}\n" for key, value in pairs))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.run([*leaf.split(), "--config", str(cfg)])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -180,6 +180,40 @@ def test_bessel_zero_tables_grow_the_same_under_threads(monkeypatch):
     assert all(zeros == ex._zeros(*req) for req, zeros in got)
 
 
+def test_high_order_bessel_zeros_need_no_recursion():
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, scipy.optimize, scipy.special; from eigenplane import exact as ex; "
+        "sys.setrecursionlimit(120); "
+        "print(*(repr(ex.bessel_zero(ex.BesselZeroRequest(m, p))) for m, p in [(150, 1), (149, 1), (149, 2)]))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    j150, j149_1, j149_2 = (float(x) for x in out.stdout.split())
+    assert j149_1 < j150 < j149_2
+    from scipy.special import jv
+
+    assert jv(150, j150 * (1 - 1e-12)) * jv(150, j150 * (1 + 1e-12)) < 0
+
+
+@pytest.mark.parametrize("bc", [ex.DIRICHLET, ex.NEUMANN], ids=["dirichlet", "neumann"])
+def test_disk_spectrum_reads_its_zeros_in_one_pass(monkeypatch, bc):
+    passes = []
+    zeros = ex._zeros
+
+    def counting(m, count, derivative=False):
+        if (m, count) == (0, 1):  # every pass starts at the first zero of order 0
+            passes.append(m)
+        return zeros(m, count, derivative)
+
+    monkeypatch.setattr(ex, "_zeros", counting)
+    for n in (200, 400, 2000, 10_000):
+        passes.clear()
+        assert ex.disk_spectrum(1.0, bc, n).n == n
+        assert len(passes) == 1, n
+
+
 # ---------------------------------------------------------------------------
 # boundary spec and spectrum
 # ---------------------------------------------------------------------------
@@ -252,6 +286,22 @@ def test_square_neumann():
 def test_rectangle_2x1_ground_state():
     s = ex.rectangle_spectrum(2, 1, ex.DIRICHLET, 1)
     assert s.values[0] == pytest.approx(1.25 * PI2, rel=1e-14)
+
+
+def test_rectangle_rejects_non_finite_sides():
+    for l1 in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            ex.rectangle_spectrum(l1, 1.0, ex.DIRICHLET, 1)
+
+
+@pytest.mark.parametrize("l1,l2", [(1.0, 1.0), (2.0, 1.0), (1.0, 0.3), (1e6, 1.0)])
+def test_rectangle_spectrum_matches_brute_force_enumeration(l1, l2):
+    # the first n values have both indices below start + n; same arithmetic, so equal bits
+    for bc, start in ((ex.DIRICHLET, 1), (ex.NEUMANN, 0)):
+        for n in (1, 7, 50):
+            js = range(start, start + n)
+            brute = sorted(math.pi**2 * ((j1 / l1) ** 2 + (j2 / l2) ** 2) for j1 in js for j2 in js)[:n]
+            assert ex.rectangle_spectrum(l1, l2, bc, n).values.tolist() == brute
 
 
 def test_rectangle_robin_tensor_matches_brute_force():
