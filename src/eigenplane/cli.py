@@ -352,14 +352,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    """Splice key=value pairs from a --config file in ahead of explicit flags."""
-    if "--config" not in argv:
+    """Splice key=value pairs from a --config file in ahead of explicit flags.
+
+    The file is named as `--config PATH` or `--config=PATH`, at most once.
+    """
+    found = [i for i, a in enumerate(argv) if a == "--config" or a.startswith("--config=")]
+    if not found:
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
+    if len(found) > 1:
+        raise UsageError("--config given more than once")
+    i = found[0]
+    if argv[i] != "--config":
+        path, rest = argv[i].partition("=")[2], argv[:i] + argv[i + 1:]
+    elif i + 1 < len(argv):
+        path, rest = argv[i + 1], argv[:i] + argv[i + 2:]
+    else:
         raise UsageError("--config needs a file path")
-    path = argv[i + 1]
-    rest = argv[:i] + argv[i + 2:]
     try:
         with open(path) as f:
             lines = f.read().splitlines()

@@ -263,18 +263,25 @@ def rectangle_spectrum(l1: float, l2: float, bc: BoundarySpec, n: int) -> Spectr
 
 
 def _rectangle_robin(l1: float, l2: float, sigma: float, n: int) -> Spectrum:
-    count = max(4, int(math.isqrt(n)) + 3)
+    r1, r2 = _robin_roots(l1, sigma, 0, 1), _robin_roots(l2, sigma, 0, 1)
+    # Weyl's law counts about area x / (4 pi) values within x of the lowest
+    excess = 4.0 * math.pi * n / (l1 * l2)
     while True:
-        r1 = robin_interval_eigs(l1, sigma, count)
-        r2 = robin_interval_eigs(l2, sigma, count)
-        sums = np.sort((r1[:, None] + r2[None, :]).ravel())
-        if len(sums) >= n:
-            nth = sums[n - 1]
-            # any omitted pair has an index beyond `count` in some direction
-            if r1[-1] + r2[0] > nth and r1[0] + r2[-1] > nth:
-                vals = sums[:n]
-                return Spectrum(vals, "exact", 1e-11 * np.maximum(vals, 1.0))
-        count *= 2
+        bound = r1[0] + r2[0] + excess
+        for r, l, other in ((r1, l1, r2[0]), (r2, l2, r1[0])):
+            # rho_k > (k pi / l)^2, and a sum is at most bound only if this root is
+            # at most bound - other; beyond the first n roots of a direction no
+            # sum is needed, since row 0 already holds n smaller ones
+            top = l * math.sqrt(bound - other + 1e-15 * bound) / math.pi
+            r += _robin_roots(l, sigma, len(r), min(n, int(top) + 2))
+        short, long = sorted((r1, r2), key=len)
+        long_arr = np.asarray(long)
+        # row by row along the shorter direction, keeping the sums up to bound
+        vals = np.concatenate([row[row <= bound] for row in (long_arr + x for x in short)])
+        if len(vals) >= n:
+            vals = _first_n_sorted(vals, n)
+            return Spectrum(vals, "exact", 1e-11 * np.maximum(vals, 1.0))
+        excess *= 2.0
 
 
 def disk_spectrum(radius: float, bc: BoundarySpec, n: int) -> Spectrum:
@@ -330,15 +337,20 @@ def robin_interval_eigs(l: float, sigma: float, count: int) -> np.ndarray:
         raise ValueError("need count >= 1")
     if sigma == 0.0:
         return (math.pi * np.arange(count) / l) ** 2
+    return np.asarray(_robin_roots(l, sigma, 0, count))
+
+
+def _robin_roots(l: float, sigma: float, start: int, stop: int) -> list[float]:
+    """Robin roots rho_k of (0, l) for start <= k < stop (sigma > 0), each bracketed on its own."""
     from scipy.optimize import brentq
 
     def f(w: float) -> float:
         return (w * w - sigma * sigma) * math.sin(w * l) - 2.0 * sigma * w * math.cos(w * l)
 
     out = []
-    for k in range(count):
+    for k in range(start, stop):
         lo = k * math.pi / l + 1e-13
         hi = (k + 1) * math.pi / l - 1e-13
         w = brentq(f, lo, hi, **_BRENTQ_KW)
         out.append(w * w)
-    return np.asarray(out)
+    return out

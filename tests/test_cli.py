@@ -164,6 +164,22 @@ def test_missing_config_exits_2(capsys):
     assert code == 2
 
 
+def test_config_with_equals_sign_is_read(tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("shape=disk\n")
+    _, disk = run_capture(capsys, ["moments", "--shape", "disk"])
+    code, out = run_capture(capsys, ["moments", f"--config={cfg}"])
+    assert code == 0
+    assert out == disk
+
+
+def test_repeated_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text("shape=disk\n")
+    for argv in (["--config", str(cfg), "--config", str(cfg)], ["--config", str(cfg), f"--config={cfg}"]):
+        assert_usage_error(capsys, ["moments", *argv])
+
+
 def assert_usage_error(capsys, argv):
     """cli.run returns 2, prints nothing on stdout and one `error:` line on stderr."""
     code = cli.run(argv)

@@ -318,6 +318,52 @@ def test_rectangle_robin_zero_sigma_is_neumann():
     np.testing.assert_allclose(s0.values, sn.values, atol=1e-14)
 
 
+def _robin_rectangle_square_grid(l1, l2, sigma, n):
+    """The first n tensor sums from a count x count grid of 1D roots, count doubled until complete."""
+    count = max(4, int(math.isqrt(n)) + 3)
+    while True:
+        r1 = ex.robin_interval_eigs(l1, sigma, count)
+        r2 = ex.robin_interval_eigs(l2, sigma, count)
+        sums = np.sort((r1[:, None] + r2[None, :]).ravel())
+        # any omitted pair has an index beyond `count` in some direction
+        if r1[-1] + r2[0] > sums[n - 1] and r1[0] + r2[-1] > sums[n - 1]:
+            return sums[:n]
+        count *= 2
+
+
+def test_rectangle_robin_row_enumeration_equals_the_square_grid():
+    rng = np.random.default_rng(17)
+    cases = [(2.0, 1.0, 0.5, 4), (1.0, 1.0, 1.0, 2000), (30.0, 1.0, 1.0, 1500), (1.0, 30.0, 1.0, 1500)]
+    for _ in range(30):
+        l1, l2 = float(np.exp(rng.uniform(-2.0, 3.0))), float(np.exp(rng.uniform(-1.0, 1.0)))
+        cases.append((l1, l2, float(np.exp(rng.uniform(-4.0, 3.0))), int(rng.integers(1, 300))))
+    for l1, l2, sigma, n in cases:
+        got = ex.rectangle_spectrum(l1, l2, ex.robin(sigma), n).values
+        assert np.array_equal(got, _robin_rectangle_square_grid(l1, l2, sigma, n)), (l1, l2, sigma, n)
+
+
+def test_thin_robin_rectangle_stays_small():
+    import subprocess
+    import sys
+
+    argv = ["spectrum", "--shape", "rectangle", "--l1", "3000", "--bc", "robin", "-n", "10000"]
+    # the child reports its own high-water mark: the rusage of a forked child
+    # also counts the pages it shared with this process before exec
+    code = (
+        f"import sys; from eigenplane import cli; status = cli.run({argv!r}); "
+        "hwm = [ln for ln in open('/proc/self/status') if ln.startswith('VmHWM:')]; "
+        "print(hwm[0].split()[1], file=sys.stderr); sys.exit(status)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    *err, peak_kb = out.stderr.splitlines()
+    if out.returncode == 2:
+        assert out.stdout == "" and len(err) == 1 and err[0].startswith("error: ")
+    else:
+        assert out.returncode == 0, out.stderr
+        assert len(out.stdout.splitlines()) == 10_002  # seed comment, header, 10 000 rows
+    assert int(peak_kb) / 1024 < 150
+
+
 # ---------------------------------------------------------------------------
 # disks
 # ---------------------------------------------------------------------------

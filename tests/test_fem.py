@@ -413,3 +413,144 @@ def test_reference_cache_bookkeeping_under_threads():
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
     assert cache._bytes == sum(r.nbytes for r in cache._entries.values()) <= cache.max_bytes
+
+
+# ---------------------------------------------------------------------------
+# one reduction per pencil: the cached solve against plain eigh and eigsh
+# ---------------------------------------------------------------------------
+
+PENCIL_DOMAINS = {
+    "equilateral": g.equilateral_triangle(),
+    "square": g.square(1.0),
+    "hexagon": g.regular_polygon(6),
+    "disk": g.Ellipse((0, 0), (1, 1)),
+    "isosceles": g.Polygon([[0.0, 0.0], [1.0, 0.0], [0.3, 1.7]]),
+}
+PENCIL_BCS = [ex.DIRICHLET, ex.NEUMANN, ex.robin(1.0)]
+
+
+def _pencils(d, seed, levels=(1, 2, 3, 4)):
+    """(K, M, neumann_like) of seeded images of d at each level and condition, as spectrum_fem builds them."""
+    out = []
+    for level in levels:
+        for bc, T in zip(PENCIL_BCS, _seeded_maps(seed + level, len(PENCIL_BCS))):
+            ref, T = fem._reference(d, level, T)
+            try:
+                K, M, B = ref.matrices(T, bc)
+            except ValueError:  # no interior node at this level
+                continue
+            out.append((K + B if B.nnz else K, M, bc.is_neumann_like))
+    return out
+
+
+def _plain_eigs(K, M, n, neumann_like):
+    """The uncached solve: eigh on the dense path, eigsh with SciPy's own factorization above it."""
+    import scipy.linalg
+    import scipy.sparse.linalg as splinalg
+
+    dim = K.shape[0]
+    if dim <= fem.DENSE_THRESHOLD:
+        return scipy.linalg.eigh(K.toarray(), M.toarray(), subset_by_index=[0, n - 1])[0]
+    sigma = 1e-8 * float(K.diagonal().sum()) / dim if neumann_like else 0.0
+    vals = splinalg.eigsh(sparse.csc_matrix(K), k=n, M=sparse.csc_matrix(M), sigma=sigma, which="LM",
+                          v0=np.random.default_rng(0).standard_normal(dim))[0]
+    return np.sort(vals)
+
+
+@pytest.mark.parametrize("name", list(PENCIL_DOMAINS))
+def test_cached_solve_equals_plain_eigh_and_eigsh_bit_for_bit(name, monkeypatch):
+    monkeypatch.setattr(fem, "_PENCILS", fem._ReferenceCache(fem.PENCIL_CACHE_BYTES))
+    paths = set()
+    for K, M, neumann_like in _pencils(PENCIL_DOMAINS[name], seed=sum(map(ord, name))):
+        dim = K.shape[0]
+        ns = list(range(1, min(6, dim) + 1)) + ([dim] if dim <= 8 else [])  # n == dim goes to eigh itself
+        for n in reversed(ns):  # the reduction is made at the largest n, then reused
+            got = fem.solve_eigs(K, M, n, neumann_like=neumann_like)
+            assert np.array_equal(got, _plain_eigs(K, M, n, neumann_like)), (name, dim, n)
+        paths.add(dim <= fem.DENSE_THRESHOLD)
+    assert True in paths
+    if name in ("hexagon", "disk"):
+        assert False in paths
+
+
+def test_small_dense_pencils_equal_eigh():
+    import scipy.linalg
+
+    rng = np.random.default_rng(4)
+    for dim in (1, 2, 3, 7):
+        a, b = rng.standard_normal((2, dim, dim))
+        # Fortran order, as LAPACK would overwrite it in place
+        K, M = np.asfortranarray(a @ a.T + dim * np.eye(dim)), np.asfortranarray(b @ b.T + dim * np.eye(dim))
+        K0, M0 = K.copy(), M.copy()
+        for n in range(dim, 0, -1):
+            want = scipy.linalg.eigh(K, M, subset_by_index=[0, n - 1])[0]
+            assert np.array_equal(fem.solve_eigs(K, M, n), want), (dim, n)
+        assert np.array_equal(K, K0) and np.array_equal(M, M0)  # the caller's matrices are untouched
+
+
+def test_cached_solve_does_not_depend_on_call_order(monkeypatch):
+    # the square's level-4 Dirichlet image has 225 unknowns (dense), its Neumann one 289 (shift-invert)
+    for A, B, neumann_like in _pencils(g.square(1.0), seed=5, levels=(4,))[:2]:
+        monkeypatch.setattr(fem, "_PENCILS", fem._ReferenceCache(fem.PENCIL_CACHE_BYTES))
+        cold = fem.solve_eigs(A, B, 3, neumann_like=neumann_like)
+        monkeypatch.setattr(fem, "_PENCILS", fem._ReferenceCache(fem.PENCIL_CACHE_BYTES))
+        fem.solve_eigs(A, B, 6, neumann_like=neumann_like)
+        warm = fem.solve_eigs(A, B, 3, neumann_like=neumann_like)
+        again = fem.solve_eigs(A, B, 3, neumann_like=neumann_like)
+        assert np.array_equal(warm, cold) and np.array_equal(again, cold)
+        again[0] = -1.0  # callers own what they get back
+        assert np.array_equal(fem.solve_eigs(A, B, 3, neumann_like=neumann_like), cold)
+
+
+def test_pencil_bytes_count_every_held_array():
+    import scipy.sparse.linalg as splinalg
+
+    (K, M, _), (KN, MN, _) = _pencils(g.square(1.0), seed=5, levels=(4,))[:2]
+    held = sum(a.nbytes for a in fem._matrix_arrays(K) + fem._matrix_arrays(M))
+    dim = K.shape[0]
+    # the key's bytes, the Cholesky factor, the reflectors, d, e and tau
+    assert fem._DensePencil(K, M, held).nbytes >= held + 8 * (dim * dim + (dim - 1) ** 2 + 3 * dim - 2)
+    lu = splinalg.splu(sparse.csc_matrix(KN))
+    assert fem._ShiftInvertPencil(KN, MN, False, 0).nbytes >= 12 * (lu.L.nnz + lu.U.nnz)
+
+
+def test_pencil_cache_stays_within_its_byte_bound_under_threads(monkeypatch):
+    import sys
+    import threading
+
+    pencils = _pencils(g.square(1.0), seed=9, levels=(3, 4))
+    want = [[_plain_eigs(K, M, n, nl) for n in range(1, 7)] for K, M, nl in pencils]
+    monkeypatch.setattr(fem, "_PENCILS", fem._ReferenceCache(2**40))
+    for K, M, nl in pencils:
+        fem.solve_eigs(K, M, 1, neumann_like=nl)
+    # room for the two largest pencils, so the rest are evicted and rebuilt
+    cache = fem._ReferenceCache(sum(sorted(p.nbytes for p in fem._PENCILS._entries.values())[-2:]))
+    monkeypatch.setattr(fem, "_PENCILS", cache)
+    sizes = []
+    wrong = []
+
+    def work(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(60):
+            i, n = int(rng.integers(0, len(pencils))), int(rng.integers(1, 7))
+            K, M, nl = pencils[i]
+            if not np.array_equal(fem.solve_eigs(K, M, n, neumann_like=nl), want[i][n - 1]):
+                wrong.append((i, n))
+            with cache._lock:  # a consistent view, between two updates
+                sizes.append(cache._bytes)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(s,)) for s in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert max(sizes) <= cache.max_bytes
+    assert cache._bytes == sum(p.nbytes for p in cache._entries.values()) <= cache.max_bytes
+    assert 0 < len(cache._entries) < len(pencils)
