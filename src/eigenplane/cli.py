@@ -2,13 +2,17 @@
 
 Exit codes: 0 success (all checked inequalities hold), 1 a verified bound was
 violated, 2 usage or configuration error, 3 numerical failure (an eigensolver
-did not converge, or the Schrodinger box is too small).  Every output records
-the seed, and identical invocations are byte-identical.
+did not converge, the Schrodinger box is too small, or a comparison's margin
+is too small to decide).  Every output records the seed, and identical
+invocations are byte-identical.
 
 Each leaf command (`spectrum`, `moments`, `verify theorem1`, `sweep kroger`,
 ...) accepts only the options its handler reads, so `eigenplane verify robin
 --help` lists exactly those.  Any other option, and any abbreviated flag, is
-a usage error: exit 2 with one `error:` line on stderr.
+a usage error: exit 2 with one `error:` line on stderr.  So is an option that
+the value of another leaves unread, such as `--l1` without `--shape
+rectangle`, `--sigma` without `--bc robin`, `--q` without `--potential
+power` or `--beta` without `--potential trisym`.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import sys
 
 from . import experiments as xp
 from . import fem, schrodinger
-from .exact import DIRICHLET, NEUMANN, BoundarySpec, robin
+from .exact import DIRICHLET, NEUMANN, BoundarySpec, NumericalFailure, robin
 from .geometry import (
     Ellipse,
     LinearMap2,
@@ -233,14 +237,50 @@ def _conjecture_quad_inertia(args) -> int:
 # argument plumbing: one parser leaf per handler, declaring only what it reads
 # ---------------------------------------------------------------------------
 
+class _Store(argparse.Action):
+    """Stores an option's value, as argparse's default action does, and notes the option in `given`."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", frozenset()) | {self.dest}
+
+
 class _Parser(argparse.ArgumentParser):
     """Refuses abbreviated flags and turns every parse error into a UsageError."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
+        self.register("action", None, _Store)
+        self.register("action", "store", _Store)
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
+
+
+# options read only under some values of another option of the same leaf:
+# dest -> (that option's dest, the values)
+_READ_ONLY_WITH = {
+    "side": ("shape", ("equilateral", "square")),
+    "l1": ("shape", ("rectangle",)),
+    "l2": ("shape", ("rectangle",)),
+    "radius": ("shape", ("disk",)),
+    "s1": ("shape", ("ellipse",)),
+    "s2": ("shape", ("ellipse",)),
+    "theta": ("shape", ("ellipse",)),
+    "aperture": ("shape", ("isosceles",)),
+    "domain_file": ("shape", ("file",)),
+    "sigma": ("bc", ("robin",)),
+    "q": ("potential", ("power",)),
+    "beta": ("potential", ("trisym",)),
+}
+
+
+def _refuse_unread(args) -> None:
+    """Refuse an option given where the value of the option it depends on leaves it unread."""
+    for dest in sorted(set(getattr(args, "given", ())) & set(_READ_ONLY_WITH)):
+        on, values = _READ_ONLY_WITH[dest]
+        if hasattr(args, on) and getattr(args, on) not in values:
+            raise UsageError(f"--{dest.replace('_', '-')} is read only with --{on} {' or '.join(values)}")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -396,11 +436,12 @@ def run(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config(argv)
         args = ap.parse_args(argv)
+        _refuse_unread(args)
         return args.func(args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (fem.SolverFailure, schrodinger.WidenGridError) as exc:
+    except NumericalFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

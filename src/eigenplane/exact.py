@@ -31,10 +31,15 @@ __all__ = [
     "rectangle_spectrum",
     "disk_spectrum",
     "robin_interval_eigs",
+    "NumericalFailure",
 ]
 
 # exact spectra longer than this are refused before any enumeration starts
 MAX_EIGENVALUES = 10_000
+
+
+class NumericalFailure(RuntimeError):
+    """A computation could not reach an answer it can vouch for; the command line exits 3."""
 
 
 @dataclass(frozen=True)
@@ -349,8 +354,13 @@ def _robin_roots(l: float, sigma: float, start: int, stop: int) -> list[float]:
 
     out = []
     for k in range(start, stop):
-        lo = k * math.pi / l + 1e-13
-        hi = (k + 1) * math.pi / l - 1e-13
-        w = brentq(f, lo, hi, **_BRENTQ_KW)
+        lo, hi = k * math.pi / l, (k + 1) * math.pi / l
+        # the margin keeps both ends off the zeros of sin(w l).  A long side puts
+        # the root within about 2 (k + 1) pi / (sigma l^2) of hi, inside 1e-13
+        # once l passes ~8e6 / sqrt(sigma); only then shrink it to a few ulps
+        a, b = lo + 1e-13, hi - 1e-13
+        if f(a) * f(b) > 0:
+            a, b = lo + 4 * math.ulp(hi), hi - 4 * math.ulp(hi)
+        w = brentq(f, a, b, **_BRENTQ_KW)
         out.append(w * w)
     return out

@@ -20,6 +20,7 @@ from .exact import (
     DIRICHLET,
     NEUMANN,
     BoundarySpec,
+    NumericalFailure,
     Spectrum,
     disk_spectrum,
     equilateral_spectrum,
@@ -387,8 +388,9 @@ def sweep_isosceles(
 def disk_vs_square(n_max: int) -> set[int]:
     """{n <= n_max : the square's Dirichlet n-sum * A^3/I beats the unit disk's}.
 
-    Uses exact spectra; a runtime guard asserts every margin dwarfs the Bessel
-    zero error budget, so the set membership is numerically unambiguous.
+    Uses exact spectra; a runtime guard checks that every margin dwarfs the
+    Bessel zero error budget, so the set membership is numerically
+    unambiguous, and raises NumericalFailure where one does not.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
@@ -403,7 +405,7 @@ def disk_vs_square(n_max: int) -> set[int]:
     bad = margins <= 1e6 * budget
     if np.any(bad):
         ties = np.nonzero(bad)[0] + 1
-        raise RuntimeError(f"margin too small to decide at n={ties.tolist()}")
+        raise NumericalFailure(f"margin too small to decide at n={ties.tolist()}")
     return {int(i + 1) for i in range(n_max) if sq_sums[i] > dk_sums[i]}
 
 

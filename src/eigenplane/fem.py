@@ -12,10 +12,14 @@ Dirichlet eigenvalue a decreasing-in-refinement upper bound on the true one.
 
 Each pencil (K, M) is reduced once: the dense path keeps LAPACK's Cholesky
 factor and tridiagonal reduction, the shift-invert path its sparse LU
-factors, in a second bounded cache keyed by the matrices' contents.  A call
-for n values repeats only the n-dependent steps (bisection and inverse
-iteration, or the Lanczos run), so partial sums for n = 1..6 cost one
-reduction, and the values are bit-identical to scipy's eigh and eigsh.
+factors, in a second bounded cache keyed by a SHA-256 digest of the
+matrices' contents.  A call for n values repeats only the n-dependent steps
+(bisection and inverse iteration, or the Lanczos run), so partial sums for
+n = 1..6 cost one reduction, and the values are bit-identical to scipy's
+eigh and eigsh.  A small memo under the same digest remembers the values of
+each (pencil, n), apart from the factorizations, so an unchanged pencil is
+solved once per n even when its factorization is too large to keep; the
+finite-difference Schrodinger solves share it.
 
 A linear image T(D) is solved on D's mesh carried over by T.  Each domain is
 meshed and assembled once per level (and per sign of det T for polygons) into
@@ -29,6 +33,7 @@ case T = I, so every FEM spectrum takes the same path.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import threading
 from collections import OrderedDict
@@ -40,7 +45,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as splinalg
 from scipy.linalg import blas, lapack
 
-from .exact import BoundarySpec, Spectrum
+from .exact import BoundarySpec, NumericalFailure, Spectrum
 from .geometry import DomainSpec, Ellipse, LinearMap2, Polygon, orient
 
 __all__ = [
@@ -59,7 +64,7 @@ ELLIPSE_BASE_SEGMENTS = 64
 MAX_TRIANGLES = 2**20
 
 
-class SolverFailure(RuntimeError):
+class SolverFailure(NumericalFailure):
     """Eigenvalue iteration failed to converge; message carries diagnostics."""
 
 
@@ -314,7 +319,7 @@ class _Reference:
 
 
 class _ReferenceCache:
-    """Least recently used entries (references or pencils), bounded by their nbytes."""
+    """Least recently used entries (references, pencils or eigenvalue arrays), bounded by their nbytes."""
 
     def __init__(self, max_bytes: int):
         self.max_bytes = max_bytes
@@ -386,6 +391,8 @@ DENSE_THRESHOLD = 250
 EIG_TOLERANCE = 1e-8
 #: Bytes of eigen-solve factorizations kept between calls (a 250-unknown dense one takes ~1 MB).
 PENCIL_CACHE_BYTES = 2 * 2**20
+#: Bytes of eigenvalues remembered between calls (4096 values); each entry's key and array add ~400 bytes more.
+VALUE_CACHE_BYTES = 32 * 2**10
 
 
 @dataclass(frozen=True)
@@ -427,32 +434,59 @@ def solve_eigs(
     reruns are bit-identical; a constant start would be orthogonal to the
     antisymmetric modes of symmetric domains.
 
-    The work that does not depend on n is done once per pencil and kept in a
-    cache bounded by PENCIL_CACHE_BYTES, keyed by the contents of K and M: the
+    Two caches keyed by a SHA-256 digest of the contents of K and M make
+    repeated solves cheap.  The values memo (VALUE_CACHE_BYTES, shared with
+    the finite-difference solves of `schrodinger`) keeps the values of each
+    (pencil, n, path), so a pencil is solved once per n while the memo holds
+    it, however large its factorization.  Apart from it, the work that does
+    not depend on n is kept in a cache bounded by PENCIL_CACHE_BYTES: the
     dense reduction to tridiagonal form, or the sparse LU factors of the
-    shifted K.  Each call repeats only the n-dependent steps, and each
-    (pencil, n) is solved once.  The values are those of
-    scipy.linalg.eigh(K, M, subset_by_index=[0, n - 1]) and of
-    scipy.sparse.linalg.eigsh bit for bit, whatever n was asked for before.
+    shifted K; a call for a new n repeats only the n-dependent steps.  The
+    values are those of scipy.linalg.eigh(K, M, subset_by_index=[0, n - 1])
+    and of scipy.sparse.linalg.eigsh bit for bit, whatever was asked before;
+    callers get their own copy.  A failed solve is not remembered.
     """
     dim = K.shape[0]
     if n < 1 or n > dim:
         raise ValueError(f"need 1 <= n <= {dim}, got {n}")
-    arrays = _matrix_arrays(K) + _matrix_arrays(M)
-    held = sum(a.nbytes for a in arrays)  # the key's bytes, kept with the pencil
+    dense = dim <= dense_threshold
+    pencil_key = (content_key(K, M), dense, neumann_like and not dense)
 
     def build():
-        if dim <= dense_threshold:
-            return _DensePencil(K, M, held)
-        return _ShiftInvertPencil(K, M, neumann_like, held)
+        return _DensePencil(K, M) if dense else _ShiftInvertPencil(K, M, neumann_like)
 
-    if held > PENCIL_CACHE_BYTES:  # could never be kept: no key is copied out
-        pencil = build()
-    else:
-        key = (K.shape, M.shape, sparse.issparse(K), sparse.issparse(M), dense_threshold, neumann_like,
-               *((a.dtype.str, a.tobytes()) for a in arrays))
-        pencil = _PENCILS.get(key, build)
-    return pencil.eigenvalues(K, M, n).copy()
+    return memoized((pencil_key, n), lambda: _PENCILS.get(pencil_key, build).eigenvalues(K, M, n))
+
+
+def content_key(*matrices) -> bytes:
+    """A SHA-256 digest of the matrices' contents: shapes, storage, dtypes and arrays.
+
+    The arrays are hashed through their buffers, with no copy unless one is
+    not C-contiguous; equal matrices stored alike get equal digests.  The
+    32-byte digest is the whole key, so a cache entry's key stays small.
+    """
+    digest = hashlib.sha256()
+    for A in matrices:
+        storage, arrays = _matrix_arrays(A)
+        digest.update(repr((np.shape(A), storage, [(a.dtype.str, a.size) for a in arrays])).encode())
+        for a in arrays:
+            digest.update(np.ascontiguousarray(a))
+    return digest.digest()
+
+
+def memoized(key, solve) -> np.ndarray:
+    """solve()'s eigenvalues, remembered under key in the values memo; the caller owns the copy returned.
+
+    The key must determine the values: content_key of the operator, n and
+    whatever else selects the solver's path.  An exception from solve is
+    raised and nothing is remembered.
+    """
+    def build():
+        vals = np.array(solve(), dtype=float)
+        vals.setflags(write=False)
+        return vals
+
+    return _VALUES.get(key, build).copy()
 
 
 def _dense(A, order="C"):
@@ -461,44 +495,33 @@ def _dense(A, order="C"):
 
 
 def _matrix_arrays(A) -> tuple:
-    """The arrays that, with its shape, determine A: CSR's three, or the dense array."""
+    """A's storage and the arrays that, with its shape, determine A: CSC's or CSR's three, or the dense array."""
     if sparse.issparse(A):
-        A = A.tocsr()
-        return A.indptr, A.indices, A.data
-    return (np.asarray(A),)
+        if A.format != "csc":
+            A = A.tocsr()
+        return A.format, (A.indptr, A.indices, A.data)
+    return "dense", (np.asarray(A),)
 
 
 class _Pencil:
-    """The n-independent work of one pencil (K, M), and the values solved on it so far.
+    """The n-independent work of one pencil (K, M): a reduction or a factorization.
 
-    `held` is the size of the key bytes the cache keeps with the pencil, and
-    `factor_bytes` that of the factorization.  Up to dim values (n = 1..6
-    take 21) are kept for repeated calls; nbytes counts that room, so it
-    never changes while the pencil is cached.
+    `factor_bytes` is the size of what it keeps; nbytes adds a fixed
+    OVERHEAD_BYTES for the object and its cache key, so a pencil whose
+    reduction failed still counts against the cache's bound.
     """
 
-    _lock = threading.Lock()
-
-    def __init__(self, dim: int, held: int):
-        self.dim, self.held, self.factor_bytes = dim, held, 0
-        self._values: dict[int, np.ndarray] = {}
-        self._room = dim
+    OVERHEAD_BYTES = 1024
+    factor_bytes = 0
 
     def eigenvalues(self, K, M, n: int) -> np.ndarray:
-        vals = self._values.get(n)
-        if vals is None:
-            vals, vecs = self._solve(K, M, n)
-            _check_residuals(K, M, vals, vecs)
-            vals = np.asarray(vals, dtype=float)
-            with self._lock:
-                if n not in self._values and len(vals) <= self._room:
-                    self._room -= len(vals)
-                    self._values[n] = vals
+        vals, vecs = self._solve(K, M, n)
+        _check_residuals(K, M, vals, vecs)
         return vals
 
     @property
     def nbytes(self) -> int:
-        return self.held + self.factor_bytes + 8 * self.dim
+        return self.factor_bytes + self.OVERHEAD_BYTES
 
 
 class _DensePencil(_Pencil):
@@ -515,8 +538,7 @@ class _DensePencil(_Pencil):
     go to eigh itself, which takes other branches there (or raises).
     """
 
-    def __init__(self, K, M, held: int):
-        super().__init__(K.shape[0], held)
+    def __init__(self, K, M):
         self.L = self.reflectors = self.d = self.e = self.tau = None
         # Fortran order: LAPACK works in place, on the same arrays eigh would pass
         a, b = _dense(K, "F"), _dense(M, "F")
@@ -570,9 +592,8 @@ class _ShiftInvertPencil(_Pencil):
     iteration unchanged bit for bit.
     """
 
-    def __init__(self, K, M, neumann_like: bool, held: int):
+    def __init__(self, K, M, neumann_like: bool):
         dim = K.shape[0]
-        super().__init__(dim, held)
         self.sigma = 1e-8 * float(K.diagonal().sum()) / dim if neumann_like else 0.0
         shifted = sparse.csc_matrix(K)
         if self.sigma != 0.0:
@@ -605,6 +626,7 @@ class _ShiftInvertPencil(_Pencil):
 
 
 _PENCILS = _ReferenceCache(PENCIL_CACHE_BYTES)
+_VALUES = _ReferenceCache(VALUE_CACHE_BYTES)
 
 
 def _check_residuals(K, M, vals, vecs):

@@ -5,6 +5,14 @@ enough that the potential dominates the computed levels on the boundary,
 which is checked after each solve.  Potentials are rotationally symmetric
 families, optionally pushed forward through a linear map (W composed with
 the inverse map).
+
+Each grid operator's values are remembered in fem's eigenvalue memo, keyed
+by a SHA-256 digest of its CSC arrays and n, so within one process an
+operator is solved once per n: the fixed right-hand side -h Lap + W of the
+Schrodinger bound is solved once for all maps, and a map that leaves W
+unchanged (a quarter turn of a radial potential) reuses it too.  The solve
+itself is the plain values-only eigsh call with its fixed start vector, so a
+remembered value equals a cold one bit for bit.
 """
 
 from __future__ import annotations
@@ -15,8 +23,8 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as splinalg
 
-from .exact import Spectrum
-from .fem import SolverFailure
+from .exact import NumericalFailure, Spectrum
+from .fem import SolverFailure, content_key, memoized
 from .geometry import INFINITE_ORDER, LinearMap2
 
 __all__ = [
@@ -33,7 +41,7 @@ __all__ = [
 DEFAULT_TRISYM_BETA = 0.2
 
 
-class WidenGridError(RuntimeError):
+class WidenGridError(NumericalFailure):
     """Box too small: potential does not dominate the requested levels on the edge."""
 
     def __init__(self, message: str, suggested_half_width: float):
@@ -121,13 +129,17 @@ def _fd_eigs(W: PotentialSpec, h: float, n: int, L: float, points: int) -> np.nd
     lap = sparse.kron(T1, eye) + sparse.kron(eye, T1)
     X1, X2 = np.meshgrid(xi, xi, indexing="ij")
     K = (h * lap + sparse.diags(W.values(X1, X2).ravel())).tocsc()
-    try:
-        # fixed pseudo-random start (see fem.solve_eigs) keeps reruns bit-identical
-        vals = splinalg.eigsh(K, k=n, sigma=0.0, which="LM", return_eigenvectors=False,
-                              v0=np.random.default_rng(0).standard_normal(m * m))
-    except (splinalg.ArpackNoConvergence, RuntimeError) as exc:
-        raise SolverFailure(f"grid eigensolve failed ({points} points): {exc}") from exc
-    return np.sort(vals)
+
+    def solve():
+        try:
+            # fixed pseudo-random start (see fem.solve_eigs) keeps reruns bit-identical
+            vals = splinalg.eigsh(K, k=n, sigma=0.0, which="LM", return_eigenvectors=False,
+                                  v0=np.random.default_rng(0).standard_normal(m * m))
+        except (splinalg.ArpackNoConvergence, RuntimeError) as exc:
+            raise SolverFailure(f"grid eigensolve failed ({points} points): {exc}") from exc
+        return np.sort(vals)
+
+    return memoized(("fd", content_key(K), n), solve)
 
 
 def schrodinger_spectrum(W: PotentialSpec, h: float, n: int, grid: GridSpec = GridSpec()) -> Spectrum:

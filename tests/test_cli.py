@@ -6,6 +6,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from eigenplane import cli
 from eigenplane import experiments as xp
 from eigenplane import fem
+from eigenplane.exact import Spectrum
 
 PI2 = math.pi**2
 
@@ -125,9 +127,17 @@ def test_moments_json(capsys):
     assert rec["inertia_centroid"] == pytest.approx(5 / 6)
 
 
-def test_byte_identical_reruns(capsys):
+def _fresh_caches(monkeypatch):
+    """Empty pencil cache and eigenvalue memo: a rerun then repeats every solve instead of recalling it."""
+    monkeypatch.setattr(fem, "_PENCILS", fem._ReferenceCache(fem.PENCIL_CACHE_BYTES))
+    monkeypatch.setattr(fem, "_VALUES", fem._ReferenceCache(fem.VALUE_CACHE_BYTES))
+
+
+def test_byte_identical_reruns(capsys, monkeypatch):
     argv = ["sweep", "isosceles", "--n", "1", "--apertures", "1.0,1.1", "--levels", "3", "--seed", "9"]
+    _fresh_caches(monkeypatch)
     _, out1 = run_capture(capsys, argv)
+    _fresh_caches(monkeypatch)
     _, out2 = run_capture(capsys, argv)
     assert out1 == out2
     assert "# seed=9" in out1
@@ -227,9 +237,11 @@ def test_violated_report_exit_code(capsys):
     ],
     ids=["theorem1-disk", "spectrum-disk-fem", "schrodinger"],
 )
-def test_shift_invert_reruns_are_byte_identical(capsys, argv):
+def test_shift_invert_reruns_are_byte_identical(capsys, monkeypatch, argv):
     # these runs go through shift-invert Lanczos, whose start vector is fixed
+    _fresh_caches(monkeypatch)
     code1, out1 = run_capture(capsys, argv)
+    _fresh_caches(monkeypatch)
     code2, out2 = run_capture(capsys, argv)
     assert code1 == code2 == 0
     assert out1 == out2
@@ -244,6 +256,21 @@ def test_small_schrodinger_box_exits_3_with_one_line(capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     suggested = float(lines[0].rsplit("half_width >= ", 1)[1])
     assert suggested > 1.5
+
+
+def test_undecidable_disk_vs_square_exits_3_with_one_line(capsys, monkeypatch):
+    disk_spectrum = xp.disk_spectrum
+
+    def blurred(radius, bc, n):  # error estimates wider than every margin: a forced tie
+        spec = disk_spectrum(radius, bc, n)
+        return Spectrum(spec.values, spec.method, np.ones(n))
+
+    monkeypatch.setattr(xp, "disk_spectrum", blurred)
+    code = cli.run(["conjecture", "disk-vs-square", "--n-max", "5"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: margin too small to decide at n=[1, 2, 3, 4, 5]\n"
 
 
 def test_solver_failure_exits_3(capsys, monkeypatch):
@@ -316,11 +343,23 @@ def test_numeric_arguments_never_raise_a_traceback(case):
         ["sweep", "kroger", "--from", "0.5"],
         ["sweep", "kroger", "--to", "2.0"],
         ["sweep", "kroger", "--sigma", "2"],
+        ["moments", "--shape", "square", "--l1", "5"],
+        ["spectrum", "--shape", "disk", "--l2", "2"],
+        ["verify", "theorem1", "--shape", "square", "--radius", "2"],
+        ["moments", "--shape", "disk", "--domain-file", "shape.txt"],
+        ["spectrum", "--shape", "square", "--bc", "dirichlet", "--sigma", "3", "-n", "1"],
+        ["sweep", "isosceles", "--bc", "neumann", "--sigma", "3"],
+        ["verify", "schrodinger", "--q", "6"],
+        ["verify", "schrodinger", "--potential", "trisym", "--q", "6"],
+        ["verify", "schrodinger", "--beta", "0.3"],
+        ["verify", "schrodinger", "--potential", "power", "--beta", "0.3"],
     ],
     ids=["sweep-steps-1", "c1-steps-1", "random-negative", "robin-random", "schrodinger-random",
          "quad-random", "levels-8", "square-n-10001", "equilateral-n-10001", "kroger-n-max-10001",
          "rectangles-bc-sigma", "rectangles-steps", "rectangles-apertures", "kroger-from",
-         "kroger-to", "kroger-sigma"],
+         "kroger-to", "kroger-sigma", "square-l1", "disk-l2", "square-radius", "disk-domain-file",
+         "dirichlet-sigma", "isosceles-neumann-sigma", "harmonic-q", "trisym-q", "harmonic-beta",
+         "power-beta"],
 )
 def test_bad_counts_exit_2_with_one_line(capsys, argv):
     assert_usage_error(capsys, argv)

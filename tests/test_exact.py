@@ -342,6 +342,28 @@ def test_rectangle_robin_row_enumeration_equals_the_square_grid():
         assert np.array_equal(got, _robin_rectangle_square_grid(l1, l2, sigma, n)), (l1, l2, sigma, n)
 
 
+@pytest.mark.parametrize("l1", [1e7, 1e8, 1e9])
+def test_long_robin_side_roots_are_bracketed(l1, capsys):
+    # here the first root lies within 1e-13 of pi / l, inside the bracket's usual margin
+    from eigenplane import cli
+
+    code = cli.run(["spectrum", "--shape", "rectangle", "--l1", repr(l1), "--bc", "robin", "-n", "3"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert len(captured.out.splitlines()) == 5  # seed comment, header, 3 rows
+    sigma = 1.0
+
+    def f(w):
+        return (w * w - sigma * sigma) * math.sin(w * l1) - 2.0 * sigma * w * math.cos(w * l1)
+
+    for k, rho in enumerate(ex.robin_interval_eigs(l1, sigma, 3)):
+        w = math.sqrt(rho)
+        assert k * math.pi / l1 < w < (k + 1) * math.pi / l1
+        # f changes sign within brentq's tolerance of w
+        tol = 2.0 * (1e-13 + 8.9e-16 * w)
+        assert f(w - tol) * f(w + tol) <= 0, (l1, k, w)
+
+
 def test_thin_robin_rectangle_stays_small():
     import subprocess
     import sys

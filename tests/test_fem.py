@@ -419,6 +419,12 @@ def test_reference_cache_bookkeeping_under_threads():
 # one reduction per pencil: the cached solve against plain eigh and eigsh
 # ---------------------------------------------------------------------------
 
+def _fresh_caches(monkeypatch):
+    """Empty pencil cache and eigenvalue memo, so what follows exercises the solver and not the memo."""
+    monkeypatch.setattr(fem, "_PENCILS", fem._ReferenceCache(fem.PENCIL_CACHE_BYTES))
+    monkeypatch.setattr(fem, "_VALUES", fem._ReferenceCache(fem.VALUE_CACHE_BYTES))
+
+
 PENCIL_DOMAINS = {
     "equilateral": g.equilateral_triangle(),
     "square": g.square(1.0),
@@ -459,7 +465,7 @@ def _plain_eigs(K, M, n, neumann_like):
 
 @pytest.mark.parametrize("name", list(PENCIL_DOMAINS))
 def test_cached_solve_equals_plain_eigh_and_eigsh_bit_for_bit(name, monkeypatch):
-    monkeypatch.setattr(fem, "_PENCILS", fem._ReferenceCache(fem.PENCIL_CACHE_BYTES))
+    _fresh_caches(monkeypatch)
     paths = set()
     for K, M, neumann_like in _pencils(PENCIL_DOMAINS[name], seed=sum(map(ord, name))):
         dim = K.shape[0]
@@ -491,12 +497,12 @@ def test_small_dense_pencils_equal_eigh():
 def test_cached_solve_does_not_depend_on_call_order(monkeypatch):
     # the square's level-4 Dirichlet image has 225 unknowns (dense), its Neumann one 289 (shift-invert)
     for A, B, neumann_like in _pencils(g.square(1.0), seed=5, levels=(4,))[:2]:
-        monkeypatch.setattr(fem, "_PENCILS", fem._ReferenceCache(fem.PENCIL_CACHE_BYTES))
+        _fresh_caches(monkeypatch)
         cold = fem.solve_eigs(A, B, 3, neumann_like=neumann_like)
-        monkeypatch.setattr(fem, "_PENCILS", fem._ReferenceCache(fem.PENCIL_CACHE_BYTES))
+        _fresh_caches(monkeypatch)
         fem.solve_eigs(A, B, 6, neumann_like=neumann_like)
-        warm = fem.solve_eigs(A, B, 3, neumann_like=neumann_like)
-        again = fem.solve_eigs(A, B, 3, neumann_like=neumann_like)
+        warm = fem.solve_eigs(A, B, 3, neumann_like=neumann_like)  # on the kept reduction
+        again = fem.solve_eigs(A, B, 3, neumann_like=neumann_like)  # from the memo
         assert np.array_equal(warm, cold) and np.array_equal(again, cold)
         again[0] = -1.0  # callers own what they get back
         assert np.array_equal(fem.solve_eigs(A, B, 3, neumann_like=neumann_like), cold)
@@ -506,12 +512,13 @@ def test_pencil_bytes_count_every_held_array():
     import scipy.sparse.linalg as splinalg
 
     (K, M, _), (KN, MN, _) = _pencils(g.square(1.0), seed=5, levels=(4,))[:2]
-    held = sum(a.nbytes for a in fem._matrix_arrays(K) + fem._matrix_arrays(M))
     dim = K.shape[0]
-    # the key's bytes, the Cholesky factor, the reflectors, d, e and tau
-    assert fem._DensePencil(K, M, held).nbytes >= held + 8 * (dim * dim + (dim - 1) ** 2 + 3 * dim - 2)
+    # the Cholesky factor, the reflectors, d, e and tau
+    assert fem._DensePencil(K, M).nbytes >= 8 * (dim * dim + (dim - 1) ** 2 + 3 * dim - 2)
     lu = splinalg.splu(sparse.csc_matrix(KN))
-    assert fem._ShiftInvertPencil(KN, MN, False, 0).nbytes >= 12 * (lu.L.nnz + lu.U.nnz)
+    assert fem._ShiftInvertPencil(KN, MN, False).nbytes >= 12 * (lu.L.nnz + lu.U.nnz)
+    # a pencil whose reduction failed still counts against the bound
+    assert fem._DensePencil(np.eye(1), np.eye(1)).nbytes > 0
 
 
 def test_pencil_cache_stays_within_its_byte_bound_under_threads(monkeypatch):
@@ -520,6 +527,7 @@ def test_pencil_cache_stays_within_its_byte_bound_under_threads(monkeypatch):
 
     pencils = _pencils(g.square(1.0), seed=9, levels=(3, 4))
     want = [[_plain_eigs(K, M, n, nl) for n in range(1, 7)] for K, M, nl in pencils]
+    monkeypatch.setattr(fem, "_VALUES", fem._ReferenceCache(0))  # remembers nothing: every call solves
     monkeypatch.setattr(fem, "_PENCILS", fem._ReferenceCache(2**40))
     for K, M, nl in pencils:
         fem.solve_eigs(K, M, 1, neumann_like=nl)
@@ -554,3 +562,119 @@ def test_pencil_cache_stays_within_its_byte_bound_under_threads(monkeypatch):
     assert max(sizes) <= cache.max_bytes
     assert cache._bytes == sum(p.nbytes for p in cache._entries.values()) <= cache.max_bytes
     assert 0 < len(cache._entries) < len(pencils)
+
+
+# ---------------------------------------------------------------------------
+# the eigenvalue memo: one solve per (pencil, n)
+# ---------------------------------------------------------------------------
+
+def _count_solves(monkeypatch):
+    """Record (content key, n) of every solve that reaches a pencil, i.e. misses the memo."""
+    solved = []
+    eigenvalues = fem._Pencil.eigenvalues
+
+    def solve(self, K, M, n):
+        solved.append((fem.content_key(K, M), n))
+        return eigenvalues(self, K, M, n)
+
+    monkeypatch.setattr(fem._Pencil, "eigenvalues", solve)
+    return solved
+
+
+def test_memo_hit_equals_cold_solve_bit_for_bit(monkeypatch):
+    # the square's level-4 Dirichlet image is dense (225 unknowns), its Neumann one shift-invert (289)
+    for K, M, neumann_like in _pencils(g.square(1.0), seed=5, levels=(4,))[:2]:
+        _fresh_caches(monkeypatch)
+        solved = _count_solves(monkeypatch)
+        cold = fem.solve_eigs(K, M, 4, neumann_like=neumann_like)
+        assert np.array_equal(cold, _plain_eigs(K, M, 4, neumann_like))
+        # equal contents in new arrays hit the memo: no second solve
+        hit = fem.solve_eigs(K.copy(), M.copy(), 4, neumann_like=neumann_like)
+        assert np.array_equal(hit, cold) and len(solved) == 1
+        hit[0] = -1.0  # callers own what they get back
+        assert np.array_equal(fem.solve_eigs(K, M, 4, neumann_like=neumann_like), cold)
+        # another n, another matrix or the other path is another entry
+        K2 = K.copy()
+        K2.data[0] *= 1.0 + 2.0**-40
+        other_path = 100 if K.shape[0] <= fem.DENSE_THRESHOLD else 300
+        fem.solve_eigs(K, M, 3, neumann_like=neumann_like)
+        fem.solve_eigs(K2, M, 4, neumann_like=neumann_like)
+        fem.solve_eigs(K, M, 4, dense_threshold=other_path, neumann_like=neumann_like)
+        assert len(solved) == 4
+
+
+def test_hexagon_right_hand_side_is_solved_once_per_bc_and_n(monkeypatch):
+    from eigenplane import experiments as xp
+
+    _fresh_caches(monkeypatch)
+    hexagon = g.regular_polygon(6)
+    asked = []
+    solve_eigs = fem.solve_eigs
+
+    def ask(K, M, n, *args, **kwargs):
+        asked.append((fem.content_key(K, M), n))
+        return solve_eigs(K, M, n, *args, **kwargs)
+
+    monkeypatch.setattr(fem, "solve_eigs", ask)
+    solved = _count_solves(monkeypatch)
+    maps = _seeded_maps(11, 5)
+    for bc in (ex.DIRICHLET, ex.NEUMANN):
+        ref, identity = fem._reference(hexagon, 4, g.LinearMap2.identity())
+        K, M, _ = ref.matrices(identity, bc)
+        assert K.shape[0] > fem.DENSE_THRESHOLD  # too large a factorization for the pencil cache
+        for n in (2, 3):
+            for T in maps:
+                xp.verify_linear_map_bound(hexagon, T, bc, n)  # levels 3 and 4
+            rhs = (fem.content_key(K, M), n)
+            assert asked.count(rhs) == len(maps) and solved.count(rhs) == 1, (bc.kind, n)
+    assert len(solved) == len(set(solved))  # every (pencil, n) was solved once
+
+
+def test_solver_failures_are_not_memoized(monkeypatch):
+    _fresh_caches(monkeypatch)
+    dim = fem.DENSE_THRESHOLD + 1
+    K = sparse.diags(np.r_[0.0, np.ones(dim - 1)]).tocsr()  # singular: its LU fails
+    M = sparse.identity(dim, format="csr")
+    for _ in range(2):
+        with pytest.raises(fem.SolverFailure, match="shift-invert iteration failed"):
+            fem.solve_eigs(K, M, 2)
+    assert len(fem._VALUES._entries) == 0
+
+
+def test_value_memo_stays_within_its_byte_bound_under_threads(monkeypatch):
+    import sys
+    import threading
+
+    pencils = _pencils(g.square(1.0), seed=9, levels=(2, 3))
+    want = [[_plain_eigs(K, M, n, nl) for n in range(1, 7)] for K, M, nl in pencils]
+    monkeypatch.setattr(fem, "_PENCILS", fem._ReferenceCache(2**40))  # keeps every reduction
+    memo = fem._ReferenceCache(8 * 24)  # room for 24 values: entries are evicted and solved again
+    monkeypatch.setattr(fem, "_VALUES", memo)
+    sizes = []
+    wrong = []
+
+    def work(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            i, n = int(rng.integers(0, len(pencils))), int(rng.integers(1, 7))
+            K, M, nl = pencils[i]
+            if not np.array_equal(fem.solve_eigs(K, M, n, neumann_like=nl), want[i][n - 1]):
+                wrong.append((i, n))
+            with memo._lock:  # a consistent view, between two updates
+                sizes.append(memo._bytes)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(s,)) for s in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert max(sizes) <= memo.max_bytes
+    assert memo._bytes == sum(v.nbytes for v in memo._entries.values()) <= memo.max_bytes
+    assert 0 < len(memo._entries) < len(pencils) * 6

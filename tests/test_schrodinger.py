@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from eigenplane import experiments as xp
+from eigenplane import fem
 from eigenplane import geometry as g
 from eigenplane import schrodinger as sch
 
@@ -162,3 +164,70 @@ def test_composed_pushforward():
     W2, h2 = sch.transformed_problem(W1, h1, T2)
     combined = (T2 @ T1).as_array()
     np.testing.assert_allclose(W2.pushforward.as_array(), combined, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the eigenvalue memo: each grid operator is solved once per n
+# ---------------------------------------------------------------------------
+
+MEMO_GRID = sch.GridSpec(6.0, 51)
+
+
+def _count_eigsh(monkeypatch, memo_bytes=fem.VALUE_CACHE_BYTES):
+    """A fresh memo of memo_bytes, and the list of unknowns of every eigsh call made from here on."""
+    monkeypatch.setattr(fem, "_VALUES", fem._ReferenceCache(memo_bytes))
+    calls = []
+    eigsh = sch.splinalg.eigsh
+
+    def counted(A, *args, **kwargs):
+        calls.append(A.shape[0])
+        return eigsh(A, *args, **kwargs)
+
+    monkeypatch.setattr(sch.splinalg, "eigsh", counted)
+    return calls
+
+
+@pytest.mark.parametrize("W", [sch.harmonic(), sch.power_radial(4), sch.trisym(0.2)], ids=lambda W: W.kind)
+def test_fd_memo_hit_equals_cold_solve_bit_for_bit(W, monkeypatch):
+    calls = _count_eigsh(monkeypatch)
+    cold = sch._fd_eigs(W, 1.3, 3, 6.0, 51)
+    hit = sch._fd_eigs(W, 1.3, 3, 6.0, 51)
+    assert len(calls) == 1 and np.array_equal(hit, cold)
+    hit[0] = -1.0  # callers own what they get back
+    assert np.array_equal(sch._fd_eigs(W, 1.3, 3, 6.0, 51), cold)
+    sch._fd_eigs(W, 1.3, 2, 6.0, 51)  # another n
+    sch._fd_eigs(W, 1.4, 3, 6.0, 51)  # another operator
+    assert len(calls) == 3
+
+
+def test_schrodinger_right_hand_side_is_solved_once_over_three_maps(monkeypatch):
+    maps = [g.LinearMap2.diagonal(1.2, 0.9), g.LinearMap2(1.1, 0.3, 0.0, 0.95), g.rotation(5, 1)]
+    calls = _count_eigsh(monkeypatch)
+    reports = [xp.verify_schrodinger_bound(sch.harmonic(), 1.0, T, 2, MEMO_GRID) for T in maps]
+    assert len(calls) == 2 + 2 * len(maps)  # the right-hand side's two grids, once
+    calls = _count_eigsh(monkeypatch, memo_bytes=0)  # a memo that keeps nothing
+    cold = [xp.verify_schrodinger_bound(sch.harmonic(), 1.0, T, 2, MEMO_GRID) for T in maps]
+    assert len(calls) == 4 * len(maps)
+    assert [r.to_json() for r in reports] == [r.to_json() for r in cold]
+
+
+def test_quarter_turn_reuses_the_right_hand_side(monkeypatch):
+    calls = _count_eigsh(monkeypatch)
+    rep = xp.verify_schrodinger_bound(sch.harmonic(), 1.0, g.LinearMap2(0.0, -1.0, 1.0, 0.0), 2, MEMO_GRID)
+    # W o T^-1 = W on the grid bit for bit and h' = h, so both sides are one operator
+    assert len(calls) == 2
+    assert rep.lhs == rep.rhs and rep.holds
+
+
+def test_fd_failures_are_not_memoized(monkeypatch):
+    calls = _count_eigsh(monkeypatch)
+
+    def fail(A, *args, **kwargs):
+        calls.append(A.shape[0])
+        raise RuntimeError("no convergence")
+
+    monkeypatch.setattr(sch.splinalg, "eigsh", fail)
+    for _ in range(2):
+        with pytest.raises(sch.SolverFailure, match="grid eigensolve failed"):
+            sch._fd_eigs(sch.harmonic(), 1.0, 2, 6.0, 51)
+    assert len(calls) == 2 and len(fem._VALUES._entries) == 0
