@@ -12,7 +12,9 @@ Each leaf command (`spectrum`, `moments`, `verify theorem1`, `sweep kroger`,
 a usage error: exit 2 with one `error:` line on stderr.  So is an option that
 the value of another leaves unread, such as `--l1` without `--shape
 rectangle`, `--sigma` without `--bc robin`, `--q` without `--potential
-power` or `--beta` without `--potential trisym`.
+power`, `--beta` without `--potential trisym`, `--map` with `--random N`,
+`--steps`, `--from` or `--to` with `--apertures`, or `--levels` with
+`--engine exact`.
 """
 
 from __future__ import annotations
@@ -258,7 +260,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # options read only under some values of another option of the same leaf:
-# dest -> (that option's dest, the values)
+# dest -> (that option's dest, the values); None stands for that option left out
 _READ_ONLY_WITH = {
     "side": ("shape", ("equilateral", "square")),
     "l1": ("shape", ("rectangle",)),
@@ -272,6 +274,11 @@ _READ_ONLY_WITH = {
     "sigma": ("bc", ("robin",)),
     "q": ("potential", ("power",)),
     "beta": ("potential", ("trisym",)),
+    "map": ("random", (0,)),
+    "start": ("apertures", (None, "")),
+    "stop": ("apertures", (None, "")),
+    "steps": ("apertures", (None, "")),
+    "levels": ("engine", ("auto", "fem")),
 }
 
 
@@ -280,7 +287,9 @@ def _refuse_unread(args) -> None:
     for dest in sorted(set(getattr(args, "given", ())) & set(_READ_ONLY_WITH)):
         on, values = _READ_ONLY_WITH[dest]
         if hasattr(args, on) and getattr(args, on) not in values:
-            raise UsageError(f"--{dest.replace('_', '-')} is read only with --{on} {' or '.join(values)}")
+            flag = {"start": "from", "stop": "to"}.get(dest, dest).replace("_", "-")
+            needs = f"without --{on}" if None in values else f"with --{on} {' or '.join(map(str, values))}"
+            raise UsageError(f"--{flag} is read only {needs}")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

@@ -361,6 +361,7 @@ def _robin_roots(l: float, sigma: float, start: int, stop: int) -> list[float]:
         a, b = lo + 1e-13, hi - 1e-13
         if f(a) * f(b) > 0:
             a, b = lo + 4 * math.ulp(hi), hi - 4 * math.ulp(hi)
-        w = brentq(f, a, b, **_BRENTQ_KW)
+        # below 1 the absolute tolerance shrinks with the bracket, keeping small roots accurate relative to their size
+        w = brentq(f, a, b, **{**_BRENTQ_KW, "xtol": _BRENTQ_KW["xtol"] * min(1.0, hi)})
         out.append(w * w)
     return out

@@ -589,7 +589,9 @@ class _ShiftInvertPencil(_Pencil):
 
     With shift s = 0 eigsh factors K itself, otherwise K - s M, both in CSC
     form; handing it that same factorization as OPinv leaves its Lanczos
-    iteration unchanged bit for bit.
+    iteration unchanged bit for bit.  It keeps splu's default COLAMD ordering:
+    the minimum-degree one that halves the finite-difference fill took 10.6 s
+    against 0.11 s to factor the level-5 disk and ellipse Dirichlet pencils.
     """
 
     def __init__(self, K, M, neumann_like: bool):

@@ -353,13 +353,20 @@ def test_numeric_arguments_never_raise_a_traceback(case):
         ["verify", "schrodinger", "--potential", "trisym", "--q", "6"],
         ["verify", "schrodinger", "--beta", "0.3"],
         ["verify", "schrodinger", "--potential", "power", "--beta", "0.3"],
+        ["verify", "schrodinger", "--points", "1003", "-n", "1"],
+        ["verify", "theorem1", "--map", "2,0,0,1", "--random", "2"],
+        ["sweep", "isosceles", "--steps", "5", "--apertures", "1.0,1.1"],
+        ["sweep", "isosceles", "--from", "0.5", "--apertures", "1.0,1.1"],
+        ["conjecture", "c1", "--to", "2.0", "--apertures", "1.0,1.1"],
+        ["spectrum", "--shape", "square", "--engine", "exact", "--levels", "3", "-n", "1"],
     ],
     ids=["sweep-steps-1", "c1-steps-1", "random-negative", "robin-random", "schrodinger-random",
          "quad-random", "levels-8", "square-n-10001", "equilateral-n-10001", "kroger-n-max-10001",
          "rectangles-bc-sigma", "rectangles-steps", "rectangles-apertures", "kroger-from",
          "kroger-to", "kroger-sigma", "square-l1", "disk-l2", "square-radius", "disk-domain-file",
          "dirichlet-sigma", "isosceles-neumann-sigma", "harmonic-q", "trisym-q", "harmonic-beta",
-         "power-beta"],
+         "power-beta", "schrodinger-points-1003", "random-map", "apertures-steps", "apertures-from",
+         "c1-apertures-to", "exact-levels"],
 )
 def test_bad_counts_exit_2_with_one_line(capsys, argv):
     assert_usage_error(capsys, argv)

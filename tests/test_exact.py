@@ -441,6 +441,36 @@ def test_robin_interval_neumann_limit():
     np.testing.assert_allclose(ex.robin_interval_eigs(math.pi, 0.0, 3), [0, 1, 4], atol=1e-14)
 
 
+def _robin_roots_mpmath(l, sigma, count):
+    """Robin roots rho_k of (0, l) by 50-digit bisection of each bracket (k pi / l, (k + 1) pi / l)."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        l, sigma = mpmath.mpf(l), mpmath.mpf(sigma)
+
+        def f(w):
+            return (w * w - sigma * sigma) * mpmath.sin(w * l) - 2 * sigma * w * mpmath.cos(w * l)
+
+        roots = []
+        for k in range(count):
+            # f(0) = 0, so the first bracket starts a quarter of the way in
+            a, b = max(k, 0.25) * mpmath.pi / l, (k + 1) * mpmath.pi / l
+            fa = f(a)
+            for _ in range(200):
+                mid = (a + b) / 2
+                if (f(mid) < 0) == (fa < 0):
+                    a = mid
+                else:
+                    b = mid
+            roots.append(float(((a + b) / 2) ** 2))
+    return roots
+
+
+@pytest.mark.parametrize("l", [1e6, 1e7])
+def test_long_robin_side_roots_are_accurate_relative_to_their_size(l):
+    np.testing.assert_allclose(ex.robin_interval_eigs(l, 1.0, 2), _robin_roots_mpmath(l, 1.0, 2), rtol=1e-12, atol=0.0)
+
+
 def test_robin_interval_first_root():
     got = ex.robin_interval_eigs(1.0, 1.0, 1)[0]
     assert got == pytest.approx(ROBIN_L1_S1, rel=1e-12)

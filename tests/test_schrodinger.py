@@ -43,6 +43,12 @@ def test_grid_validation():
         sch.GridSpec(-1.0, 201)
 
 
+def test_oversized_grids_are_refused_before_any_work():
+    assert sch.GridSpec(8.0, sch.MAX_GRID_POINTS).points_per_side == sch.MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="more than"):
+        sch.GridSpec(8.0, sch.MAX_GRID_POINTS + 2)
+
+
 def test_symmetry_orders():
     assert sch.harmonic().symmetry_order() == g.INFINITE_ORDER
     assert sch.power_radial(4).symmetry_order() == g.INFINITE_ORDER
@@ -231,3 +237,50 @@ def test_fd_failures_are_not_memoized(monkeypatch):
         with pytest.raises(sch.SolverFailure, match="grid eigensolve failed"):
             sch._fd_eigs(sch.harmonic(), 1.0, 2, 6.0, 51)
     assert len(calls) == 2 and len(fem._VALUES._entries) == 0
+
+
+# ---------------------------------------------------------------------------
+# the grid solve: a minimum-degree symmetric factor handed to eigsh
+# ---------------------------------------------------------------------------
+
+MAPPED_TRISYM = sch.transformed_problem(sch.trisym(0.2), 1.0, g.LinearMap2(2.0, 0.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("points", [51, 101])
+@pytest.mark.parametrize(
+    "W, h", [(sch.harmonic(), 1.0), (sch.power_radial(4), 1.0), MAPPED_TRISYM],
+    ids=["harmonic", "power", "mapped-trisym"],
+)
+def test_fd_values_match_a_plain_shift_invert_eigsh(W, h, points, monkeypatch):
+    operators = []
+    eigsh = sch.splinalg.eigsh
+
+    def keep(A, *args, **kwargs):
+        operators.append(A)
+        return eigsh(A, *args, **kwargs)
+
+    monkeypatch.setattr(fem, "_VALUES", fem._ReferenceCache(fem.VALUE_CACHE_BYTES))
+    monkeypatch.setattr(sch.splinalg, "eigsh", keep)
+    for n in range(1, 5):
+        got = sch._fd_eigs(W, h, n, 8.0, points)
+        # eigsh's own factor: splu with its default COLAMD ordering
+        K = operators[-1]
+        v0 = np.random.default_rng(1).standard_normal(K.shape[0])
+        plain = np.sort(eigsh(K, k=n, sigma=0.0, v0=v0, return_eigenvectors=False))
+        np.testing.assert_allclose(got, plain, rtol=1e-12, atol=0.0)
+    assert len(operators) == 4
+
+
+def test_fd_factor_keeps_its_fill_small(monkeypatch):
+    factors = []
+    splu = sch.splinalg.splu
+
+    def keep(A, *args, **kwargs):
+        factors.append(splu(A, *args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(fem, "_VALUES", fem._ReferenceCache(fem.VALUE_CACHE_BYTES))
+    monkeypatch.setattr(sch.splinalg, "splu", keep)
+    sch._fd_eigs(sch.harmonic(), 1.0, 1, 8.0, 101)
+    # 364 676 stored entries with the minimum-degree ordering, 666 448 with COLAMD
+    assert len(factors) == 1 and factors[0].L.nnz + factors[0].U.nnz < 450_000
