@@ -13,8 +13,9 @@ a usage error: exit 2 with one `error:` line on stderr.  So is an option that
 the value of another leaves unread, such as `--l1` without `--shape
 rectangle`, `--sigma` without `--bc robin`, `--q` without `--potential
 power`, `--beta` without `--potential trisym`, `--map` with `--random N`,
-`--steps`, `--from` or `--to` with `--apertures`, or `--levels` with
-`--engine exact`.
+`--steps`, `--from` or `--to` with `--apertures`, or `--levels` or
+`--no-extrapolate` with `--engine exact` (or with `--engine auto` on a shape
+it solves exactly).
 """
 
 from __future__ import annotations
@@ -130,6 +131,10 @@ def _fem_opts(args) -> fem.FemOptions:
 def _cmd_spectrum(args) -> int:
     bc = _parse_bc(args.bc, args.sigma)
     d = _domain_from_args(args)
+    unread = sorted(set(getattr(args, "given", ())) & {"levels", "no_extrapolate"})
+    if unread and args.engine == "auto" and xp.exact_model(d, bc) is not None:
+        flag = unread[0].replace("_", "-")
+        raise UsageError(f"--{flag} is read only by the FEM engine, and --engine auto solves this shape exactly")
     spec = xp.spectrum_of(d, bc, args.n, engine=args.engine, opts=_fem_opts(args))
     rows = [
         xp.SweepRow(float(i + 1), float(v), spec.method, float(e))
@@ -239,12 +244,20 @@ def _conjecture_quad_inertia(args) -> int:
 # argument plumbing: one parser leaf per handler, declaring only what it reads
 # ---------------------------------------------------------------------------
 
-class _Store(argparse.Action):
-    """Stores an option's value, as argparse's default action does, and notes the option in `given`."""
+class _Given:
+    """Does what the argparse action it is mixed into does, and notes the option in `given`."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
+        super().__call__(parser, namespace, values, option_string)
         namespace.given = getattr(namespace, "given", frozenset()) | {self.dest}
+
+
+class _Store(_Given, argparse._StoreAction):
+    pass
+
+
+class _StoreTrue(_Given, argparse._StoreTrueAction):
+    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -254,6 +267,7 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(allow_abbrev=False, **kwargs)
         self.register("action", None, _Store)
         self.register("action", "store", _Store)
+        self.register("action", "store_true", _StoreTrue)
 
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
@@ -279,6 +293,7 @@ _READ_ONLY_WITH = {
     "stop": ("apertures", (None, "")),
     "steps": ("apertures", (None, "")),
     "levels": ("engine", ("auto", "fem")),
+    "no_extrapolate": ("engine", ("auto", "fem")),
 }
 
 

@@ -50,6 +50,7 @@ __all__ = [
     "SweepRow",
     "normalized_sum",
     "classify_model_shape",
+    "exact_model",
     "spectrum_of",
     "verify_linear_map_bound",
     "verify_robin_bound",
@@ -139,6 +140,14 @@ def classify_model_shape(d: DomainSpec):
     return None
 
 
+def exact_model(d: DomainSpec, bc: BoundarySpec, T: LinearMap2 | None = None):
+    """classify_model_shape of d, or of T(d), when its spectrum under bc has a closed form; else None."""
+    model = classify_model_shape(d if T is None else apply_map(T, d))
+    if model is not None and bc.kind == "robin" and bc.sigma > 0 and model[0] != "rectangle":
+        return None  # Robin closed form only exists for rectangles
+    return model
+
+
 def spectrum_of(
     d: DomainSpec,
     bc: BoundarySpec,
@@ -154,11 +163,8 @@ def spectrum_of(
     """
     if engine not in ("auto", "exact", "fem"):
         raise ValueError(f"unknown engine {engine!r}")
-    model = None if engine == "fem" else classify_model_shape(d if T is None else apply_map(T, d))
-    use_exact = model is not None
-    if use_exact and bc.kind == "robin" and bc.sigma > 0 and model[0] != "rectangle":
-        use_exact = False  # Robin closed form only exists for rectangles
-    if use_exact:
+    model = None if engine == "fem" else exact_model(d, bc, T)
+    if model is not None:
         kind, data = model
         if kind == "equilateral":
             return equilateral_spectrum(data, bc, n)

@@ -10,15 +10,15 @@ about 250 unknowns (the measured crossover) and by shift-invert Lanczos above
 it.  Conforming spaces on nested meshes make every
 Dirichlet eigenvalue a decreasing-in-refinement upper bound on the true one.
 
-Each pencil (K, M) is reduced once: the dense path keeps LAPACK's Cholesky
-factor and tridiagonal reduction, the shift-invert path its sparse LU
-factors, in a second bounded cache keyed by a SHA-256 digest of the
-matrices' contents.  A call for n values repeats only the n-dependent steps
-(bisection and inverse iteration, or the Lanczos run), so partial sums for
-n = 1..6 cost one reduction, and the values are bit-identical to scipy's
-eigh and eigsh.  A small memo under the same digest remembers the values of
-each (pencil, n), apart from the factorizations, so an unchanged pencil is
-solved once per n even when its factorization is too large to keep; the
+Each pencil (K, M) is solved once, for a block of its BLOCK = 6 smallest
+eigenvalues (or n, if more are asked), and a call for n values reads a
+prefix of that block: partial sums for n = 1..6 cost one solve.  A lone
+n = 1 on the shift-invert path solves for one value only, because Lanczos
+pays for every value it converges (six values took 1.5 to 1.8 times as long
+as one on a 465-unknown pencil, one BLAS thread on a 2-vCPU virtual
+machine), while the dense reduction costs about the same for one value as
+for six.  A small memo keyed by a SHA-256 digest of the matrices'
+contents, the path and the block size remembers each block; the
 finite-difference Schrodinger solves share it.
 
 A linear image T(D) is solved on D's mesh carried over by T.  Each domain is
@@ -43,7 +43,6 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as splinalg
-from scipy.linalg import blas, lapack
 
 from .exact import BoundarySpec, NumericalFailure, Spectrum
 from .geometry import DomainSpec, Ellipse, LinearMap2, Polygon, orient
@@ -319,7 +318,7 @@ class _Reference:
 
 
 class _ReferenceCache:
-    """Least recently used entries (references, pencils or eigenvalue arrays), bounded by their nbytes."""
+    """Least recently used entries (references or eigenvalue arrays), bounded by their nbytes."""
 
     def __init__(self, max_bytes: int):
         self.max_bytes = max_bytes
@@ -389,8 +388,8 @@ def assemble(mesh: Mesh, bc: BoundarySpec):
 DENSE_THRESHOLD = 250
 #: Relative (and, near a zero eigenvalue, absolute) residual every eigenpair must meet.
 EIG_TOLERANCE = 1e-8
-#: Bytes of eigen-solve factorizations kept between calls (a 250-unknown dense one takes ~1 MB).
-PENCIL_CACHE_BYTES = 2 * 2**20
+#: Eigenvalues solved per pencil: one solve serves the partial sums n = 1..6 of the paper's bounds.
+BLOCK = 6
 #: Bytes of eigenvalues remembered between calls (4096 values); each entry's key and array add ~400 bytes more.
 VALUE_CACHE_BYTES = 32 * 2**10
 
@@ -427,35 +426,52 @@ def solve_eigs(
 ) -> np.ndarray:
     """n smallest eigenvalues of K u = lambda M u, residual-checked.
 
-    Dense reduction of the n wanted pairs up to `dense_threshold` unknowns,
-    shift-invert Lanczos above it: shift 0 for positive-definite K, a small
-    positive shift when a zero mode is expected (neumann_like) so the kernel
-    is resolved cleanly.  Lanczos starts from a fixed pseudo-random vector, so
-    reruns are bit-identical; a constant start would be orthogonal to the
-    antisymmetric modes of symmetric domains.
+    Dense eigh up to `dense_threshold` unknowns, shift-invert Lanczos above
+    it: shift 0 for positive-definite K, a small positive shift when a zero
+    mode is expected (neumann_like) so the kernel is resolved cleanly.
+    Lanczos starts from a fixed pseudo-random vector, so reruns are
+    bit-identical; a constant start would be orthogonal to the antisymmetric
+    modes of symmetric domains.
 
-    Two caches keyed by a SHA-256 digest of the contents of K and M make
-    repeated solves cheap.  The values memo (VALUE_CACHE_BYTES, shared with
-    the finite-difference solves of `schrodinger`) keeps the values of each
-    (pencil, n, path), so a pencil is solved once per n while the memo holds
-    it, however large its factorization.  Apart from it, the work that does
-    not depend on n is kept in a cache bounded by PENCIL_CACHE_BYTES: the
-    dense reduction to tridiagonal form, or the sparse LU factors of the
-    shifted K; a call for a new n repeats only the n-dependent steps.  The
-    values are those of scipy.linalg.eigh(K, M, subset_by_index=[0, n - 1])
-    and of scipy.sparse.linalg.eigsh bit for bit, whatever was asked before;
-    callers get their own copy.  A failed solve is not remembered.
+    The solve is for a block of b = min(max(n, BLOCK), dim) values, except
+    that a lone n = 1 on the shift-invert path solves for b = 1: Lanczos
+    pays for each value it converges, dense eigh hardly does.  The values
+    memo (VALUE_CACHE_BYTES, shared with the finite-difference solves of
+    `schrodinger`) keeps each block under (SHA-256 digest of K and M, path,
+    b), so n = 2..6 of one pencil cost one solve while the memo holds it.
+    The values are the first n of scipy.linalg.eigh(K, M,
+    subset_by_index=[0, b - 1]) or of the sorted scipy.sparse.linalg.eigsh(k=b)
+    bit for bit, whatever was asked before; callers get their own copy.
+    Every pair of the block is residual-checked before it is remembered, and
+    a failed solve is not remembered.
     """
     dim = K.shape[0]
     if n < 1 or n > dim:
         raise ValueError(f"need 1 <= n <= {dim}, got {n}")
     dense = dim <= dense_threshold
-    pencil_key = (content_key(K, M), dense, neumann_like and not dense)
+    b = 1 if n == 1 and not dense else min(max(n, BLOCK), dim)
+    key = (content_key(K, M), dense, neumann_like and not dense, b)
+    return memoized(key, lambda: _solve_block(K, M, b, dense, neumann_like))[:n]
 
-    def build():
-        return _DensePencil(K, M) if dense else _ShiftInvertPencil(K, M, neumann_like)
 
-    return memoized((pencil_key, n), lambda: _PENCILS.get(pencil_key, build).eigenvalues(K, M, n))
+def _solve_block(K, M, b: int, dense: bool, neumann_like: bool) -> np.ndarray:
+    """The b smallest eigenvalues of the pencil, by dense eigh or shift-invert eigsh, residual-checked."""
+    dim = K.shape[0]
+    if dense:
+        vals, vecs = scipy.linalg.eigh(_dense(K), _dense(M), subset_by_index=[0, b - 1])
+    else:
+        sigma = 1e-8 * float(K.diagonal().sum()) / dim if neumann_like else 0.0
+        try:
+            vals, vecs = splinalg.eigsh(
+                sparse.csc_matrix(K), k=b, M=sparse.csc_matrix(M), sigma=sigma, which="LM",
+                v0=np.random.default_rng(0).standard_normal(dim),
+            )
+        except (splinalg.ArpackNoConvergence, RuntimeError) as exc:  # RuntimeError: a singular LU
+            raise SolverFailure(f"shift-invert iteration failed at dim={dim}, n={b}: {exc}") from exc
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
+    _check_residuals(K, M, vals, vecs)
+    return vals
 
 
 def content_key(*matrices) -> bytes:
@@ -489,9 +505,9 @@ def memoized(key, solve) -> np.ndarray:
     return _VALUES.get(key, build).copy()
 
 
-def _dense(A, order="C"):
+def _dense(A):
     """A as a new dense float array, never the caller's own."""
-    return A.toarray(order=order) if sparse.issparse(A) else np.array(A, dtype=float, order=order)
+    return A.toarray() if sparse.issparse(A) else np.array(A, dtype=float)
 
 
 def _matrix_arrays(A) -> tuple:
@@ -503,131 +519,6 @@ def _matrix_arrays(A) -> tuple:
     return "dense", (np.asarray(A),)
 
 
-class _Pencil:
-    """The n-independent work of one pencil (K, M): a reduction or a factorization.
-
-    `factor_bytes` is the size of what it keeps; nbytes adds a fixed
-    OVERHEAD_BYTES for the object and its cache key, so a pencil whose
-    reduction failed still counts against the cache's bound.
-    """
-
-    OVERHEAD_BYTES = 1024
-    factor_bytes = 0
-
-    def eigenvalues(self, K, M, n: int) -> np.ndarray:
-        vals, vecs = self._solve(K, M, n)
-        _check_residuals(K, M, vals, vecs)
-        return vals
-
-    @property
-    def nbytes(self) -> int:
-        return self.factor_bytes + self.OVERHEAD_BYTES
-
-
-class _DensePencil(_Pencil):
-    """scipy.linalg.eigh(K, M, subset_by_index=[0, n - 1]) split at its first n-dependent step.
-
-    eigh runs LAPACK dsygvx: dpotrf factors M = L L^T, dsygst forms
-    L^-1 K L^-T and dsytrd reduces that to a tridiagonal (d, e) with
-    reflectors; then dstebz bisects for the n smallest values, dstein finds
-    their vectors, dormtr and dtrsm carry those back, and the pairs are
-    sorted.  The reduction runs once here, with dsygvx's workspace, and
-    `_solve` repeats only the steps after it with dsygvx's arguments, so its
-    values are eigh's bit for bit.  n == dim, a 1 x 1 pencil, input that is
-    not finite, a failed factorization and a matrix that dsyevx would rescale
-    go to eigh itself, which takes other branches there (or raises).
-    """
-
-    def __init__(self, K, M):
-        self.L = self.reflectors = self.d = self.e = self.tau = None
-        # Fortran order: LAPACK works in place, on the same arrays eigh would pass
-        a, b = _dense(K, "F"), _dense(M, "F")
-        dim = len(a)
-        if dim < 2 or not (np.isfinite(a).all() and np.isfinite(b).all()):
-            return
-        L, info = lapack.dpotrf(b, lower=1, overwrite_a=1)
-        if info != 0:
-            return
-        c, info = lapack.dsygst(a, L, itype=1, lower=1, overwrite_a=1)
-        # dsyevx rescales when the largest entry of the lower triangle lies
-        # outside [rmin, rmax]; it lies between the largest diagonal entry and
-        # the largest entry overall
-        safmin, eps = lapack.dlamch("S"), lapack.dlamch("P")
-        rmin, rmax = math.sqrt(safmin / eps), min(math.sqrt(eps / safmin), 1.0 / math.sqrt(math.sqrt(safmin)))
-        if info != 0 or np.abs(np.diagonal(c)).max() < rmin or max(c.max(), -c.min()) > rmax:
-            return
-        lwork = int(lapack.dsygvx_lwork(dim, uplo="L")[0])
-        # dsyevx hands dsytrd all of dsygvx's workspace but its first 3 dim entries
-        c, self.d, self.e, self.tau, info = lapack.dsytrd(c, lower=1, lwork=lwork - 3 * dim, overwrite_a=1)
-        if info != 0:
-            return
-        self.lwork = lwork - dim  # what dsyevx leaves dormtr
-        # dormtr on lower storage is dormqr on the block below the diagonal;
-        # dormqr reads that block's diagonal as 1, so store it as 1
-        self.reflectors = np.asfortranarray(c[1:, :-1])
-        np.fill_diagonal(self.reflectors, 1.0)
-        self.L = L
-        self.factor_bytes = sum(x.nbytes for x in (L, self.reflectors, self.d, self.e, self.tau))
-
-    def _solve(self, K, M, n):
-        dim = K.shape[0]
-        if self.L is None or n == dim:
-            return scipy.linalg.eigh(_dense(K), _dense(M), subset_by_index=[0, n - 1])
-        m, w, iblock, isplit, info = lapack.dstebz(self.d, self.e, 2, 0.0, 1.0, 1, n, 0.0, "B")
-        if info == 0:
-            z, info = lapack.dstein(self.d, self.e, w[:m], iblock, isplit)
-        if info != 0:  # eigh meets the same failure and reports it
-            return scipy.linalg.eigh(_dense(K), _dense(M), subset_by_index=[0, n - 1])
-        z[1:], _, _ = lapack.dormqr("L", "N", self.reflectors, self.tau, z[1:], self.lwork)
-        x = blas.dtrsm(1.0, self.L, z, lower=1, trans_a=1)
-        order = np.argsort(w[:m], kind="stable")
-        return w[:m][order], x[:, order]
-
-
-class _ShiftInvertPencil(_Pencil):
-    """The sparse LU factors that scipy.sparse.linalg.eigsh(K, M, sigma=s) builds, built once.
-
-    With shift s = 0 eigsh factors K itself, otherwise K - s M, both in CSC
-    form; handing it that same factorization as OPinv leaves its Lanczos
-    iteration unchanged bit for bit.  It keeps splu's default COLAMD ordering:
-    the minimum-degree one that halves the finite-difference fill took 10.6 s
-    against 0.11 s to factor the level-5 disk and ellipse Dirichlet pencils.
-    """
-
-    def __init__(self, K, M, neumann_like: bool):
-        dim = K.shape[0]
-        self.sigma = 1e-8 * float(K.diagonal().sum()) / dim if neumann_like else 0.0
-        shifted = sparse.csc_matrix(K)
-        if self.sigma != 0.0:
-            shifted = shifted - self.sigma * sparse.csc_matrix(M)
-        self.opinv, self.failure = None, None
-        try:
-            lu = splinalg.splu(shifted)
-        except RuntimeError as exc:  # a singular shifted K: every n reports it, as eigsh did
-            self.failure = str(exc)
-            return
-        self.opinv = splinalg.LinearOperator((dim, dim), matvec=lu.solve, dtype=float)
-        # SuperLU keeps the work arrays it sized from the matrix's nonzeros, not
-        # just the fill: 430 to 580 bytes were measured allocated per nonzero
-        # (81 to 34 000 unknowns), 57 to 192 per stored entry of L and U
-        self.factor_bytes = 600 * shifted.nnz
-
-    def _solve(self, K, M, n):
-        dim = K.shape[0]
-        if self.failure is not None:
-            raise SolverFailure(f"shift-invert iteration failed at dim={dim}, n={n}: {self.failure}")
-        try:
-            vals, vecs = splinalg.eigsh(
-                sparse.csc_matrix(K), k=n, M=sparse.csc_matrix(M), sigma=self.sigma, which="LM",
-                v0=np.random.default_rng(0).standard_normal(dim), OPinv=self.opinv,
-            )
-        except (splinalg.ArpackNoConvergence, RuntimeError) as exc:
-            raise SolverFailure(f"shift-invert iteration failed at dim={dim}, n={n}: {exc}") from exc
-        order = np.argsort(vals)
-        return vals[order], vecs[:, order]
-
-
-_PENCILS = _ReferenceCache(PENCIL_CACHE_BYTES)
 _VALUES = _ReferenceCache(VALUE_CACHE_BYTES)
 
 

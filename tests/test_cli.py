@@ -128,8 +128,7 @@ def test_moments_json(capsys):
 
 
 def _fresh_caches(monkeypatch):
-    """Empty pencil cache and eigenvalue memo: a rerun then repeats every solve instead of recalling it."""
-    monkeypatch.setattr(fem, "_PENCILS", fem._ReferenceCache(fem.PENCIL_CACHE_BYTES))
+    """An empty eigenvalue memo: a rerun then repeats every solve instead of recalling it."""
     monkeypatch.setattr(fem, "_VALUES", fem._ReferenceCache(fem.VALUE_CACHE_BYTES))
 
 
@@ -359,6 +358,8 @@ def test_numeric_arguments_never_raise_a_traceback(case):
         ["sweep", "isosceles", "--from", "0.5", "--apertures", "1.0,1.1"],
         ["conjecture", "c1", "--to", "2.0", "--apertures", "1.0,1.1"],
         ["spectrum", "--shape", "square", "--engine", "exact", "--levels", "3", "-n", "1"],
+        ["spectrum", "--shape", "square", "--engine", "exact", "--no-extrapolate", "-n", "1"],
+        ["spectrum", "--shape", "disk", "--levels", "3", "-n", "2"],
     ],
     ids=["sweep-steps-1", "c1-steps-1", "random-negative", "robin-random", "schrodinger-random",
          "quad-random", "levels-8", "square-n-10001", "equilateral-n-10001", "kroger-n-max-10001",
@@ -366,7 +367,7 @@ def test_numeric_arguments_never_raise_a_traceback(case):
          "kroger-to", "kroger-sigma", "square-l1", "disk-l2", "square-radius", "disk-domain-file",
          "dirichlet-sigma", "isosceles-neumann-sigma", "harmonic-q", "trisym-q", "harmonic-beta",
          "power-beta", "schrodinger-points-1003", "random-map", "apertures-steps", "apertures-from",
-         "c1-apertures-to", "exact-levels"],
+         "c1-apertures-to", "exact-levels", "exact-no-extrapolate", "auto-exact-levels"],
 )
 def test_bad_counts_exit_2_with_one_line(capsys, argv):
     assert_usage_error(capsys, argv)

@@ -416,12 +416,11 @@ def test_reference_cache_bookkeeping_under_threads():
 
 
 # ---------------------------------------------------------------------------
-# one reduction per pencil: the cached solve against plain eigh and eigsh
+# one block solve per pencil: the memoized solve against plain eigh and eigsh
 # ---------------------------------------------------------------------------
 
 def _fresh_caches(monkeypatch):
-    """Empty pencil cache and eigenvalue memo, so what follows exercises the solver and not the memo."""
-    monkeypatch.setattr(fem, "_PENCILS", fem._ReferenceCache(fem.PENCIL_CACHE_BYTES))
+    """An empty eigenvalue memo, so what follows exercises the solver and not the memo."""
     monkeypatch.setattr(fem, "_VALUES", fem._ReferenceCache(fem.VALUE_CACHE_BYTES))
 
 
@@ -449,18 +448,25 @@ def _pencils(d, seed, levels=(1, 2, 3, 4)):
     return out
 
 
+def _block(n, dim, dense):
+    """The number of values one solve computes for a call asking n: a block of six, one for a lone shift-invert n = 1."""
+    return 1 if n == 1 and not dense else min(max(n, 6), dim)
+
+
 def _plain_eigs(K, M, n, neumann_like):
-    """The uncached solve: eigh on the dense path, eigsh with SciPy's own factorization above it."""
+    """The first n values of the unmemoized block solve: eigh on the dense path, eigsh above it."""
     import scipy.linalg
     import scipy.sparse.linalg as splinalg
 
     dim = K.shape[0]
-    if dim <= fem.DENSE_THRESHOLD:
-        return scipy.linalg.eigh(K.toarray(), M.toarray(), subset_by_index=[0, n - 1])[0]
+    dense = dim <= fem.DENSE_THRESHOLD
+    b = _block(n, dim, dense)
+    if dense:
+        return scipy.linalg.eigh(K.toarray(), M.toarray(), subset_by_index=[0, b - 1])[0][:n]
     sigma = 1e-8 * float(K.diagonal().sum()) / dim if neumann_like else 0.0
-    vals = splinalg.eigsh(sparse.csc_matrix(K), k=n, M=sparse.csc_matrix(M), sigma=sigma, which="LM",
+    vals = splinalg.eigsh(sparse.csc_matrix(K), k=b, M=sparse.csc_matrix(M), sigma=sigma, which="LM",
                           v0=np.random.default_rng(0).standard_normal(dim))[0]
-    return np.sort(vals)
+    return np.sort(vals)[:n]
 
 
 @pytest.mark.parametrize("name", list(PENCIL_DOMAINS))
@@ -469,8 +475,8 @@ def test_cached_solve_equals_plain_eigh_and_eigsh_bit_for_bit(name, monkeypatch)
     paths = set()
     for K, M, neumann_like in _pencils(PENCIL_DOMAINS[name], seed=sum(map(ord, name))):
         dim = K.shape[0]
-        ns = list(range(1, min(6, dim) + 1)) + ([dim] if dim <= 8 else [])  # n == dim goes to eigh itself
-        for n in reversed(ns):  # the reduction is made at the largest n, then reused
+        ns = list(range(1, min(6, dim) + 1)) + ([dim] if dim <= 8 else [])  # n == dim: a block of dim
+        for n in reversed(ns):  # n = 6 solves the block that n = 5..2 read
             got = fem.solve_eigs(K, M, n, neumann_like=neumann_like)
             assert np.array_equal(got, _plain_eigs(K, M, n, neumann_like)), (name, dim, n)
         paths.add(dim <= fem.DENSE_THRESHOLD)
@@ -489,7 +495,7 @@ def test_small_dense_pencils_equal_eigh():
         K, M = np.asfortranarray(a @ a.T + dim * np.eye(dim)), np.asfortranarray(b @ b.T + dim * np.eye(dim))
         K0, M0 = K.copy(), M.copy()
         for n in range(dim, 0, -1):
-            want = scipy.linalg.eigh(K, M, subset_by_index=[0, n - 1])[0]
+            want = scipy.linalg.eigh(K, M, subset_by_index=[0, _block(n, dim, True) - 1])[0][:n]
             assert np.array_equal(fem.solve_eigs(K, M, n), want), (dim, n)
         assert np.array_equal(K, K0) and np.array_equal(M, M0)  # the caller's matrices are untouched
 
@@ -501,83 +507,37 @@ def test_cached_solve_does_not_depend_on_call_order(monkeypatch):
         cold = fem.solve_eigs(A, B, 3, neumann_like=neumann_like)
         _fresh_caches(monkeypatch)
         fem.solve_eigs(A, B, 6, neumann_like=neumann_like)
-        warm = fem.solve_eigs(A, B, 3, neumann_like=neumann_like)  # on the kept reduction
+        warm = fem.solve_eigs(A, B, 3, neumann_like=neumann_like)  # a prefix of n = 6's block
         again = fem.solve_eigs(A, B, 3, neumann_like=neumann_like)  # from the memo
         assert np.array_equal(warm, cold) and np.array_equal(again, cold)
         again[0] = -1.0  # callers own what they get back
         assert np.array_equal(fem.solve_eigs(A, B, 3, neumann_like=neumann_like), cold)
 
 
-def test_pencil_bytes_count_every_held_array():
-    import scipy.sparse.linalg as splinalg
-
-    (K, M, _), (KN, MN, _) = _pencils(g.square(1.0), seed=5, levels=(4,))[:2]
-    dim = K.shape[0]
-    # the Cholesky factor, the reflectors, d, e and tau
-    assert fem._DensePencil(K, M).nbytes >= 8 * (dim * dim + (dim - 1) ** 2 + 3 * dim - 2)
-    lu = splinalg.splu(sparse.csc_matrix(KN))
-    assert fem._ShiftInvertPencil(KN, MN, False).nbytes >= 12 * (lu.L.nnz + lu.U.nnz)
-    # a pencil whose reduction failed still counts against the bound
-    assert fem._DensePencil(np.eye(1), np.eye(1)).nbytes > 0
-
-
-def test_pencil_cache_stays_within_its_byte_bound_under_threads(monkeypatch):
-    import sys
-    import threading
-
-    pencils = _pencils(g.square(1.0), seed=9, levels=(3, 4))
-    want = [[_plain_eigs(K, M, n, nl) for n in range(1, 7)] for K, M, nl in pencils]
-    monkeypatch.setattr(fem, "_VALUES", fem._ReferenceCache(0))  # remembers nothing: every call solves
-    monkeypatch.setattr(fem, "_PENCILS", fem._ReferenceCache(2**40))
-    for K, M, nl in pencils:
-        fem.solve_eigs(K, M, 1, neumann_like=nl)
-    # room for the two largest pencils, so the rest are evicted and rebuilt
-    cache = fem._ReferenceCache(sum(sorted(p.nbytes for p in fem._PENCILS._entries.values())[-2:]))
-    monkeypatch.setattr(fem, "_PENCILS", cache)
-    sizes = []
-    wrong = []
-
-    def work(seed):
-        rng = np.random.default_rng(seed)
-        for _ in range(60):
-            i, n = int(rng.integers(0, len(pencils))), int(rng.integers(1, 7))
-            K, M, nl = pencils[i]
-            if not np.array_equal(fem.solve_eigs(K, M, n, neumann_like=nl), want[i][n - 1]):
-                wrong.append((i, n))
-            with cache._lock:  # a consistent view, between two updates
-                sizes.append(cache._bytes)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(s,)) for s in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert wrong == []
-    assert max(sizes) <= cache.max_bytes
-    assert cache._bytes == sum(p.nbytes for p in cache._entries.values()) <= cache.max_bytes
-    assert 0 < len(cache._entries) < len(pencils)
-
-
 # ---------------------------------------------------------------------------
-# the eigenvalue memo: one solve per (pencil, n)
+# the eigenvalue memo: one solve per pencil and block
 # ---------------------------------------------------------------------------
+
+def _dense_key(K, M):
+    """content_key of the pencil as dense arrays, whatever storage it comes in."""
+    return fem.content_key(*(A.toarray() if sparse.issparse(A) else np.asarray(A) for A in (K, M)))
+
 
 def _count_solves(monkeypatch):
-    """Record (content key, n) of every solve that reaches a pencil, i.e. misses the memo."""
+    """Record (dense key, number of values) of every eigh and eigsh call, i.e. every solve that misses the memo."""
     solved = []
-    eigenvalues = fem._Pencil.eigenvalues
+    eigh, eigsh = fem.scipy.linalg.eigh, fem.splinalg.eigsh
 
-    def solve(self, K, M, n):
-        solved.append((fem.content_key(K, M), n))
-        return eigenvalues(self, K, M, n)
+    def dense(K, M, subset_by_index, **kwargs):
+        solved.append((_dense_key(K, M), subset_by_index[1] + 1))
+        return eigh(K, M, subset_by_index=subset_by_index, **kwargs)
 
-    monkeypatch.setattr(fem._Pencil, "eigenvalues", solve)
+    def shift_invert(K, k, M, **kwargs):
+        solved.append((_dense_key(K, M), k))
+        return eigsh(K, k=k, M=M, **kwargs)
+
+    monkeypatch.setattr(fem.scipy.linalg, "eigh", dense)
+    monkeypatch.setattr(fem.splinalg, "eigsh", shift_invert)
     return solved
 
 
@@ -585,22 +545,40 @@ def test_memo_hit_equals_cold_solve_bit_for_bit(monkeypatch):
     # the square's level-4 Dirichlet image is dense (225 unknowns), its Neumann one shift-invert (289)
     for K, M, neumann_like in _pencils(g.square(1.0), seed=5, levels=(4,))[:2]:
         _fresh_caches(monkeypatch)
+        want = _plain_eigs(K, M, 4, neumann_like)
         solved = _count_solves(monkeypatch)
         cold = fem.solve_eigs(K, M, 4, neumann_like=neumann_like)
-        assert np.array_equal(cold, _plain_eigs(K, M, 4, neumann_like))
+        assert np.array_equal(cold, want) and solved == [(_dense_key(K, M), 6)]
         # equal contents in new arrays hit the memo: no second solve
         hit = fem.solve_eigs(K.copy(), M.copy(), 4, neumann_like=neumann_like)
         assert np.array_equal(hit, cold) and len(solved) == 1
         hit[0] = -1.0  # callers own what they get back
         assert np.array_equal(fem.solve_eigs(K, M, 4, neumann_like=neumann_like), cold)
-        # another n, another matrix or the other path is another entry
+        # n = 3 reads the same block: still one solve
+        assert np.array_equal(fem.solve_eigs(K, M, 3, neumann_like=neumann_like), cold[:3])
+        assert len(solved) == 1
+        # another matrix or the other path is another entry
         K2 = K.copy()
         K2.data[0] *= 1.0 + 2.0**-40
         other_path = 100 if K.shape[0] <= fem.DENSE_THRESHOLD else 300
-        fem.solve_eigs(K, M, 3, neumann_like=neumann_like)
         fem.solve_eigs(K2, M, 4, neumann_like=neumann_like)
         fem.solve_eigs(K, M, 4, dense_threshold=other_path, neumann_like=neumann_like)
-        assert len(solved) == 4
+        assert len(solved) == 3
+
+
+def test_lone_shift_invert_fundamental_is_its_own_entry(monkeypatch):
+    # the square's level-4 Neumann and Robin images have 289 unknowns: shift-invert
+    for K, M, neumann_like in _pencils(g.square(1.0), seed=5, levels=(4,))[1:]:
+        assert K.shape[0] > fem.DENSE_THRESHOLD
+        _fresh_caches(monkeypatch)
+        want = [_plain_eigs(K, M, n, neumann_like) for n in range(1, 7)]
+        solved = _count_solves(monkeypatch)
+        one = fem.solve_eigs(K, M, 1, neumann_like=neumann_like)
+        assert np.array_equal(one, want[0]) and solved == [(_dense_key(K, M), 1)]  # eigsh(k=1)
+        for n in range(2, 7):  # one more solve, of six values, serves n = 2..6
+            assert np.array_equal(fem.solve_eigs(K, M, n, neumann_like=neumann_like), want[n - 1]), n
+        assert [b for _, b in solved] == [1, 6] and len(fem._VALUES._entries) == 2
+        assert np.array_equal(fem.solve_eigs(K, M, 1, neumann_like=neumann_like), one) and len(solved) == 2
 
 
 def test_hexagon_right_hand_side_is_solved_once_per_bc_and_n(monkeypatch):
@@ -621,13 +599,14 @@ def test_hexagon_right_hand_side_is_solved_once_per_bc_and_n(monkeypatch):
     for bc in (ex.DIRICHLET, ex.NEUMANN):
         ref, identity = fem._reference(hexagon, 4, g.LinearMap2.identity())
         K, M, _ = ref.matrices(identity, bc)
-        assert K.shape[0] > fem.DENSE_THRESHOLD  # too large a factorization for the pencil cache
+        assert K.shape[0] > fem.DENSE_THRESHOLD  # shift-invert
         for n in (2, 3):
             for T in maps:
                 xp.verify_linear_map_bound(hexagon, T, bc, n)  # levels 3 and 4
-            rhs = (fem.content_key(K, M), n)
-            assert asked.count(rhs) == len(maps) and solved.count(rhs) == 1, (bc.kind, n)
-    assert len(solved) == len(set(solved))  # every (pencil, n) was solved once
+            assert asked.count((fem.content_key(K, M), n)) == len(maps), (bc.kind, n)
+        # n = 2 and 3 read one block of six
+        assert [b for key, b in solved if key == _dense_key(K, M)] == [6], bc.kind
+    assert len(solved) == len({key for key, _ in solved})  # every pencil was solved once
 
 
 def test_solver_failures_are_not_memoized(monkeypatch):
@@ -647,8 +626,7 @@ def test_value_memo_stays_within_its_byte_bound_under_threads(monkeypatch):
 
     pencils = _pencils(g.square(1.0), seed=9, levels=(2, 3))
     want = [[_plain_eigs(K, M, n, nl) for n in range(1, 7)] for K, M, nl in pencils]
-    monkeypatch.setattr(fem, "_PENCILS", fem._ReferenceCache(2**40))  # keeps every reduction
-    memo = fem._ReferenceCache(8 * 24)  # room for 24 values: entries are evicted and solved again
+    memo = fem._ReferenceCache(8 * 24)  # room for four blocks of six: entries are evicted and solved again
     monkeypatch.setattr(fem, "_VALUES", memo)
     sizes = []
     wrong = []
