@@ -13,9 +13,11 @@ a usage error: exit 2 with one `error:` line on stderr.  So is an option that
 the value of another leaves unread, such as `--l1` without `--shape
 rectangle`, `--sigma` without `--bc robin`, `--q` without `--potential
 power`, `--beta` without `--potential trisym`, `--map` with `--random N`,
-`--steps`, `--from` or `--to` with `--apertures`, or `--levels` or
-`--no-extrapolate` with `--engine exact` (or with `--engine auto` on a shape
-it solves exactly).
+or `--steps`, `--from` or `--to` with `--apertures`.  `--levels` and
+`--no-extrapolate` are refused the same way, before anything is written,
+when no spectrum, row or report the command made came from FEM: with
+`--engine exact`, or where every domain involved has a closed-form spectrum
+(`spectrum --shape disk`, or `verify quad` with its default pieces).
 """
 
 from __future__ import annotations
@@ -116,7 +118,16 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _refuse_unread_fem(args, methods) -> None:
+    """Refuse --levels or --no-extrapolate when no spectrum the command made came from FEM."""
+    unread = sorted(set(getattr(args, "given", ())) & {"levels", "no_extrapolate"})
+    if unread and "fem" not in methods:
+        flag = unread[0].replace("_", "-")
+        raise UsageError(f"--{flag} is read only by the FEM engine, and no spectrum here came from it")
+
+
 def _csv(args, rows: list[xp.SweepRow]) -> str:
+    _refuse_unread_fem(args, {r.method for r in rows})
     return f"# seed={args.seed}\n" + xp.rows_to_csv(rows)
 
 
@@ -131,10 +142,6 @@ def _fem_opts(args) -> fem.FemOptions:
 def _cmd_spectrum(args) -> int:
     bc = _parse_bc(args.bc, args.sigma)
     d = _domain_from_args(args)
-    unread = sorted(set(getattr(args, "given", ())) & {"levels", "no_extrapolate"})
-    if unread and args.engine == "auto" and xp.exact_model(d, bc) is not None:
-        flag = unread[0].replace("_", "-")
-        raise UsageError(f"--{flag} is read only by the FEM engine, and --engine auto solves this shape exactly")
     spec = xp.spectrum_of(d, bc, args.n, engine=args.engine, opts=_fem_opts(args))
     rows = [
         xp.SweepRow(float(i + 1), float(v), spec.method, float(e))
@@ -161,6 +168,7 @@ def _cmd_moments(args) -> int:
 
 
 def _report_block(args, reports: list[xp.BoundReport]) -> int:
+    _refuse_unread_fem(args, {r.inputs.get(side) for r in reports for side in ("lhs_method", "rhs_method")})
     recs = []
     for r in reports:
         rec = json.loads(r.to_json())
@@ -218,11 +226,7 @@ def _sweep_kroger(args) -> int:
 
 
 def _conjecture_c1(args) -> int:
-    apertures = _apertures(args)
-    rows = xp.conjecture_scan_c1([isosceles_triangle(a) for a in apertures], _fem_opts(args))
-    # re-key rows by aperture for readability
-    rows = [xp.SweepRow(a, r.value, r.method, r.error) for a, r in zip(apertures, rows)]
-    _emit(args, _csv(args, rows))
+    _emit(args, _csv(args, xp.sweep_isosceles(1, _apertures(args), DIRICHLET, _fem_opts(args))))
     return 0
 
 
@@ -292,8 +296,6 @@ _READ_ONLY_WITH = {
     "start": ("apertures", (None, "")),
     "stop": ("apertures", (None, "")),
     "steps": ("apertures", (None, "")),
-    "levels": ("engine", ("auto", "fem")),
-    "no_extrapolate": ("engine", ("auto", "fem")),
 }
 
 

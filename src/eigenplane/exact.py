@@ -1,18 +1,19 @@
 """Closed-form spectra of model shapes, Bessel zeros, and 1D Robin eigenvalues.
 
 Dirichlet/Neumann eigenvalues of equilateral triangles and rectangles come
-from lattice enumeration of their classical formulas; disk eigenvalues from
-Bessel zeros; rectangle Robin eigenvalues from tensor sums of the 1D Robin
-problem.  Every enumeration uses a provable cutoff, so the first n values are
-guaranteed complete; more than MAX_EIGENVALUES values are refused up front.
-Each Bessel zero is solved once, into a grow-only table per order shared by
-all callers, on a bracket that does not depend on how many zeros were asked
-for.
+from their classical lattice formulas; disk eigenvalues from Bessel zeros;
+rectangle Robin eigenvalues from tensor sums of the 1D Robin problem.  Each
+spectrum is a 2-D array of values, nondecreasing along every row and down the
+first column, read in ascending order by one heap enumeration (_smallest):
+complete with no cutoff, and it evaluates only the cells next to those it has
+already taken.  More than MAX_EIGENVALUES values are refused up front.  Each
+Bessel zero is solved once, into a grow-only table per order shared by all
+callers, on a bracket that does not depend on how many zeros were asked for.
 """
 
 from __future__ import annotations
 
-import itertools
+import heapq
 import math
 import threading
 from dataclasses import dataclass, field
@@ -199,9 +200,23 @@ def _check_count(n: int) -> None:
         raise ValueError(f"asked for {n} exact eigenvalues, more than {MAX_EIGENVALUES}")
 
 
-def _first_n_sorted(candidates: list[float], n: int) -> np.ndarray:
-    arr = np.sort(np.asarray(candidates, dtype=float))
-    return arr[:n]
+def _smallest(value, n: int, start: int = 0) -> np.ndarray:
+    """The n smallest of value(i, j) over integers i, j >= start, ascending.
+
+    value must be nondecreasing along each row (in j) and down the first
+    column (in i at j = start).  Then each cell's parent, (i, j - 1) or
+    (i - 1, start), is no larger than the cell, and a heap of the children of
+    the cells popped so far pops every cell in order: complete without a
+    cutoff, however thin the array.
+    """
+    heap = [(value(start, start), start, start)]
+    out = np.empty(n)
+    for k in range(n):
+        out[k], i, j = heapq.heappop(heap)
+        heapq.heappush(heap, (value(i, j + 1), i, j + 1))
+        if j == start:
+            heapq.heappush(heap, (value(i + 1, start), i + 1, start))
+    return out
 
 
 def equilateral_spectrum(side: float, bc: BoundarySpec, n: int) -> Spectrum:
@@ -216,22 +231,9 @@ def equilateral_spectrum(side: float, bc: BoundarySpec, n: int) -> Spectrum:
     _check_count(n)
     if bc.kind == "robin" and bc.sigma != 0.0:
         raise ValueError("no closed-form Robin spectrum for triangles")
-    start = 1 if bc.is_dirichlet else 0
     scale = 16.0 * math.pi**2 / (9.0 * side * side)
-    # Q(j1,j2) >= max(j1,j2)^2 for j >= 0, so enumerating j <= sqrt(B) is complete up to B
-    bound = float(3 * n + 9)
-    while True:
-        jmax = int(math.isqrt(int(bound))) + 1
-        forms = [
-            float(j1 * j1 + j1 * j2 + j2 * j2)
-            for j1 in range(start, jmax + 1)
-            for j2 in range(start, jmax + 1)
-            if j1 * j1 + j1 * j2 + j2 * j2 <= bound
-        ]
-        if len(forms) >= n:
-            vals = scale * _first_n_sorted(forms, n)
-            return Spectrum(vals, "exact", 1e-14 * vals)
-        bound *= 2.0
+    vals = scale * _smallest(lambda j1, j2: j1 * j1 + j1 * j2 + j2 * j2, n, 1 if bc.is_dirichlet else 0)
+    return Spectrum(vals, "exact", 1e-14 * vals)
 
 
 def rectangle_spectrum(l1: float, l2: float, bc: BoundarySpec, n: int) -> Spectrum:
@@ -245,48 +247,24 @@ def rectangle_spectrum(l1: float, l2: float, bc: BoundarySpec, n: int) -> Spectr
     _check_count(n)
     if bc.kind == "robin" and bc.sigma > 0:
         return _rectangle_robin(l1, l2, bc.sigma, n)
-    start = 1 if bc.is_dirichlet else 0
-    last = start + n - 1
     value = lambda j1, j2: math.pi**2 * ((j1 / l1) ** 2 + (j2 / l2) ** 2)  # noqa: E731
-    # n values of the first row or column lie at or below `cap`: enumerating
-    # row by row, no index passes `last`, and the cutoff stops growing at `cap`
-    cap = min(value(last, start), value(start, last))
-    bound = min(math.pi**2 * (n + 4) * (1.0 / l1**2 + 1.0 / l2**2), cap)
-    while True:
-        vals = []
-        for j2 in range(start, last + 1):
-            if value(start, j2) > bound:
-                break
-            for j1 in range(start, last + 1):
-                if (v := value(j1, j2)) > bound:
-                    break
-                vals.append(v)
-        if len(vals) >= n:
-            out = _first_n_sorted(vals, n)
-            return Spectrum(out, "exact", 1e-14 * np.maximum(out, 1.0))
-        bound = min(2.0 * bound, cap)
+    out = _smallest(value, n, 1 if bc.is_dirichlet else 0)
+    return Spectrum(out, "exact", 1e-14 * np.maximum(out, 1.0))
 
 
 def _rectangle_robin(l1: float, l2: float, sigma: float, n: int) -> Spectrum:
-    r1, r2 = _robin_roots(l1, sigma, 0, 1), _robin_roots(l2, sigma, 0, 1)
-    # Weyl's law counts about area x / (4 pi) values within x of the lowest
-    excess = 4.0 * math.pi * n / (l1 * l2)
-    while True:
-        bound = r1[0] + r2[0] + excess
-        for r, l, other in ((r1, l1, r2[0]), (r2, l2, r1[0])):
-            # rho_k > (k pi / l)^2, and a sum is at most bound only if this root is
-            # at most bound - other; beyond the first n roots of a direction no
-            # sum is needed, since row 0 already holds n smaller ones
-            top = l * math.sqrt(bound - other + 1e-15 * bound) / math.pi
-            r += _robin_roots(l, sigma, len(r), min(n, int(top) + 2))
-        short, long = sorted((r1, r2), key=len)
-        long_arr = np.asarray(long)
-        # row by row along the shorter direction, keeping the sums up to bound
-        vals = np.concatenate([row[row <= bound] for row in (long_arr + x for x in short)])
-        if len(vals) >= n:
-            vals = _first_n_sorted(vals, n)
-            return Spectrum(vals, "exact", 1e-11 * np.maximum(vals, 1.0))
-        excess *= 2.0
+    r1: list[float] = []
+    r2: list[float] = []
+
+    def value(i: int, j: int) -> float:
+        # each side's roots are solved as the enumeration first reaches them
+        for r, l, k in ((r1, l1, i), (r2, l2, j)):
+            if k == len(r):
+                r += _robin_roots(l, sigma, k, k + 1)
+        return r1[i] + r2[j]
+
+    vals = _smallest(value, n)
+    return Spectrum(vals, "exact", 1e-11 * np.maximum(vals, 1.0))
 
 
 def disk_spectrum(radius: float, bc: BoundarySpec, n: int) -> Spectrum:
@@ -301,26 +279,23 @@ def disk_spectrum(radius: float, bc: BoundarySpec, n: int) -> Spectrum:
     _check_count(n)
     if bc.kind == "robin" and bc.sigma != 0.0:
         raise ValueError("no closed-form Robin spectrum for disks")
-    # zero cutoff, grown until complete.  Weyl's law counts about B^2/4 -+ B/2
-    # Dirichlet (Neumann) zeros below B, so Dirichlet starts 2 higher; then
-    # every n up to MAX_EIGENVALUES is complete in one pass
-    bound = math.sqrt(4.0 * n + 40.0) + (2.0 if bc.is_dirichlet else 0.0)
-    while True:
-        vals: list[float] = [] if bc.is_dirichlet else [0.0]
-        for m in itertools.count():
-            p = 0
-            while (z := _zeros(m, p + 1, not bc.is_dirichlet)[p]) <= bound:
-                vals.extend([z * z] if m == 0 else [z * z, z * z])
-                p += 1
-            # zeros increase with both order and index, so stop at the first
-            # order whose smallest zero clears the cutoff
+    neumann = not bc.is_dirichlet
+
+    def value(row: int, p: int) -> float:
+        # rows 2m - 1 and 2m both hold order m, one row per mode.  Under Neumann
+        # the constant mode heads order 0; first zeros increase with the order,
+        # so the first column is nondecreasing
+        m = (row + 1) // 2
+        if neumann and m == 0:
             if p == 0:
-                break
-        if len(vals) >= n:
-            out = _first_n_sorted(vals, n) / radius**2
-            err = 2.0 * np.sqrt(np.maximum(out, 0.0)) * 1e-12 / radius
-            return Spectrum(out, "exact", err)
-        bound *= 1.5
+                return 0.0
+            p -= 1
+        z = _zeros(m, p + 1, neumann)[p]
+        return z * z
+
+    out = _smallest(value, n) / radius**2
+    err = 2.0 * np.sqrt(np.maximum(out, 0.0)) * 1e-12 / radius
+    return Spectrum(out, "exact", err)
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,6 @@ __all__ = [
     "SweepRow",
     "normalized_sum",
     "classify_model_shape",
-    "exact_model",
     "spectrum_of",
     "verify_linear_map_bound",
     "verify_robin_bound",
@@ -62,7 +61,6 @@ __all__ = [
     "disk_vs_square",
     "rectangle_sum_family",
     "kroeger_weyl_check",
-    "conjecture_scan_c1",
     "random_invertible_maps",
     "rows_to_csv",
 ]
@@ -140,14 +138,6 @@ def classify_model_shape(d: DomainSpec):
     return None
 
 
-def exact_model(d: DomainSpec, bc: BoundarySpec, T: LinearMap2 | None = None):
-    """classify_model_shape of d, or of T(d), when its spectrum under bc has a closed form; else None."""
-    model = classify_model_shape(d if T is None else apply_map(T, d))
-    if model is not None and bc.kind == "robin" and bc.sigma > 0 and model[0] != "rectangle":
-        return None  # Robin closed form only exists for rectangles
-    return model
-
-
 def spectrum_of(
     d: DomainSpec,
     bc: BoundarySpec,
@@ -163,7 +153,9 @@ def spectrum_of(
     """
     if engine not in ("auto", "exact", "fem"):
         raise ValueError(f"unknown engine {engine!r}")
-    model = None if engine == "fem" else exact_model(d, bc, T)
+    model = None if engine == "fem" else classify_model_shape(d if T is None else apply_map(T, d))
+    if model is not None and bc.kind == "robin" and bc.sigma > 0 and model[0] != "rectangle":
+        model = None  # Robin closed form only exists for rectangles
     if model is not None:
         kind, data = model
         if kind == "equilateral":
@@ -382,8 +374,6 @@ def sweep_isosceles(
     """Normalized eigenvalue sum over isosceles triangles of given apex angles."""
     rows = []
     for alpha in apertures:
-        if not 0.0 < alpha < math.pi:
-            raise ValueError("aperture must lie strictly inside (0, pi)")
         tri = isosceles_triangle(alpha)
         spec = spectrum_of(tri, bc, n, opts=opts)
         c = functional_factor(tri)
@@ -452,23 +442,6 @@ def kroeger_weyl_check(shape: str, n_max: int) -> tuple[list[SweepRow], list[Swe
         for k, v in zip(ns, spec.values)
     ]
     return kroger, weyl
-
-
-def conjecture_scan_c1(
-    triangle_grid: list[Polygon],
-    opts: fem.FemOptions = fem.FemOptions(),
-) -> list[SweepRow]:
-    """Exploratory scan of lambda_1 * A^3 / I over convex test domains.
-
-    The conjectured window is (9 pi^2 / 2, 12 pi^2]; rows outside it are
-    reported, never raised, since the statement is a conjecture.
-    """
-    rows = []
-    for i, d in enumerate(triangle_grid):
-        spec = spectrum_of(d, DIRICHLET, 1, opts=opts)
-        c = functional_factor(d)
-        rows.append(SweepRow(float(i), spec.sum_first(1) * c, spec.method, spec.error_sum(1) * c))
-    return rows
 
 
 def random_invertible_maps(

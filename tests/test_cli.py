@@ -360,6 +360,9 @@ def test_numeric_arguments_never_raise_a_traceback(case):
         ["spectrum", "--shape", "square", "--engine", "exact", "--levels", "3", "-n", "1"],
         ["spectrum", "--shape", "square", "--engine", "exact", "--no-extrapolate", "-n", "1"],
         ["spectrum", "--shape", "disk", "--levels", "3", "-n", "2"],
+        ["verify", "theorem1", "--no-extrapolate", "--levels", "3", "-n", "2"],
+        ["verify", "quad", "--levels", "3"],
+        ["verify", "robin", "--shape", "square", "--map", "2,0,0,1", "--levels", "3"],
     ],
     ids=["sweep-steps-1", "c1-steps-1", "random-negative", "robin-random", "schrodinger-random",
          "quad-random", "levels-8", "square-n-10001", "equilateral-n-10001", "kroger-n-max-10001",
@@ -367,10 +370,18 @@ def test_numeric_arguments_never_raise_a_traceback(case):
          "kroger-to", "kroger-sigma", "square-l1", "disk-l2", "square-radius", "disk-domain-file",
          "dirichlet-sigma", "isosceles-neumann-sigma", "harmonic-q", "trisym-q", "harmonic-beta",
          "power-beta", "schrodinger-points-1003", "random-map", "apertures-steps", "apertures-from",
-         "c1-apertures-to", "exact-levels", "exact-no-extrapolate", "auto-exact-levels"],
+         "c1-apertures-to", "exact-levels", "exact-no-extrapolate", "auto-exact-levels",
+         "theorem1-exact-levels", "quad-exact-levels", "robin-exact-levels"],
 )
 def test_bad_counts_exit_2_with_one_line(capsys, argv):
     assert_usage_error(capsys, argv)
+
+
+def test_fem_options_are_read_when_any_spectrum_comes_from_fem(capsys):
+    code, out = run_capture(capsys, ["verify", "theorem1", "--random", "2", "--levels", "3"])
+    assert code == 0
+    recs = [json.loads(ln) for ln in out.splitlines()]
+    assert len(recs) == 2 and all(r["inputs"]["lhs_method"] == "fem" for r in recs)
 
 
 def test_cli_import_leaves_scipy_special_and_optimize_unloaded():

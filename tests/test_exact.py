@@ -130,8 +130,8 @@ def test_each_bessel_zero_is_solved_once(monkeypatch):
 
     monkeypatch.setattr(ex, "_ZEROS", {})
     monkeypatch.setattr(scipy.optimize, "brentq", counting)
-    ex.disk_spectrum(1.0, ex.DIRICHLET, 400)
-    ex.disk_spectrum(1.0, ex.NEUMANN, 400)
+    ex.disk_spectrum(1.0, ex.DIRICHLET, 500)
+    ex.disk_spectrum(1.0, ex.NEUMANN, 500)
     entries = sum(len(zeros) for zeros in ex._ZEROS.values())
     assert len(calls) == entries > 1000
     _assert_tables_sorted(ex._ZEROS)
@@ -384,6 +384,21 @@ def test_thin_robin_rectangle_stays_small():
         assert out.returncode == 0, out.stderr
         assert len(out.stdout.splitlines()) == 10_002  # seed comment, header, 10 000 rows
     assert int(peak_kb) / 1024 < 150
+
+
+def test_long_robin_rectangle_solves_at_most_n_plus_one_roots_per_side(monkeypatch):
+    solved = {}
+    roots = ex._robin_roots
+
+    def counting(l, sigma, start, stop):
+        solved[l] = solved.get(l, 0) + stop - start
+        return roots(l, sigma, start, stop)
+
+    monkeypatch.setattr(ex, "_robin_roots", counting)
+    n = 10_000
+    assert ex.rectangle_spectrum(1e9, 1.0, ex.robin(1.0), n).n == n
+    assert sorted(solved) == [1.0, 1e9]
+    assert max(solved.values()) <= n + 1
 
 
 # ---------------------------------------------------------------------------

@@ -306,8 +306,7 @@ def test_kroeger_rows():
 
 
 def test_conjecture_scan_window():
-    grid = [g.isosceles_triangle(a) for a in (0.05, math.pi / 3, math.pi / 2)]
-    rows = xp.conjecture_scan_c1(grid, fem.FemOptions(max_refinement=6))
+    rows = xp.sweep_isosceles(1, [0.05, math.pi / 3, math.pi / 2], ex.DIRICHLET, fem.FemOptions(max_refinement=6))
     # the published curve interpolates to ~55.85 at aperture 0.05
     assert rows[0].value == pytest.approx(55.85, rel=2e-2)
     assert rows[1].value == pytest.approx(12 * PI2, rel=1e-3)
@@ -319,8 +318,7 @@ def test_conjecture_scan_window():
 
 def test_conjecture_scan_tail_decreases_toward_lower_bound():
     # left tail of the aperture sweep drifts down toward 9 pi^2 / 2
-    grid = [g.isosceles_triangle(a) for a in (0.4, 0.2, 0.1)]
-    rows = xp.conjecture_scan_c1(grid, fem.FemOptions(max_refinement=6))
+    rows = xp.sweep_isosceles(1, [0.4, 0.2, 0.1], ex.DIRICHLET, fem.FemOptions(max_refinement=6))
     values = [r.value for r in rows]
     assert values[0] > values[1] > values[2] > 9 * PI2 / 2
 
