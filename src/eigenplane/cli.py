@@ -126,9 +126,11 @@ def _refuse_unread_fem(args, methods) -> None:
         raise UsageError(f"--{flag} is read only by the FEM engine, and no spectrum here came from it")
 
 
-def _csv(args, rows: list[xp.SweepRow]) -> str:
+def _csv(args, rows: list[xp.SweepRow]) -> int:
+    """Write the rows as seeded CSV; exit code 0."""
     _refuse_unread_fem(args, {r.method for r in rows})
-    return f"# seed={args.seed}\n" + xp.rows_to_csv(rows)
+    _emit(args, f"# seed={args.seed}\n" + xp.rows_to_csv(rows))
+    return 0
 
 
 def _fem_opts(args) -> fem.FemOptions:
@@ -147,8 +149,7 @@ def _cmd_spectrum(args) -> int:
         xp.SweepRow(float(i + 1), float(v), spec.method, float(e))
         for i, (v, e) in enumerate(zip(spec.values, spec.error_estimates))
     ]
-    _emit(args, _csv(args, rows))
-    return 0
+    return _csv(args, rows)
 
 
 def _cmd_moments(args) -> int:
@@ -209,25 +210,18 @@ def _verify_quad(args) -> int:
 
 def _sweep_isosceles(args) -> int:
     bc = _parse_bc(args.bc, args.sigma)
-    _emit(args, _csv(args, xp.sweep_isosceles(args.n, _apertures(args), bc, _fem_opts(args))))
-    return 0
+    return _csv(args, xp.sweep_isosceles(args.n, _apertures(args), bc, _fem_opts(args)))
 
 
 def _sweep_rectangles(args) -> int:
-    _emit(args, _csv(args, xp.rectangle_sum_family(args.n, _parse_floats(args.aspects))))
-    return 0
+    return _csv(args, xp.rectangle_sum_family(args.n, _parse_floats(args.aspects)))
 
 
 def _sweep_kroger(args) -> int:
     kroger, weyl = xp.kroeger_weyl_check(args.shape, args.n_max)
     rows = kroger if args.series == "kroger" else weyl
-    _emit(args, _csv(args, rows))
+    _csv(args, rows)
     return int(args.series == "kroger" and any(r.value > 2.0 * math.pi for r in rows))
-
-
-def _conjecture_c1(args) -> int:
-    _emit(args, _csv(args, xp.sweep_isosceles(1, _apertures(args), DIRICHLET, _fem_opts(args))))
-    return 0
 
 
 def _conjecture_disk_vs_square(args) -> int:
@@ -404,8 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     conjecture = sub.add_parser("conjecture", help="exploratory scans (never fail the run)")
     scans = conjecture.add_subparsers(dest="scan", required=True)
-    _leaf(scans, "c1", _conjecture_c1, "Dirichlet fundamental tone over isosceles apertures",
-          _add_apertures, _add_fem)
+    p = _leaf(scans, "c1", _sweep_isosceles, "Dirichlet fundamental tone over isosceles apertures",
+              _add_apertures, _add_fem)
+    p.set_defaults(n=1, bc="dirichlet", sigma=0.0)
     p = _leaf(scans, "disk-vs-square", _conjecture_disk_vs_square, "the n where the square beats the disk")
     p.add_argument("--n-max", type=int, default=50)
     p = _leaf(scans, "quad-inertia", _conjecture_quad_inertia,

@@ -1,10 +1,12 @@
 """Verification engine for the sharp eigenvalue-sum bounds.
 
-Each verifier computes both sides of one inequality, carries an explicit
-additive tolerance budget (the summed error estimates of the spectra that
-entered, floored at 1e-10 of the magnitudes for exact arithmetic), and
-reports the outcome as a BoundReport.  Sweeps produce rows of the normalized
-functional (sum of the first n eigenvalues) * A^3 / I over a parameter grid.
+One helper, _normalized, makes every (sum of the first n eigenvalues) * A^3 / I
+and its error budget scaled alike, as a SweepRow; sweeps are lists of them.
+One comparison, _compare, makes every verdict from two (value, error) pairs:
+it holds when the slack is at least minus both budgets and 1e-10 of the larger
+side.  disk_vs_square alone compares all prefix sums at once; it raises
+NumericalFailure unless each margin exceeds 1e6 times both budgets, each
+scaled by its own spectrum's A^3 / I.
 """
 
 from __future__ import annotations
@@ -168,6 +170,23 @@ def spectrum_of(
     return fem.spectrum_fem(d, bc, n, opts, T)
 
 
+def _normalized(
+    d: DomainSpec,
+    bc: BoundarySpec,
+    n: int,
+    opts: fem.FemOptions = fem.FemOptions(),
+    engine: str = "auto",
+    *,
+    T: LinearMap2 | None = None,
+    about: str = "centroid",
+    param: float = 0.0,
+) -> SweepRow:
+    """Sum of the first n eigenvalues of d, or of T(d), and its error budget, times that domain's A^3 / I."""
+    spec = spectrum_of(d, bc, n, engine, opts, T)
+    c = functional_factor(d if T is None else apply_map(T, d), about)
+    return SweepRow(float(param), spec.sum_first(n) * c, spec.method, spec.error_sum(n) * c)
+
+
 def normalized_sum(
     d: DomainSpec,
     bc: BoundarySpec,
@@ -176,26 +195,19 @@ def normalized_sum(
     opts: fem.FemOptions = fem.FemOptions(),
 ) -> float:
     """(sum of the first n eigenvalues) * A^3 / I, with exact moments."""
-    return spectrum_of(d, bc, n, engine, opts).sum_first(n) * functional_factor(d)
+    return _normalized(d, bc, n, opts, engine).value
 
 
-def _compare(
-    left: Spectrum, right: Spectrum, n: int, lhs_scale: float, rhs_scale: float, inputs: dict
-) -> BoundReport:
-    """Report on  lhs_scale * sum(left) <= rhs_scale * sum(right)  over the first n eigenvalues.
+def _compare(lhs: tuple[float, float], rhs: tuple[float, float], inputs: dict | None = None) -> BoundReport:
+    """Report on  lhs <= rhs  for two (value, error budget) pairs.
 
-    The tolerance is the scaled error budgets of both sums plus a floor of
+    The one tolerance rule: both error budgets plus a floor of
     EXACT_REL_FLOOR times the larger side.
     """
-    lhs = left.sum_first(n) * lhs_scale
-    rhs = right.sum_first(n) * rhs_scale
-    tolerance = (
-        left.error_sum(n) * lhs_scale
-        + right.error_sum(n) * rhs_scale
-        + EXACT_REL_FLOOR * max(abs(lhs), abs(rhs))
-    )
-    slack = rhs - lhs
-    return BoundReport(lhs, rhs, slack, tolerance, bool(slack >= -tolerance), inputs)
+    (lv, lerr), (rv, rerr) = lhs, rhs
+    tolerance = lerr + rerr + EXACT_REL_FLOOR * max(abs(lv), abs(rv))
+    slack = rv - lv
+    return BoundReport(lv, rv, slack, tolerance, bool(slack >= -tolerance), inputs or {})
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +230,8 @@ def verify_linear_map_bound(
     coef = 0.5 * T.inverse().hs_norm_sq()
     left = spectrum_of(d, bc, n, opts=opts, T=T)
     right = spectrum_of(d, bc, n, opts=opts)
-    return _compare(left, right, n, 1.0, coef, {
+    lhs = (left.sum_first(n), left.error_sum(n))
+    return _compare(lhs, (right.sum_first(n) * coef, right.error_sum(n) * coef), {
         "bound": "linear_map",
         "bc": bc.kind,
         "n": n,
@@ -245,10 +258,9 @@ def verify_robin_bound(
     if T.is_singular():
         raise ValueError("map is singular")
     sigma_image = sigma * T.inverse().hs_norm() / math.sqrt(2.0)
-    left = spectrum_of(d, robin(sigma_image), n, opts=opts, T=T)
-    right = spectrum_of(d, robin(sigma), n, opts=opts)
-    ci, cd = functional_factor(apply_map(T, d)), functional_factor(d)
-    return _compare(left, right, n, ci, cd, {
+    left = _normalized(d, robin(sigma_image), n, opts, T=T)
+    right = _normalized(d, robin(sigma), n, opts)
+    return _compare((left.value, left.error), (right.value, right.error), {
         "bound": "robin",
         "sigma": sigma,
         "sigma_image": sigma_image,
@@ -267,22 +279,17 @@ def verify_robin_triangle_max(
 ) -> list[tuple[float, bool]]:
     """Normalized Robin sums for equal-area triangles; flags the maximal entries.
 
-    The equilateral entry must come out maximal (within the combined error
-    budget); callers assert that.  sigma = 0 degenerates to the Neumann case.
+    An entry is maximal when _compare finds the largest sum no larger than it.
+    The equilateral entry must come out maximal; callers assert that.  sigma = 0
+    degenerates to the Neumann case.
     """
     areas = [moments(t).area for t in triangles]
     if max(areas) - min(areas) > 1e-9 * max(areas):
         raise ValueError("triangles must share a common area")
     bc = robin(sigma) if sigma > 0 else NEUMANN
-    values = []
-    errors = []
-    for t in triangles:
-        spec = spectrum_of(t, bc, n, opts=opts)
-        c = functional_factor(t)
-        values.append(spec.sum_first(n) * c)
-        errors.append(spec.error_sum(n) * c + EXACT_REL_FLOOR * abs(values[-1]))
-    top = max(values)
-    return [(v, bool(v >= top - e - errors[values.index(top)])) for v, e in zip(values, errors)]
+    rows = [_normalized(t, bc, n, opts) for t in triangles]
+    top = max(rows, key=lambda r: r.value)
+    return [(r.value, _compare((top.value, top.error), (r.value, r.error)).holds) for r in rows]
 
 
 def verify_schrodinger_bound(
@@ -297,7 +304,7 @@ def verify_schrodinger_bound(
     wt, hp = transformed_problem(W, h, T)
     left = schrodinger_spectrum(wt, hp, n, grid)
     right = schrodinger_spectrum(W, h, n, grid)
-    return _compare(left, right, n, 1.0, 1.0, {
+    return _compare((left.sum_first(n), left.error_sum(n)), (right.sum_first(n), right.error_sum(n)), {
         "bound": "schrodinger",
         "potential": W.kind,
         "h": h,
@@ -317,11 +324,9 @@ def _quad_report(P: PiecewiseLinearMap, bc: BoundarySpec, n: int, opts: fem.FemO
     if bc.kind not in ("dirichlet", "neumann"):
         raise ValueError("this bound covers Dirichlet and Neumann eigenvalues")
     d = diamond_square()  # centered at the origin, so both moments of D agree
-    image = _quad_image(P)
-    ci = functional_factor(image, about="origin" if about_origin else "centroid")
-    left = spectrum_of(image, bc, n, opts=opts)
-    right = spectrum_of(d, bc, n, opts=opts)
-    return _compare(left, right, n, ci, functional_factor(d, about="origin"), {
+    left = _normalized(_quad_image(P), bc, n, opts, about="origin" if about_origin else "centroid")
+    right = _normalized(d, bc, n, opts, about="origin")
+    return _compare((left.value, left.error), (right.value, right.error), {
         "bound": "quad" if about_origin else "quad_centroid_variant",
         "bc": bc.kind,
         "n": n,
@@ -372,13 +377,7 @@ def sweep_isosceles(
     opts: fem.FemOptions = fem.FemOptions(),
 ) -> list[SweepRow]:
     """Normalized eigenvalue sum over isosceles triangles of given apex angles."""
-    rows = []
-    for alpha in apertures:
-        tri = isosceles_triangle(alpha)
-        spec = spectrum_of(tri, bc, n, opts=opts)
-        c = functional_factor(tri)
-        rows.append(SweepRow(float(alpha), spec.sum_first(n) * c, spec.method, spec.error_sum(n) * c))
-    return rows
+    return [_normalized(isosceles_triangle(alpha), bc, n, opts, param=alpha) for alpha in apertures]
 
 
 def disk_vs_square(n_max: int) -> set[int]:
@@ -397,7 +396,7 @@ def disk_vs_square(n_max: int) -> set[int]:
     sq_sums = np.cumsum(sq.values) * csq
     dk_sums = np.cumsum(dk.values) * cdk
     margins = np.abs(sq_sums - dk_sums)
-    budget = (np.cumsum(dk.error_estimates) + np.cumsum(sq.error_estimates)) * cdk
+    budget = np.cumsum(dk.error_estimates) * cdk + np.cumsum(sq.error_estimates) * csq
     bad = margins <= 1e6 * budget
     if np.any(bad):
         ties = np.nonzero(bad)[0] + 1
@@ -407,14 +406,9 @@ def disk_vs_square(n_max: int) -> set[int]:
 
 def rectangle_sum_family(n: int, aspect_ratios: list[float]) -> list[SweepRow]:
     """Exact normalized Dirichlet sums for rectangles of the given aspect ratios."""
-    rows = []
-    for a in aspect_ratios:
-        if a < 1:
-            raise ValueError("aspect ratios are >= 1 (long side over short side)")
-        spec = rectangle_spectrum(float(a), 1.0, DIRICHLET, n)
-        c = functional_factor(rectangle(float(a), 1.0))
-        rows.append(SweepRow(float(a), spec.sum_first(n) * c, "exact", spec.error_sum(n) * c))
-    return rows
+    if any(a < 1 for a in aspect_ratios):
+        raise ValueError("aspect ratios are >= 1 (long side over short side)")
+    return [_normalized(rectangle(a, 1.0), DIRICHLET, n, engine="exact", param=a) for a in aspect_ratios]
 
 
 def kroeger_weyl_check(shape: str, n_max: int) -> tuple[list[SweepRow], list[SweepRow]]:

@@ -443,8 +443,7 @@ def symmetry_order(d: DomainSpec) -> int:
         s1, s2 = d.semi_axes
         return INFINITE_ORDER if abs(s1 - s2) <= 1e-12 * max(s1, s2) else 2
     v = d.vertices
-    c = moments(d).centroid
-    w = v - c
+    w = v - _polygon_raw_moments(v)[1]
     diam = float(np.max(np.linalg.norm(w[:, None, :] - w[None, :, :], axis=2)))
     w = w / diam
     n = len(v)

@@ -197,23 +197,6 @@ def test_high_order_bessel_zeros_need_no_recursion():
     assert jv(150, j150 * (1 - 1e-12)) * jv(150, j150 * (1 + 1e-12)) < 0
 
 
-@pytest.mark.parametrize("bc", [ex.DIRICHLET, ex.NEUMANN], ids=["dirichlet", "neumann"])
-def test_disk_spectrum_reads_its_zeros_in_one_pass(monkeypatch, bc):
-    passes = []
-    zeros = ex._zeros
-
-    def counting(m, count, derivative=False):
-        if (m, count) == (0, 1):  # every pass starts at the first zero of order 0
-            passes.append(m)
-        return zeros(m, count, derivative)
-
-    monkeypatch.setattr(ex, "_zeros", counting)
-    for n in (200, 400, 2000, 10_000):
-        passes.clear()
-        assert ex.disk_spectrum(1.0, bc, n).n == n
-        assert len(passes) == 1, n
-
-
 # ---------------------------------------------------------------------------
 # boundary spec and spectrum
 # ---------------------------------------------------------------------------

@@ -184,6 +184,24 @@ def test_robin_triangle_max_sigma_zero_matches_neumann():
     assert out[0][0] == pytest.approx(want, rel=1e-12)
 
 
+def test_robin_triangle_max_flags_by_the_comparison_floor(monkeypatch):
+    # zero-error spectra 1.5e-10 apart (relative): wider than the floor of
+    # 1e-10 times the larger sum, so only the larger entry is maximal
+    area = g.moments(g.equilateral_triangle()).area
+    right = g.Polygon([[0, 0], [1, 0], [0, 1]])
+    right = g.Polygon(right.vertices * math.sqrt(area / g.moments(right).area))
+    tris = [g.equilateral_triangle(), right]
+    sums = {id(tris[0]): 100.0, id(tris[1]): 100.0 * (1 - 1.5e-10)}
+
+    def zero_error(d, bc, n, engine="auto", opts=None, T=None):
+        return ex.Spectrum([sums[id(d)] / g.functional_factor(d)], "exact")
+
+    monkeypatch.setattr(xp, "spectrum_of", zero_error)
+    out = xp.verify_robin_triangle_max(tris, 1.0, 1, FAST)
+    assert [flag for _, flag in out] == [True, False]
+    assert out[0][0] - out[1][0] == pytest.approx(1.5e-8, rel=1e-3)
+
+
 def test_robin_triangle_max_rejects_mixed_areas():
     with pytest.raises(ValueError):
         xp.verify_robin_triangle_max([g.equilateral_triangle(1.0), g.equilateral_triangle(2.0)], 1.0, 1)
@@ -283,6 +301,23 @@ def test_disk_vs_square_small_cases():
     winners = xp.disk_vs_square(4)
     assert 1 in winners  # 12 pi^2 beats 2 j01^2 pi^2
     assert 4 not in winners
+
+
+def test_disk_vs_square_scales_each_budget_by_its_own_factor(monkeypatch):
+    # at n = 1 the margin is about 4.28; the square's budget 4e-7 scaled by its
+    # own A^3/I = 6 stays under 1e-6 of it, scaled by the disk's 2 pi^2 it would not
+    rectangle_spectrum, disk_spectrum = xp.rectangle_spectrum, xp.disk_spectrum
+
+    def blurred_square(l1, l2, bc, n):
+        spec = rectangle_spectrum(l1, l2, bc, n)
+        return ex.Spectrum(spec.values, spec.method, np.full(n, 4e-7))
+
+    def sharp_disk(radius, bc, n):
+        return ex.Spectrum(disk_spectrum(radius, bc, n).values, "exact")
+
+    monkeypatch.setattr(xp, "rectangle_spectrum", blurred_square)
+    monkeypatch.setattr(xp, "disk_spectrum", sharp_disk)
+    assert xp.disk_vs_square(1) == {1}
 
 
 def test_rectangle_family_72():
