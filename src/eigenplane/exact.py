@@ -138,8 +138,8 @@ _ZEROS: dict[tuple[int, bool], list[float]] = {}
 _ZEROS_LOCK = threading.Lock()
 
 
-def _zeros(m: int, count: int, derivative: bool = False) -> list[float]:
-    """First `count` positive zeros of J_m, or of J_m' when `derivative` is set.
+def _zero(m: int, p: int, derivative: bool = False) -> float:
+    """The p-th positive zero of J_m, or of J_m' when `derivative` is set.
 
     Zeros of consecutive orders strictly interlace
     (j_{m-1,p} < j_{m,p} < j_{m-1,p+1}), so each bracket from order m-1
@@ -152,19 +152,19 @@ def _zeros(m: int, count: int, derivative: bool = False) -> list[float]:
         m, derivative = 1, False
     with _ZEROS_LOCK:
         table = _ZEROS.setdefault((m, derivative), [])
-        if len(table) >= count:
-            return table[:count]
+        if len(table) >= p:
+            return table[p - 1]
         from scipy.optimize import brentq
         from scipy.special import jv, jvp
 
-        # J_m's first `count` zeros need count + m - k zeros of each lower
-        # order k; grow the short orders in a loop, from order 0 upward
+        # J_m's first p zeros need p + m - k zeros of each lower order k;
+        # grow the short orders in a loop, from order 0 upward
         for k in range(m + 1):
-            zs, want = _ZEROS.setdefault((k, False), []), count + m - k
+            zs, want = _ZEROS.setdefault((k, False), []), p + m - k
             if k > 0:
                 below = _ZEROS[(k - 1, False)]
-                for p in range(len(zs), want):
-                    zs.append(brentq(lambda t: jv(k, t), below[p], below[p + 1], **_BRENTQ_KW))
+                for i in range(len(zs), want):
+                    zs.append(brentq(lambda t: jv(k, t), below[i], below[i + 1], **_BRENTQ_KW))
             elif len(zs) < want:
                 # resume the scan at the unit step after the last zero found
                 x = math.floor(zs[-1]) + 1.0 if zs else 2.0
@@ -179,14 +179,14 @@ def _zeros(m: int, count: int, derivative: bool = False) -> list[float]:
                     x, fx = x2, fx2
         if derivative:
             brackets = [float(m)] + _ZEROS[(m, False)]
-            for p in range(len(table), count):
-                table.append(brentq(lambda t: jvp(m, t), brackets[p], brackets[p + 1], **_BRENTQ_KW))
-        return table[:count]
+            for i in range(len(table), p):
+                table.append(brentq(lambda t: jvp(m, t), brackets[i], brackets[i + 1], **_BRENTQ_KW))
+        return table[p - 1]
 
 
 def bessel_zero(req: BesselZeroRequest) -> float:
     """Positive zero j_{m,p} of J_m, or j'_{m,p} of J_m', to ~1e-12 absolute."""
-    return _zeros(req.m, req.p, req.derivative)[req.p - 1]
+    return _zero(req.m, req.p, req.derivative)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +290,7 @@ def disk_spectrum(radius: float, bc: BoundarySpec, n: int) -> Spectrum:
             if p == 0:
                 return 0.0
             p -= 1
-        z = _zeros(m, p + 1, neumann)[p]
+        z = _zero(m, p + 1, neumann)
         return z * z
 
     out = _smallest(value, n) / radius**2

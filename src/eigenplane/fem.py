@@ -24,11 +24,12 @@ finite-difference Schrodinger solves share it.
 A linear image T(D) is solved on D's mesh carried over by T.  Each domain is
 meshed and assembled once per level (and per sign of det T for polygons) into
 reference matrices K11, K12, K22 and M on one sparse pattern; the image's
-stiffness is then S11 K11 + S12 K12 + S22 K22 with S = T^-1 T^-T, its mass M,
-and its Robin matrix comes from the reference boundary edges scaled by
-|T t_e| (the factor |det T| common to K and M cancels).  A bounded cache keeps
-these sparse references between calls, and an untransformed domain is the
-case T = I, so every FEM spectrum takes the same path.
+stiffness is then S11 K11 + S12 K12 + S22 K22 with S = T^-1 T^-T, its mass M;
+Robin adds the reference boundary edges' mass, scaled by |T t_e|, to the same
+stiffness data, so each image is one pencil (A, M) with one new CSR matrix
+(the factor |det T| common to A and M cancels).  A bounded cache keeps these
+sparse references between calls, and an untransformed domain is the case
+T = I, so every FEM spectrum takes the same path.
 """
 
 from __future__ import annotations
@@ -154,8 +155,8 @@ def _refine(verts, tris, angles, project):
     """Split every triangle into 4 congruent children; edge e's midpoint becomes vertex nv + e.
 
     With `angles` (each vertex's boundary parameter, NaN inside), `project`
-    places new boundary midpoints at the circular mean of their end angles,
-    one call per point; without, refinement is straight (nested).
+    places all new boundary midpoints at the circular means of their end
+    angles in one call; without, refinement is straight (nested).
     """
     nv = len(verts)
     edges, side_edge, count = _edges(tris)
@@ -167,7 +168,7 @@ def _refine(verts, tris, angles, project):
         pa, pb = angles[np.sort(edges[boundary], axis=1)].T  # pa at the smaller index: keeps the rounding
         diff = (pb - pa + math.pi) % (2 * math.pi) - math.pi
         phi = pa + diff / 2.0
-        mid[boundary] = [project(p) for p in phi.tolist()]
+        mid[boundary] = project(phi)
         angles = np.concatenate([angles, np.full(len(edges), np.nan)])
         angles[nv + boundary] = phi % (2 * math.pi)
     return np.vstack([verts, mid]), tris.reshape(-1, 3), angles
@@ -200,7 +201,7 @@ def mesh_domain(d: DomainSpec, level: int = 0) -> Mesh:
     else:
         k = ELLIPSE_BASE_SEGMENTS
         phis = 2 * math.pi * np.arange(k) / k
-        verts = np.vstack([d.center[None, :], [d.boundary_point(p) for p in phis]])
+        verts = np.vstack([d.center[None, :], d.boundary_point(phis)])
         ring = np.arange(1, k + 1)
         tris = np.stack([np.zeros(k, dtype=int), ring, np.roll(ring, -1)], axis=1)
         angles, project = np.concatenate([[np.nan], phis]), d.boundary_point
@@ -295,26 +296,21 @@ class _Reference:
         n = len(indptr) - 1
         return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
-    def matrices(self, T: LinearMap2, bc: BoundarySpec):
-        """K, M, B of the image under T, with the common factor |det T| divided out."""
+    def pencil(self, T: LinearMap2, bc: BoundarySpec):
+        """Pencil (A, M) of the image under T, |det T| divided out: A = stiffness (+ Robin boundary mass)."""
         Ti = T.inverse().as_array()
         S = Ti @ Ti.T
         k = S[0, 0] * self.k11 + S[0, 1] * self.k12 + S[1, 1] * self.k22
         if bc.is_dirichlet:
             if len(self.interior_indptr) == 1:
                 raise ValueError("no interior degrees of freedom; refine the mesh")
-            K = self._csr(k[self.interior_slots], self.interior_indices, self.interior_indptr)
-            return K, self.M_interior, sparse.csr_matrix(K.shape)
-        K = self._csr(k, self.indices, self.indptr)
+            return self._csr(k[self.interior_slots], self.interior_indices, self.interior_indptr), self.M_interior
         if bc.kind == "robin" and bc.sigma > 0:
-            # an image edge has length |T t_e|; B is not scaled by |det T|, so divide it out
+            # an image edge has length |T t_e|; the boundary mass is not scaled by |det T|, so divide it out
             h = np.linalg.norm(self.edges @ T.as_array().T, axis=1)
             w = (bc.sigma / abs(T.det)) * h[:, None] * _EDGE_MASS
-            B = self._csr(np.bincount(self.edge_slots.ravel(), weights=w.ravel(), minlength=len(k)),
-                          self.indices, self.indptr)
-        else:
-            B = sparse.csr_matrix(K.shape)
-        return K, self.M, B
+            k += np.bincount(self.edge_slots.ravel(), weights=w.ravel(), minlength=len(k))
+        return self._csr(k, self.indices, self.indptr), self.M
 
 
 class _ReferenceCache:
@@ -368,16 +364,16 @@ def _reference(d: DomainSpec, level: int, T: LinearMap2) -> tuple[_Reference, Li
 
 
 def assemble(mesh: Mesh, bc: BoundarySpec):
-    """Stiffness K, mass M and Robin boundary matrix B for the P1 space.
+    """The pencil (A, M) of the P1 space: A u = lambda M u.
 
-    All three are exact elementwise: constant gradients for K, the analytic
-    3x3 local mass for M, and exact edge integrals of products of linear
-    functions for B (already scaled by sigma).  Dirichlet boundary nodes are
-    eliminated, so K and M shrink to the interior degrees of freedom and B is
-    empty; Neumann/Robin keep every node.  This is the identity-map case of
-    the reference assembly that linear images use.
+    Both are exact elementwise: constant gradients for the stiffness, the
+    analytic 3x3 local mass for M, and exact edge integrals of products of
+    linear functions for the Robin boundary mass (scaled by sigma), which A
+    adds to the stiffness.  Dirichlet boundary nodes are eliminated, so A and
+    M shrink to the interior degrees of freedom; Neumann/Robin keep every
+    node.  This is the identity-map case of the reference assembly.
     """
-    return _Reference(mesh).matrices(LinearMap2.identity(), bc)
+    return _Reference(mesh).pencil(LinearMap2.identity(), bc)
 
 
 # ---------------------------------------------------------------------------
@@ -568,12 +564,11 @@ def spectrum_fem(
 
 def _solve_level(d, T, bc, n, level, opts):
     ref, T = _reference(d, level, T)
-    K, M, B = ref.matrices(T, bc)
-    if K.shape[0] < n:
+    A, M = ref.pencil(T, bc)
+    if A.shape[0] < n:
         raise ValueError(
-            f"level {level} mesh has only {K.shape[0]} degrees of freedom, need {n}"
+            f"level {level} mesh has only {A.shape[0]} degrees of freedom, need {n}"
         )
-    A = K + B if B.nnz else K
     return solve_eigs(A, M, n, opts.dense_threshold, neumann_like=bc.is_neumann_like)
 
 

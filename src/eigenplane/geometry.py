@@ -162,11 +162,16 @@ class Ellipse:
         self.semi_axes = (s1, s2)
         self.rotation = float(rotation)
 
-    def boundary_point(self, phi: float) -> np.ndarray:
-        """Point at parameter angle phi (in the axes frame)."""
+    def boundary_point(self, phi) -> np.ndarray:
+        """Points at parameter angles phi (in the axes frame), one row per angle.
+
+        Rotating row by row equals R @ q per point bit for bit on mesh angles;
+        a scalar phi may differ from math.cos/sin and R @ q by 1 ulp.
+        """
         s1, s2 = self.semi_axes
-        q = np.array([s1 * math.cos(phi), s2 * math.sin(phi)])
-        return self.center + _rot_array(self.rotation) @ q
+        q = np.stack([s1 * np.cos(phi), s2 * np.sin(phi)], axis=-1)
+        R = _rot_array(self.rotation)
+        return self.center + np.stack([q @ R[0], q @ R[1]], axis=-1)
 
     def __repr__(self):
         return f"Ellipse(center={self.center.tolist()}, semi_axes={self.semi_axes}, rotation={self.rotation})"

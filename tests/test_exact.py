@@ -148,10 +148,10 @@ def test_bessel_zero_tables_grow_the_same_under_threads(monkeypatch):
     import sys
     import threading
 
-    requests = [(m, count, d) for m in range(12) for count in (1, 4, 9, 17) for d in (False, True)]
+    requests = [(m, p, d) for m in range(12) for p in (1, 4, 9, 17) for d in (False, True)]
     monkeypatch.setattr(ex, "_ZEROS", {})
-    for m, count, d in requests:
-        ex._zeros(m, count, d)
+    for m, p, d in requests:
+        ex._zero(m, p, d)
     single = ex._ZEROS
 
     monkeypatch.setattr(ex, "_ZEROS", {})
@@ -161,7 +161,7 @@ def test_bessel_zero_tables_grow_the_same_under_threads(monkeypatch):
         order = requests[:]
         random.Random(seed).shuffle(order)
         for req in order:
-            got.append((req, ex._zeros(*req)))
+            got.append((req, ex._zero(*req)))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -177,7 +177,7 @@ def test_bessel_zero_tables_grow_the_same_under_threads(monkeypatch):
     assert ex._ZEROS == single
     _assert_tables_sorted(ex._ZEROS)
     assert len(got) == 4 * len(requests)
-    assert all(zeros == ex._zeros(*req) for req, zeros in got)
+    assert all(zero == ex._zero(*req) for req, zero in got)
 
 
 def test_high_order_bessel_zeros_need_no_recursion():
@@ -416,7 +416,7 @@ def test_disk_dirichlet_multiplicities():
 def test_oversized_exact_spectra_are_refused_up_front(monkeypatch):
     n = ex.MAX_EIGENVALUES
     assert ex.rectangle_spectrum(1.0, 1.0, ex.DIRICHLET, n).n == n
-    monkeypatch.setattr(ex, "_zeros", None)  # the disk must fail before reading a zero
+    monkeypatch.setattr(ex, "_zero", None)  # the disk must fail before reading a zero
     for spectrum in (
         lambda: ex.equilateral_spectrum(1.0, ex.NEUMANN, n + 1),
         lambda: ex.rectangle_spectrum(1.0, 1.0, ex.robin(1.0), n + 1),

@@ -93,37 +93,43 @@ def test_stiffness_kernel_contains_constants():
         np.array([[0, 1, 2]]),
         np.array([[0, 1], [1, 2], [2, 0]]),
     )
-    K, M, B = fem.assemble(mesh, ex.NEUMANN)
-    np.testing.assert_allclose(np.asarray(K.sum(axis=1)).ravel(), 0.0, atol=1e-14)
+    A, M = fem.assemble(mesh, ex.NEUMANN)
+    np.testing.assert_allclose(np.asarray(A.sum(axis=1)).ravel(), 0.0, atol=1e-14)
 
 
 def test_mass_total_is_area():
     mesh = fem.mesh_domain(g.Polygon([[0, 0], [1, 0], [0, 1]]), 2)
-    K, M, B = fem.assemble(mesh, ex.NEUMANN)
+    A, M = fem.assemble(mesh, ex.NEUMANN)
     assert M.sum() == pytest.approx(0.5, rel=1e-13)
 
 
 def test_robin_boundary_mass_total_is_sigma_perimeter():
+    """Robin is a boundary term of the same pencil: A differs from Neumann's on boundary pairs only."""
     mesh = fem.mesh_domain(g.square(1.0), 3)
-    K, M, B = fem.assemble(mesh, ex.robin(1.0))
-    assert B.sum() == pytest.approx(4.0, abs=1e-12)
-    K2, M2, B2 = fem.assemble(mesh, ex.robin(2.5))
-    assert B2.sum() == pytest.approx(10.0, abs=1e-12)
+    A0, M0 = fem.assemble(mesh, ex.NEUMANN)
+    boundary = np.zeros(mesh.num_vertices, dtype=bool)
+    boundary[mesh.boundary_vertices()] = True
+    for sigma in (1.0, 2.5):
+        A, M = fem.assemble(mesh, ex.robin(sigma))
+        assert (M != M0).nnz == 0
+        B = (A - A0).tocoo()
+        nonzero = B.data != 0
+        assert nonzero.any() and np.all(boundary[B.row[nonzero]] & boundary[B.col[nonzero]])
+        assert B.sum() == pytest.approx(4.0 * sigma, abs=1e-12)
 
 
 def test_assembled_matrices_symmetric():
     mesh = fem.mesh_domain(g.regular_polygon(5), 2)
     for bc in (ex.DIRICHLET, ex.NEUMANN, ex.robin(1.0)):
-        K, M, B = fem.assemble(mesh, bc)
-        for A in (K, M, B):
-            gap = abs(A - A.T)
-            assert gap.max() if gap.nnz else 0.0 <= 1e-14 * max(1.0, abs(A).max())
+        for X in fem.assemble(mesh, bc):
+            gap = abs(X - X.T)
+            assert (gap.max() if gap.nnz else 0.0) <= 1e-14 * max(1.0, abs(X).max())
 
 
 def test_dirichlet_elimination_reduces_dimension():
     mesh = fem.mesh_domain(g.square(1.0), 2)
-    K, M, B = fem.assemble(mesh, ex.DIRICHLET)
-    assert K.shape[0] == len(mesh.interior_vertices())
+    A, M = fem.assemble(mesh, ex.DIRICHLET)
+    assert A.shape[0] == len(mesh.interior_vertices())
     # mass stays positive definite after elimination
     vals = np.linalg.eigvalsh(M.toarray())
     assert vals.min() > 0
@@ -147,14 +153,14 @@ def test_solve_eigs_rejects_bad_n():
 
 def test_square_dirichlet_upper_bound_within_one_percent():
     mesh = fem.mesh_domain(g.square(1.0), 4)
-    K, M, _ = fem.assemble(mesh, ex.DIRICHLET)
+    K, M = fem.assemble(mesh, ex.DIRICHLET)
     lam = fem.solve_eigs(K, M, 1)[0]
     assert 2 * PI2 <= lam <= 2 * PI2 * 1.01
 
 
 def test_square_neumann_kernel_mode():
     mesh = fem.mesh_domain(g.square(1.0), 4)
-    K, M, _ = fem.assemble(mesh, ex.NEUMANN)
+    K, M = fem.assemble(mesh, ex.NEUMANN)
     mu = fem.solve_eigs(K, M, 2, neumann_like=True)
     assert abs(mu[0]) <= 1e-9
     assert abs(mu[0]) <= 1e-9 * mu[1]
@@ -162,7 +168,7 @@ def test_square_neumann_kernel_mode():
 
 def test_sparse_path_matches_dense_path():
     mesh = fem.mesh_domain(g.square(1.0), 4)
-    K, M, _ = fem.assemble(mesh, ex.DIRICHLET)
+    K, M = fem.assemble(mesh, ex.DIRICHLET)
     dense = fem.solve_eigs(K, M, 4, dense_threshold=5000)
     it = fem.solve_eigs(K, M, 4, dense_threshold=100)
     np.testing.assert_allclose(it, dense, rtol=1e-9)
@@ -170,7 +176,7 @@ def test_sparse_path_matches_dense_path():
 
 def test_sparse_path_neumann_zero_mode():
     mesh = fem.mesh_domain(g.square(1.0), 4)
-    K, M, _ = fem.assemble(mesh, ex.NEUMANN)
+    K, M = fem.assemble(mesh, ex.NEUMANN)
     mu = fem.solve_eigs(K, M, 3, dense_threshold=100, neumann_like=True)
     dense = fem.solve_eigs(K, M, 3, dense_threshold=5000)
     assert abs(mu[0]) <= 1e-9
@@ -211,7 +217,7 @@ def test_conforming_upper_bounds_decrease_with_refinement():
     prev = None
     for lev in (2, 3, 4):
         mesh = fem.mesh_domain(g.equilateral_triangle(), lev)
-        K, M, _ = fem.assemble(mesh, ex.DIRICHLET)
+        K, M = fem.assemble(mesh, ex.DIRICHLET)
         lam = fem.solve_eigs(K, M, 1)[0]
         assert lam >= exact1
         if prev is not None:
@@ -246,8 +252,7 @@ def test_robin_monotone_in_sigma_fixed_mesh():
     prev = None
     for sigma in (0.0, 0.5, 1.0, 2.0, 8.0):
         bc = ex.robin(sigma) if sigma else ex.NEUMANN
-        K, M, B = fem.assemble(mesh, bc)
-        A = K + B if B.nnz else K
+        A, M = fem.assemble(mesh, bc)
         vals = fem.solve_eigs(A, M, 4, neumann_like=(sigma == 0.0))
         if prev is not None:
             assert np.all(vals >= prev - 1e-11)
@@ -258,7 +263,7 @@ def test_convergence_ratio_is_second_order():
     vals = {}
     for lev in (3, 4, 5):
         mesh = fem.mesh_domain(g.square(1.0), lev)
-        K, M, _ = fem.assemble(mesh, ex.DIRICHLET)
+        K, M = fem.assemble(mesh, ex.DIRICHLET)
         vals[lev] = fem.solve_eigs(K, M, 1)[0]
     ratio = (vals[3] - vals[4]) / (vals[4] - vals[5])
     assert 3.5 <= ratio <= 4.5
@@ -441,10 +446,10 @@ def _pencils(d, seed, levels=(1, 2, 3, 4)):
         for bc, T in zip(PENCIL_BCS, _seeded_maps(seed + level, len(PENCIL_BCS))):
             ref, T = fem._reference(d, level, T)
             try:
-                K, M, B = ref.matrices(T, bc)
+                A, M = ref.pencil(T, bc)
             except ValueError:  # no interior node at this level
                 continue
-            out.append((K + B if B.nnz else K, M, bc.is_neumann_like))
+            out.append((A, M, bc.is_neumann_like))
     return out
 
 
@@ -598,7 +603,7 @@ def test_hexagon_right_hand_side_is_solved_once_per_bc_and_n(monkeypatch):
     maps = _seeded_maps(11, 5)
     for bc in (ex.DIRICHLET, ex.NEUMANN):
         ref, identity = fem._reference(hexagon, 4, g.LinearMap2.identity())
-        K, M, _ = ref.matrices(identity, bc)
+        K, M = ref.pencil(identity, bc)
         assert K.shape[0] > fem.DENSE_THRESHOLD  # shift-invert
         for n in (2, 3):
             for T in maps:
