@@ -61,7 +61,10 @@ def _parse_map(text: str) -> LinearMap2:
         a11, a12, a21, a22 = (float(p) for p in parts)
     except ValueError as exc:
         raise UsageError(f"bad --map entry: {exc}") from exc
-    return LinearMap2(a11, a12, a21, a22)
+    T = LinearMap2(a11, a12, a21, a22)
+    if not (math.isfinite(T.det) and math.isfinite(T.hs_norm_sq())):  # a non-finite entry makes both so
+        raise UsageError("--map entries, determinant and HS norm must be finite")
+    return T
 
 
 def _parse_floats(text: str) -> list[float]:

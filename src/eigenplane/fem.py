@@ -22,8 +22,9 @@ contents, the path and the block size remembers each block; the
 finite-difference Schrodinger solves share it.
 
 A linear image T(D) is solved on D's mesh carried over by T.  Each domain is
-meshed and assembled once per level (and per sign of det T for polygons) into
-reference matrices K11, K12, K22 and M on one sparse pattern; the image's
+meshed and assembled once per level, per set of unknowns (the interior nodes
+under Dirichlet, every node otherwise) and, for polygons, per sign of det T
+into reference matrices K11, K12, K22 and M on one sparse pattern; the image's
 stiffness is then S11 K11 + S12 K12 + S22 K22 with S = T^-1 T^-T, its mass M;
 Robin adds the reference boundary edges' mass, scaled by |T t_e|, to the same
 stiffness data, so each image is one pencil (A, M) with one new CSR matrix
@@ -119,10 +120,12 @@ def _point_in_triangle(p, a, b, c) -> bool:
 
 
 def _triangulate_polygon(verts: np.ndarray) -> np.ndarray:
-    """Fan a convex polygon, ear-clip otherwise."""
+    """Fan a convex polygon from vertex 0 unless vertex 1 or n-1 lies on a straight edge; ear-clip otherwise."""
     n = len(verts)
-    if np.all(orient(np.roll(verts, 2, axis=0).T, np.roll(verts, 1, axis=0).T, verts.T) >= 0):
-        return np.stack([np.zeros(n - 2, dtype=int), np.arange(1, n - 1), np.arange(2, n)], axis=1)
+    fan = np.stack([np.zeros(n - 2, dtype=int), np.arange(1, n - 1), np.arange(2, n)], axis=1)
+    convex = np.all(orient(np.roll(verts, 2, axis=0).T, np.roll(verts, 1, axis=0).T, verts.T) >= 0)
+    if convex and np.all(orient(*(verts[fan[:, i]].T for i in range(3))) > 0):
+        return fan
     idx = list(range(n))
     tris = []
     guard = 0
@@ -233,13 +236,21 @@ class _Reference:
     |det T| (S11 K11 + S12 K12 + S22 K22) and mass |det T| M, where on the
     mesh itself K11_ij = int d1 phi_i d1 phi_j, K22_ij = int d2 phi_i d2 phi_j
     and K12_ij = int (d1 phi_i d2 phi_j + d2 phi_i d1 phi_j).  All four are
-    kept as data arrays on one CSR pattern over every node, so an image costs
-    a three-term combination of arrays.  The arrays are read-only.
+    kept as data arrays on one CSR pattern over one set of unknowns, so an
+    image costs a three-term combination of arrays.  The unknowns are every
+    node, or under Dirichlet the interior nodes numbered in order (the
+    boundary nodes are eliminated); only the former keep the boundary edges
+    that Robin needs.  The arrays are read-only.
     """
 
-    def __init__(self, mesh: Mesh):
+    def __init__(self, mesh: Mesh, dirichlet: bool):
         verts, tris = mesh.vertices, mesh.triangles
-        nv = len(verts)
+        keep = np.ones(len(verts), dtype=bool)
+        keep[mesh.boundary_edges] = not dirichlet  # Dirichlet eliminates the boundary nodes
+        nk = int(keep.sum())
+        if nk == 0:
+            raise ValueError("no interior degrees of freedom; refine the mesh")
+        number = np.cumsum(keep) - 1
         a, b, c = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
         area = 0.5 * orient(a.T, b.T, c.T)[:, None]
         # gradients of barycentric coordinates: rotate opposite edges
@@ -252,40 +263,27 @@ class _Reference:
             area * gy[:, :, None] * gy[:, None, :],
             area * _LOCAL_MASS,
         )
-        # the local entry (t, i, j) lands in CSR slot `slot` of the row-major pattern
-        pattern, slot = np.unique(
-            np.repeat(tris, 3, axis=1).ravel() * nv + np.tile(tris, (1, 3)).ravel(), return_inverse=True
-        )
-        rows, cols = np.divmod(pattern, nv)
+        # the local entry (t, i, j) between kept nodes lands in CSR slot `slot` of the row-major pattern
+        ids, kt = number[tris], keep[tris]  # each corner's unknown, and whether it is one
+        kept = (kt[:, :, None] & kt[:, None, :]).ravel()
+        pattern, slot = np.unique((ids[:, :, None] * nk + ids[:, None, :]).ravel()[kept], return_inverse=True)
+        rows, cols = np.divmod(pattern, nk)
         self.k11, self.k12, self.k22, m = (
-            np.bincount(slot, weights=x.ravel(), minlength=len(pattern)) for x in local
+            np.bincount(slot, weights=x.ravel()[kept], minlength=len(pattern)) for x in local
         )
         self.indices = cols.astype(np.int32)
-        self.indptr = np.searchsorted(rows, np.arange(nv + 1)).astype(np.int32)
+        self.indptr = np.searchsorted(rows, np.arange(nk + 1)).astype(np.int32)
         self.M = self._csr(m, self.indices, self.indptr)
 
-        # Dirichlet: the slots whose row and column are both interior nodes
-        interior = np.zeros(nv, dtype=bool)
-        interior[mesh.interior_vertices()] = True
-        number = np.cumsum(interior) - 1
-        self.interior_slots = np.nonzero(interior[rows] & interior[cols])[0]
-        self.interior_indices = number[cols[self.interior_slots]].astype(np.int32)
-        self.interior_indptr = np.searchsorted(
-            number[rows[self.interior_slots]], np.arange(int(interior.sum()) + 1)
-        ).astype(np.int32)
-        self.M_interior = self._csr(m[self.interior_slots], self.interior_indices, self.interior_indptr)
-
-        # Robin: edge vectors t_e and the slots of each edge's 2x2 boundary mass
-        e = mesh.boundary_edges
+        # Robin: edge vectors t_e and the slots of each edge's 2x2 boundary mass (no edges under Dirichlet)
+        e = mesh.boundary_edges[:0] if dirichlet else mesh.boundary_edges
         self.edges = verts[e[:, 1]] - verts[e[:, 0]]
-        self.edge_slots = np.searchsorted(pattern, e[:, [0, 0, 1, 1]] * nv + e[:, [0, 1, 0, 1]])
+        self.edge_slots = np.searchsorted(pattern, e[:, [0, 0, 1, 1]] * nk + e[:, [0, 1, 0, 1]])
         for arr in self._arrays():
             arr.setflags(write=False)
 
     def _arrays(self):
-        return (self.k11, self.k12, self.k22, self.indices, self.indptr, self.M.data,
-                self.interior_slots, self.interior_indices, self.interior_indptr, self.M_interior.data,
-                self.edges, self.edge_slots)
+        return self.k11, self.k12, self.k22, self.indices, self.indptr, self.M.data, self.edges, self.edge_slots
 
     @property
     def nbytes(self) -> int:
@@ -301,10 +299,6 @@ class _Reference:
         Ti = T.inverse().as_array()
         S = Ti @ Ti.T
         k = S[0, 0] * self.k11 + S[0, 1] * self.k12 + S[1, 1] * self.k22
-        if bc.is_dirichlet:
-            if len(self.interior_indptr) == 1:
-                raise ValueError("no interior degrees of freedom; refine the mesh")
-            return self._csr(k[self.interior_slots], self.interior_indices, self.interior_indptr), self.M_interior
         if bc.kind == "robin" and bc.sigma > 0:
             # an image edge has length |T t_e|; the boundary mass is not scaled by |det T|, so divide it out
             h = np.linalg.norm(self.edges @ T.as_array().T, axis=1)
@@ -342,8 +336,8 @@ class _ReferenceCache:
 _REFERENCES = _ReferenceCache(REFERENCE_CACHE_BYTES)
 
 
-def _reference(d: DomainSpec, level: int, T: LinearMap2) -> tuple[_Reference, LinearMap2]:
-    """Cached reference for T(d) at `level`, and the map that carries it onto T(d).
+def _reference(d: DomainSpec, level: int, T: LinearMap2, dirichlet: bool) -> tuple[_Reference, LinearMap2]:
+    """Cached reference for T(d) at `level` (interior unknowns if `dirichlet`), and the map carrying it onto T(d).
 
     T(d) is meshed as the image of d's mesh, which for a polygon is the mesh
     mesh_domain builds for apply_map(T, d).  Polygon stores an image with
@@ -353,12 +347,12 @@ def _reference(d: DomainSpec, level: int, T: LinearMap2) -> tuple[_Reference, Li
     """
     flip = isinstance(d, Polygon) and T.det < 0
     if isinstance(d, Polygon):
-        key = ("polygon", d.vertices.tobytes(), level, flip)
+        key = ("polygon", d.vertices.tobytes(), level, flip, dirichlet)
     else:
-        key = ("ellipse", d.center.tobytes(), d.semi_axes, d.rotation, level)
+        key = ("ellipse", d.center.tobytes(), d.semi_axes, d.rotation, level, dirichlet)
 
     def build():
-        return _Reference(mesh_domain(Polygon(d.vertices @ _REFLECT.as_array()) if flip else d, level))
+        return _Reference(mesh_domain(Polygon(d.vertices @ _REFLECT.as_array()) if flip else d, level), dirichlet)
 
     return _REFERENCES.get(key, build), (T @ _REFLECT if flip else T)
 
@@ -370,10 +364,10 @@ def assemble(mesh: Mesh, bc: BoundarySpec):
     analytic 3x3 local mass for M, and exact edge integrals of products of
     linear functions for the Robin boundary mass (scaled by sigma), which A
     adds to the stiffness.  Dirichlet boundary nodes are eliminated, so A and
-    M shrink to the interior degrees of freedom; Neumann/Robin keep every
-    node.  This is the identity-map case of the reference assembly.
+    M are assembled over the interior degrees of freedom only; Neumann/Robin
+    keep every node.  This is the identity-map case of the reference assembly.
     """
-    return _Reference(mesh).pencil(LinearMap2.identity(), bc)
+    return _Reference(mesh, bc.is_dirichlet).pencil(LinearMap2.identity(), bc)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +557,7 @@ def spectrum_fem(
 
 
 def _solve_level(d, T, bc, n, level, opts):
-    ref, T = _reference(d, level, T)
+    ref, T = _reference(d, level, T, bc.is_dirichlet)
     A, M = ref.pencil(T, bc)
     if A.shape[0] < n:
         raise ValueError(

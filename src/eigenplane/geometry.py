@@ -92,7 +92,7 @@ class LinearMap2:
         return self.a11 * self.a22 - self.a12 * self.a21
 
     def hs_norm_sq(self) -> float:
-        return self.a11**2 + self.a12**2 + self.a21**2 + self.a22**2
+        return self.a11 * self.a11 + self.a12 * self.a12 + self.a21 * self.a21 + self.a22 * self.a22
 
     def hs_norm(self) -> float:
         return math.sqrt(self.hs_norm_sq())

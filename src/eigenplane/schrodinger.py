@@ -196,8 +196,6 @@ def schrodinger_spectrum(W: PotentialSpec, h: float, n: int, grid: GridSpec = Gr
 
 def transformed_problem(W: PotentialSpec, h: float, T: LinearMap2) -> tuple[PotentialSpec, float]:
     """Pushforward problem (W o T^-1, 2h / ||T^-1||_HS^2) appearing in the bound."""
-    if T.is_singular():
-        raise ValueError("map is singular")
     combined = T if W.pushforward is None else T @ W.pushforward
     wt = PotentialSpec(W.kind, q=W.q, beta=W.beta, pushforward=combined)
     hp = 2.0 * h / T.inverse().hs_norm_sq()

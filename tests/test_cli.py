@@ -366,6 +366,10 @@ def test_numeric_arguments_never_raise_a_traceback(case):
         ["verify", "theorem1", "--map", "1,2,2,4"],
         ["verify", "robin", "--map", "1,2,2,4"],
         ["verify", "schrodinger", "--map", "1,2,2,4"],
+        ["verify", "theorem1", "--map", "1e300,0,0,1e300"],
+        ["verify", "robin", "--map", "1e300,0,0,1e300"],
+        ["verify", "schrodinger", "--map", "1e300,0,0,1e300"],
+        ["verify", "schrodinger", "--map", "nan,0,0,1"],
     ],
     ids=["sweep-steps-1", "c1-steps-1", "random-negative", "robin-random", "schrodinger-random",
          "quad-random", "levels-8", "square-n-10001", "equilateral-n-10001", "kroger-n-max-10001",
@@ -375,7 +379,8 @@ def test_numeric_arguments_never_raise_a_traceback(case):
          "power-beta", "schrodinger-points-1003", "random-map", "apertures-steps", "apertures-from",
          "c1-apertures-to", "exact-levels", "exact-no-extrapolate", "auto-exact-levels",
          "theorem1-exact-levels", "quad-exact-levels", "robin-exact-levels", "theorem1-singular-map",
-         "robin-singular-map", "schrodinger-singular-map"],
+         "robin-singular-map", "schrodinger-singular-map", "theorem1-overflowing-map",
+         "robin-overflowing-map", "schrodinger-overflowing-map", "schrodinger-nan-map"],
 )
 def test_bad_counts_exit_2_with_one_line(capsys, argv):
     assert_usage_error(capsys, argv)

@@ -42,8 +42,17 @@ def test_triangle_orientation_positive():
     assert np.all(areas > 0)
 
 
-def test_nonconvex_polygon_meshes():
-    p = g.Polygon([[0, 0], [2, 0], [2, 2], [1, 0.5], [0, 2]])
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        [[0, 0], [2, 0], [2, 2], [1, 0.5], [0, 2]],
+        [[0, 0], [1, 0], [2, 0], [2, 1], [0, 1]],  # vertex 1 on the straight edge from vertex 0
+        [[0, 0], [0.5, 0], [1, 0], [1, 0.5], [1, 1], [0.5, 1], [0, 1], [0, 0.5]],  # edge midpoints
+    ],
+    ids=["nonconvex", "vertex-on-edge", "square-midpoints"],
+)
+def test_nonconvex_polygon_meshes(vertices):
+    p = g.Polygon(vertices)
     mesh = fem.mesh_domain(p, 1)
     u = mesh.vertices[mesh.triangles[:, 1]] - mesh.vertices[mesh.triangles[:, 0]]
     v = mesh.vertices[mesh.triangles[:, 2]] - mesh.vertices[mesh.triangles[:, 0]]
@@ -126,6 +135,14 @@ def test_assembled_matrices_symmetric():
             assert (gap.max() if gap.nnz else 0.0) <= 1e-14 * max(1.0, abs(X).max())
 
 
+def _restricted(A, keep):
+    """A's stored entries between kept nodes, renumbered in order: (rows, columns, values) in storage order."""
+    number = np.cumsum(keep) - 1
+    coo = A.tocoo()
+    sel = keep[coo.row] & keep[coo.col]
+    return number[coo.row[sel]], number[coo.col[sel]], coo.data[sel]
+
+
 def test_dirichlet_elimination_reduces_dimension():
     mesh = fem.mesh_domain(g.square(1.0), 2)
     A, M = fem.assemble(mesh, ex.DIRICHLET)
@@ -133,6 +150,19 @@ def test_dirichlet_elimination_reduces_dimension():
     # mass stays positive definite after elimination
     vals = np.linalg.eigvalsh(M.toarray())
     assert vals.min() > 0
+    # the Dirichlet reference is the Neumann one restricted to the interior nodes, bit for bit
+    for d in (g.square(1.0), g.regular_polygon(6), g.Ellipse((0, 0), (1, 1))):
+        for level in (1, 2, 3, 4):
+            mesh = fem.mesh_domain(d, level)
+            interior = np.zeros(mesh.num_vertices, dtype=bool)
+            interior[mesh.interior_vertices()] = True
+            dirichlet, neumann = fem._Reference(mesh, True), fem._Reference(mesh, False)
+            for T in _seeded_maps(level, 2):  # det > 0, then det < 0
+                for D, N in zip(dirichlet.pencil(T, ex.DIRICHLET), neumann.pencil(T, ex.NEUMANN)):
+                    assert D.shape[0] == interior.sum()
+                    coo = D.tocoo()
+                    for got, want in zip((coo.row, coo.col, coo.data), _restricted(N, interior)):
+                        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +390,8 @@ def test_reference_mesh_built_once_per_level_and_orientation(monkeypatch):
         for bc in (ex.DIRICHLET, ex.NEUMANN, ex.robin(1.0)):
             fem.spectrum_fem(d, bc, 2, opts, T)
     fem.spectrum_fem(d, ex.DIRICHLET, 2, opts)
-    assert sorted(calls) == [2, 2, 3, 3]  # two levels, two signs of det T
+    # two levels, two signs of det T, Dirichlet or not: Neumann and Robin share a reference
+    assert sorted(calls) == [2, 2, 2, 2, 3, 3, 3, 3]
 
 
 def test_oversized_meshes_are_refused_before_any_meshing(monkeypatch):
@@ -378,7 +409,7 @@ def test_oversized_meshes_are_refused_before_any_meshing(monkeypatch):
 
 
 def test_reference_cache_stays_within_its_byte_bound():
-    refs = [fem._Reference(fem.mesh_domain(g.square(1.0), lev)) for lev in (3, 3, 2)]
+    refs = [fem._Reference(fem.mesh_domain(g.square(1.0), lev), False) for lev in (3, 3, 2)]
     cache = fem._ReferenceCache(refs[0].nbytes + refs[2].nbytes)
     assert cache.get("a", lambda: refs[0]) is refs[0]
     assert cache.get("b", lambda: refs[1]) is refs[1]  # evicts "a"
@@ -394,7 +425,7 @@ def test_reference_cache_bookkeeping_under_threads():
     import sys
     import threading
 
-    refs = [fem._Reference(fem.mesh_domain(g.square(1.0), lev)) for lev in (1, 2, 3)]
+    refs = [fem._Reference(fem.mesh_domain(g.square(1.0), lev), False) for lev in (1, 2, 3)]
     cache = fem._ReferenceCache(refs[1].nbytes + refs[2].nbytes)
     wrong = []
 
@@ -444,11 +475,11 @@ def _pencils(d, seed, levels=(1, 2, 3, 4)):
     out = []
     for level in levels:
         for bc, T in zip(PENCIL_BCS, _seeded_maps(seed + level, len(PENCIL_BCS))):
-            ref, T = fem._reference(d, level, T)
             try:
-                A, M = ref.pencil(T, bc)
+                ref, T = fem._reference(d, level, T, bc.is_dirichlet)
             except ValueError:  # no interior node at this level
                 continue
+            A, M = ref.pencil(T, bc)
             out.append((A, M, bc.is_neumann_like))
     return out
 
@@ -602,7 +633,7 @@ def test_hexagon_right_hand_side_is_solved_once_per_bc_and_n(monkeypatch):
     solved = _count_solves(monkeypatch)
     maps = _seeded_maps(11, 5)
     for bc in (ex.DIRICHLET, ex.NEUMANN):
-        ref, identity = fem._reference(hexagon, 4, g.LinearMap2.identity())
+        ref, identity = fem._reference(hexagon, 4, g.LinearMap2.identity(), bc.is_dirichlet)
         K, M = ref.pencil(identity, bc)
         assert K.shape[0] > fem.DENSE_THRESHOLD  # shift-invert
         for n in (2, 3):
