@@ -4,38 +4,48 @@ Conforming piecewise-linear elements on uniformly refined triangulations.
 Meshing is array code on one edge table (np.unique over sorted triangle
 sides) that numbers refinement midpoints and yields the boundary edges;
 meshes above MAX_TRIANGLES are refused before any work.  All local integrals
-(stiffness, mass, boundary mass) are exact, Dirichlet conditions are imposed
-by eliminating boundary nodes, and eigenvalues are extracted densely up to
-about 250 unknowns (the measured crossover) and by shift-invert Lanczos above
-it.  Conforming spaces on nested meshes make every
-Dirichlet eigenvalue a decreasing-in-refinement upper bound on the true one.
-
-Each pencil (K, M) is solved once, for a block of its BLOCK = 6 smallest
-eigenvalues (or n, if more are asked), and a call for n values reads a
-prefix of that block: partial sums for n = 1..6 cost one solve.  A lone
-n = 1 on the shift-invert path solves for one value only, because Lanczos
-pays for every value it converges (six values took 1.5 to 1.8 times as long
-as one on a 465-unknown pencil, one BLAS thread on a 2-vCPU virtual
-machine), while the dense reduction costs about the same for one value as
-for six.  A small memo keyed by a SHA-256 digest of the matrices'
-contents, the path and the block size remembers each block; the
-finite-difference Schrodinger solves share it.
+(stiffness, mass, boundary mass) are exact, and Dirichlet conditions are
+imposed by eliminating boundary nodes.  Conforming spaces on nested meshes
+make every Dirichlet eigenvalue a decreasing-in-refinement upper bound on
+the true one.
 
 A linear image T(D) is solved on D's mesh carried over by T.  Each domain is
 meshed and assembled once per level, per set of unknowns (the interior nodes
 under Dirichlet, every node otherwise) and, for polygons, per sign of det T
 into reference matrices K11, K12, K22 and M on one sparse pattern; the image's
-stiffness is then S11 K11 + S12 K12 + S22 K22 with S = T^-1 T^-T, its mass M;
-Robin adds the reference boundary edges' mass, scaled by |T t_e|, to the same
-stiffness data, so each image is one pencil (A, M) with one new CSR matrix
-(the factor |det T| common to A and M cancels).  A bounded cache keeps these
-sparse references between calls, and an untransformed domain is the case
-T = I, so every FEM spectrum takes the same path.
+stiffness is then S11 K11 + S12 K12 + S22 K22 with S = T^-1 T^-T, its mass M
+(the factor |det T| common to both cancels).  A bounded cache keeps these
+references between calls, and an untransformed domain is the case T = I, so
+every FEM spectrum takes the same path.
+
+A reference of at most DENSE_THRESHOLD unknowns is reduced once when it is
+built: one Cholesky M = U^T U, and Cij = U^-T Kij U^-1 kept as packed upper
+triangles.  A Dirichlet or Neumann image is then the standard problem
+C(S) v = lambda v with C(S) = S11 C11 + S12 C12 + S22 C22, one dense eigh
+with no sparse matrix built and nothing hashed.  Robin with sigma > 0 adds
+the reference boundary edges' mass scaled by |T t_e|, which is not linear in
+S; its images, and the images of larger references, are solved as the
+pencil (A, M): by generalized dense eigh up to the dense threshold, by
+shift-invert Lanczos above it.  The default threshold, 400 unknowns, is the
+measured crossover of the standard dense solve and shift-invert (FemOptions).
+
+Each image is solved once, for a block of its BLOCK = 6 smallest
+eigenvalues (or n, if more are asked), and a call for n values reads a
+prefix of that block: partial sums for n = 1..6 cost one solve.  A lone
+n = 1 on the shift-invert path solves for one value only, because Lanczos
+pays for every value it converges (six values took 1.5 to 1.8 times as long
+as one on a 465-unknown pencil, one BLAS thread on a 2-vCPU virtual
+machine), while a dense solve costs about the same for one value as for
+six.  A small memo remembers each block: a reduced image's under its
+reference's serial number, S and the block size, a pencil's under a SHA-256
+digest of the matrices' contents, the path and the block size; the
+finite-difference Schrodinger solves share it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import threading
 from collections import OrderedDict
@@ -45,6 +55,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as splinalg
+from scipy.linalg import blas, lapack
 
 from .exact import BoundarySpec, NumericalFailure, Spectrum
 from .geometry import DomainSpec, Ellipse, LinearMap2, Polygon, orient
@@ -225,7 +236,7 @@ def mesh_domain(d: DomainSpec, level: int = 0) -> Mesh:
 _LOCAL_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 _EDGE_MASS = np.array([2.0, 1.0, 1.0, 2.0]) / 6.0  # entries (a,a), (a,b), (b,a), (b,b) of edge (a, b)
 _REFLECT = LinearMap2.diagonal(1.0, -1.0)
-#: Bytes of reference arrays kept between calls; larger references are rebuilt.
+#: Bytes of reference arrays kept between calls; a reference over half of it is rebuilt whenever asked for.
 REFERENCE_CACHE_BYTES = 8 * 2**20
 
 
@@ -236,14 +247,20 @@ class _Reference:
     |det T| (S11 K11 + S12 K12 + S22 K22) and mass |det T| M, where on the
     mesh itself K11_ij = int d1 phi_i d1 phi_j, K22_ij = int d2 phi_i d2 phi_j
     and K12_ij = int (d1 phi_i d2 phi_j + d2 phi_i d1 phi_j).  All four are
-    kept as data arrays on one CSR pattern over one set of unknowns, so an
-    image costs a three-term combination of arrays.  The unknowns are every
+    CSR matrices on one pattern over one set of unknowns, so an image's pencil
+    costs a three-term combination of data arrays.  The unknowns are every
     node, or under Dirichlet the interior nodes numbered in order (the
     boundary nodes are eliminated); only the former keep the boundary edges
-    that Robin needs.  The arrays are read-only.
+    that Robin needs.
+
+    With `reduce` and at most DENSE_THRESHOLD unknowns, the reference also
+    keeps U (M = U^T U) and Cij = U^-T Kij U^-1 as packed upper triangles,
+    U in `U` and the three Cij as the rows of `C`; an image is then the
+    standard problem of C(S) (`solve`).  Otherwise C and U are None.  Every
+    array is read-only, and `serial` numbers the reference among all built.
     """
 
-    def __init__(self, mesh: Mesh, dirichlet: bool):
+    def __init__(self, mesh: Mesh, dirichlet: bool, reduce: bool = False):
         verts, tris = mesh.vertices, mesh.triangles
         keep = np.ones(len(verts), dtype=bool)
         keep[mesh.boundary_edges] = not dirichlet  # Dirichlet eliminates the boundary nodes
@@ -268,22 +285,53 @@ class _Reference:
         kept = (kt[:, :, None] & kt[:, None, :]).ravel()
         pattern, slot = np.unique((ids[:, :, None] * nk + ids[:, None, :]).ravel()[kept], return_inverse=True)
         rows, cols = np.divmod(pattern, nk)
-        self.k11, self.k12, self.k22, m = (
-            np.bincount(slot, weights=x.ravel()[kept], minlength=len(pattern)) for x in local
+        indices = cols.astype(np.int32)
+        indptr = np.searchsorted(rows, np.arange(nk + 1)).astype(np.int32)
+        *self.K, self.M = (
+            self._csr(np.bincount(slot, weights=x.ravel()[kept], minlength=len(pattern)), indices, indptr)
+            for x in local
         )
-        self.indices = cols.astype(np.int32)
-        self.indptr = np.searchsorted(rows, np.arange(nk + 1)).astype(np.int32)
-        self.M = self._csr(m, self.indices, self.indptr)
 
         # Robin: edge vectors t_e and the slots of each edge's 2x2 boundary mass (no edges under Dirichlet)
         e = mesh.boundary_edges[:0] if dirichlet else mesh.boundary_edges
         self.edges = verts[e[:, 1]] - verts[e[:, 0]]
         self.edge_slots = np.searchsorted(pattern, e[:, [0, 0, 1, 1]] * nk + e[:, [0, 1, 0, 1]])
+        self.serial = next(_SERIALS)
+        self.C = self.U = None
+        if reduce and nk <= DENSE_THRESHOLD:
+            self._reduce(pattern)
         for arr in self._arrays():
             arr.setflags(write=False)
 
+    def _reduce(self, pattern):
+        """Packed upper triangles of U, where M = U^T U, and of the three Cij = U^-T Kij U^-1, all in place.
+
+        Each dense matrix is scattered straight from the CSR slots (`pattern`
+        holds row * dim + column of each), factored or reduced by LAPACK
+        dpotrf or dsygst, which read and write its upper triangle only, and
+        packed; one dim x dim array besides U lives at a time.
+        """
+        n = self.dim
+
+        def dense(data):
+            a = np.zeros((n, n))
+            a.ravel()[pattern] = data
+            return a.T  # the same symmetric matrix, in the column order LAPACK overwrites in place
+
+        U, info = lapack.dpotrf(dense(self.M.data), overwrite_a=1)
+        if info:
+            raise SolverFailure(f"mass matrix not positive definite: Cholesky failed at pivot {info} of {n}")
+        self.U = lapack.dtrttp(U)[0]
+        self.C = np.stack([lapack.dtrttp(lapack.dsygst(dense(K.data), U, overwrite_a=1)[0])[0] for K in self.K])
+
     def _arrays(self):
-        return self.k11, self.k12, self.k22, self.indices, self.indptr, self.M.data, self.edges, self.edge_slots
+        reduced = () if self.C is None else (self.C, self.U)
+        return (*(K.data for K in self.K), self.M.indices, self.M.indptr, self.M.data, self.edges, self.edge_slots,
+                *reduced)
+
+    @property
+    def dim(self) -> int:
+        return self.M.shape[0]
 
     @property
     def nbytes(self) -> int:
@@ -296,19 +344,39 @@ class _Reference:
 
     def pencil(self, T: LinearMap2, bc: BoundarySpec):
         """Pencil (A, M) of the image under T, |det T| divided out: A = stiffness (+ Robin boundary mass)."""
-        Ti = T.inverse().as_array()
-        S = Ti @ Ti.T
-        k = S[0, 0] * self.k11 + S[0, 1] * self.k12 + S[1, 1] * self.k22
-        if bc.kind == "robin" and bc.sigma > 0:
+        s11, s12, s22 = _metric(T)
+        K11, K12, K22 = self.K
+        k = s11 * K11.data + s12 * K12.data + s22 * K22.data
+        if not _linear(bc):
             # an image edge has length |T t_e|; the boundary mass is not scaled by |det T|, so divide it out
             h = np.linalg.norm(self.edges @ T.as_array().T, axis=1)
             w = (bc.sigma / abs(T.det)) * h[:, None] * _EDGE_MASS
             k += np.bincount(self.edge_slots.ravel(), weights=w.ravel(), minlength=len(k))
-        return self._csr(k, self.indices, self.indptr), self.M
+        return self._csr(k, self.M.indices, self.M.indptr), self.M
+
+    def reduced(self, s) -> np.ndarray:
+        """C(S) = S11 C11 + S12 C12 + S22 C22 for s = (S11, S12, S22): a new array, its upper triangle set."""
+        return lapack.dtpttr(self.dim, s @ self.C)[0]
+
+    def solve(self, s, b: int) -> np.ndarray:
+        """The b smallest eigenvalues of C(S) = S11 C11 + S12 C12 + S22 C22, for s = (S11, S12, S22).
+
+        One standard eigh of the upper triangle; each pair (lambda, v) is
+        residual-checked as the pair (lambda, U^-1 v) of the image's pencil
+        (A(S), M), so a wrong reduction fails as a wrong solve would.
+        """
+        vals, vecs = _dense_eigh(b, self.reduced(s), lower=False, overwrite_a=True)
+        u = blas.dtrsm(1.0, lapack.dtpttr(self.dim, self.U)[0], vecs)
+        _check_residuals(sum(x * (K @ u) for x, K in zip(s, self.K)), self.M @ u, vals)
+        return vals
 
 
 class _ReferenceCache:
-    """Least recently used entries (references or eigenvalue arrays), bounded by their nbytes."""
+    """Least recently used entries (references or eigenvalue arrays), bounded by their nbytes.
+
+    An entry larger than half the bound is built and returned every time it
+    is asked for, never kept.
+    """
 
     def __init__(self, max_bytes: int):
         self.max_bytes = max_bytes
@@ -325,7 +393,8 @@ class _ReferenceCache:
         ref = build()
         size = ref.nbytes
         with self._lock:
-            if size <= self.max_bytes and key not in self._entries:
+            # an entry over half the bound is returned but not kept: alone it would evict all the others
+            if 2 * size <= self.max_bytes and key not in self._entries:
                 self._entries[key] = ref
                 self._bytes += size
                 while self._bytes > self.max_bytes:
@@ -334,6 +403,19 @@ class _ReferenceCache:
 
 
 _REFERENCES = _ReferenceCache(REFERENCE_CACHE_BYTES)
+_SERIALS = itertools.count()
+
+
+def _metric(T: LinearMap2) -> np.ndarray:
+    """(S11, S12, S22) of S = T^-1 T^-T, the metric that the image's Rayleigh quotient puts on the reference."""
+    Ti = T.inverse().as_array()
+    S = Ti @ Ti.T
+    return np.array([S[0, 0], S[0, 1], S[1, 1]])
+
+
+def _linear(bc: BoundarySpec) -> bool:
+    """Whether the image's stiffness is linear in S: everything but Robin with sigma > 0."""
+    return bc.is_dirichlet or bc.is_neumann_like
 
 
 def _reference(d: DomainSpec, level: int, T: LinearMap2, dirichlet: bool) -> tuple[_Reference, LinearMap2]:
@@ -352,7 +434,8 @@ def _reference(d: DomainSpec, level: int, T: LinearMap2, dirichlet: bool) -> tup
         key = ("ellipse", d.center.tobytes(), d.semi_axes, d.rotation, level, dirichlet)
 
     def build():
-        return _Reference(mesh_domain(Polygon(d.vertices @ _REFLECT.as_array()) if flip else d, level), dirichlet)
+        mesh = mesh_domain(Polygon(d.vertices @ _REFLECT.as_array()) if flip else d, level)
+        return _Reference(mesh, dirichlet, reduce=True)
 
     return _REFERENCES.get(key, build), (T @ _REFLECT if flip else T)
 
@@ -374,8 +457,8 @@ def assemble(mesh: Mesh, bc: BoundarySpec):
 # eigenvalue extraction
 # ---------------------------------------------------------------------------
 
-#: Largest problem solved densely; shift-invert Lanczos wins above ~250 unknowns.
-DENSE_THRESHOLD = 250
+#: Largest reference reduced and largest problem solved densely; shift-invert Lanczos wins above ~400 unknowns.
+DENSE_THRESHOLD = 400
 #: Relative (and, near a zero eigenvalue, absolute) residual every eigenpair must meet.
 EIG_TOLERANCE = 1e-8
 #: Eigenvalues solved per pencil: one solve serves the partial sums n = 1..6 of the paper's bounds.
@@ -390,10 +473,16 @@ class FemOptions:
 
     max_refinement is the finest level (the coarse companion is one below);
     problems of at most dense_threshold unknowns are solved densely, larger
-    ones by shift-invert Lanczos.  The default 250 is the measured crossover
-    of the two (dense against shift-invert, one BLAS thread on a 2-vCPU
-    virtual machine: 5.5 against 7.5 ms at 225 unknowns, 7.2 against 6.0 ms
-    at 289, 145 against 15 ms at 961).
+    ones by shift-invert Lanczos.  The default 400 is the measured crossover
+    of the standard dense solve of a reduced image against shift-invert, per
+    block of six values with its residual check (one BLAS thread on a 2-vCPU
+    virtual machine: 7.2 against 9.1-9.5 ms at 357 unknowns, 8.1-9.2 against
+    8.8-9.7 ms at 385, 10.2-10.4 against 8.7-10.5 ms at 405, 13.7-13.9
+    against 11.0-11.3 ms at 465).  References above DENSE_THRESHOLD are not
+    reduced, so a larger dense_threshold solves their images as generalized
+    pencils; Robin pencils (sigma > 0) are generalized dense up to the
+    threshold, which costs more than shift-invert from about 250 unknowns on
+    (8.1-8.8 against 6.9-8.2 ms at 289).
     """
 
     max_refinement: int = 5
@@ -448,7 +537,7 @@ def _solve_block(K, M, b: int, dense: bool, neumann_like: bool) -> np.ndarray:
     """The b smallest eigenvalues of the pencil, by dense eigh or shift-invert eigsh, residual-checked."""
     dim = K.shape[0]
     if dense:
-        vals, vecs = scipy.linalg.eigh(_dense(K), _dense(M), subset_by_index=[0, b - 1])
+        vals, vecs = _dense_eigh(b, _dense(K), _dense(M))
     else:
         sigma = 1e-8 * float(K.diagonal().sum()) / dim if neumann_like else 0.0
         try:
@@ -460,8 +549,16 @@ def _solve_block(K, M, b: int, dense: bool, neumann_like: bool) -> np.ndarray:
             raise SolverFailure(f"shift-invert iteration failed at dim={dim}, n={b}: {exc}") from exc
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-    _check_residuals(K, M, vals, vecs)
+    _check_residuals(K @ vecs, M @ vecs, vals)
     return vals
+
+
+def _dense_eigh(b: int, *args, **kwargs):
+    """scipy.linalg.eigh(*args, subset_by_index=[0, b - 1], **kwargs), its LAPACK failures raised as SolverFailure."""
+    try:
+        return scipy.linalg.eigh(*args, subset_by_index=[0, b - 1], **kwargs)
+    except np.linalg.LinAlgError as exc:  # no convergence, or a mass matrix that is not positive definite
+        raise SolverFailure(f"dense eigensolve failed at dim={args[0].shape[0]}, n={b}: {exc}") from exc
 
 
 def content_key(*matrices) -> bytes:
@@ -483,9 +580,10 @@ def content_key(*matrices) -> bytes:
 def memoized(key, solve) -> np.ndarray:
     """solve()'s eigenvalues, remembered under key in the values memo; the caller owns the copy returned.
 
-    The key must determine the values: content_key of the operator, n and
-    whatever else selects the solver's path.  An exception from solve is
-    raised and nothing is remembered.
+    The key must determine the values: content_key of the operator (or a
+    reduced image's reference serial and S), the block size and whatever
+    else selects the solver's path.  An exception from solve is raised and
+    nothing is remembered.
     """
     def build():
         vals = np.array(solve(), dtype=float)
@@ -512,12 +610,12 @@ def _matrix_arrays(A) -> tuple:
 _VALUES = _ReferenceCache(VALUE_CACHE_BYTES)
 
 
-def _check_residuals(K, M, vals, vecs):
-    KV, MV = K @ vecs, M @ vecs
+def _check_residuals(KV, MV, vals):
+    """Raise SolverFailure unless every K v = lambda M v holds to EIG_TOLERANCE, given KV and MV."""
     res = np.linalg.norm(KV - MV * vals, axis=0)
     bound = EIG_TOLERANCE * np.linalg.norm(MV, axis=0) * (1.0 + np.abs(vals))
-    # absolute floor guards tiny Neumann kernel values, where |lam| ~ 0
-    bad = np.nonzero(res > np.maximum(bound, EIG_TOLERANCE))[0]
+    # absolute floor guards tiny Neumann kernel values, where |lam| ~ 0; a NaN residual fails too
+    bad = np.nonzero(~(res <= np.maximum(bound, EIG_TOLERANCE)))[0]
     if len(bad):
         i = bad[0]
         raise SolverFailure(
@@ -535,7 +633,8 @@ def spectrum_fem(
     """FEM spectrum of d, or of its linear image T(d), with error estimates.
 
     T(d) is solved on d's cached reference mesh carried over by T, so every
-    map of one domain reuses one meshing and assembly per level.  Solves on
+    map of one domain reuses one meshing, one assembly and, up to
+    DENSE_THRESHOLD unknowns, one reduction per level.  Solves on
     levels (max_refinement - 1, max_refinement); assuming the P1 O(h^2) rate,
     the extrapolated value is (4 x fine - coarse)/3 and the reported
     per-eigenvalue error estimate |fine - coarse|/3.
@@ -558,11 +657,12 @@ def spectrum_fem(
 
 def _solve_level(d, T, bc, n, level, opts):
     ref, T = _reference(d, level, T, bc.is_dirichlet)
+    if ref.dim < n:
+        raise ValueError(f"level {level} mesh has only {ref.dim} degrees of freedom, need {n}")
+    if ref.C is not None and ref.dim <= opts.dense_threshold and _linear(bc):
+        s, b = _metric(T), min(max(n, BLOCK), ref.dim)
+        return memoized(("reduced", ref.serial, s.tobytes(), b), lambda: ref.solve(s, b))[:n]
     A, M = ref.pencil(T, bc)
-    if A.shape[0] < n:
-        raise ValueError(
-            f"level {level} mesh has only {A.shape[0]} degrees of freedom, need {n}"
-        )
     return solve_eigs(A, M, n, opts.dense_threshold, neumann_like=bc.is_neumann_like)
 
 

@@ -410,23 +410,28 @@ def test_oversized_meshes_are_refused_before_any_meshing(monkeypatch):
 
 def test_reference_cache_stays_within_its_byte_bound():
     refs = [fem._Reference(fem.mesh_domain(g.square(1.0), lev), False) for lev in (3, 3, 2)]
-    cache = fem._ReferenceCache(refs[0].nbytes + refs[2].nbytes)
+    cache = fem._ReferenceCache(2 * refs[0].nbytes)
     assert cache.get("a", lambda: refs[0]) is refs[0]
-    assert cache.get("b", lambda: refs[1]) is refs[1]  # evicts "a"
-    assert cache.get("a", lambda: refs[2]) is refs[2]
-    assert cache.get("b", lambda: refs[0]) is refs[1]
-    assert cache._bytes == refs[1].nbytes + refs[2].nbytes <= cache.max_bytes
-    big = fem._ReferenceCache(refs[2].nbytes)
-    big.get("c", lambda: refs[0])  # larger than the bound: not kept
-    assert big._bytes == 0
+    assert cache.get("b", lambda: refs[1]) is refs[1]  # both fit
+    assert cache.get("c", lambda: refs[2]) is refs[2]  # evicts "a", the least recently used
+    assert cache.get("a", lambda: refs[0]) is refs[0]  # rebuilt; evicts "b"
+    assert cache.get("c", lambda: refs[1]) is refs[2]
+    assert list(cache._entries) == ["a", "c"]
+    assert cache._bytes == refs[0].nbytes + refs[2].nbytes <= cache.max_bytes
+    # larger than half the bound: returned, but not kept, so it evicts nothing
+    half = fem._ReferenceCache(2 * refs[0].nbytes - 1)
+    assert half.get("c", lambda: refs[2]) is refs[2]
+    assert half.get("d", lambda: refs[0]) is refs[0]
+    assert half.get("d", lambda: refs[1]) is refs[1]
+    assert list(half._entries) == ["c"] and half._bytes == refs[2].nbytes
 
 
 def test_reference_cache_bookkeeping_under_threads():
     import sys
     import threading
 
-    refs = [fem._Reference(fem.mesh_domain(g.square(1.0), lev), False) for lev in (1, 2, 3)]
-    cache = fem._ReferenceCache(refs[1].nbytes + refs[2].nbytes)
+    refs = [fem._Reference(fem.mesh_domain(g.square(1.0), 3), False) for _ in range(3)]
+    cache = fem._ReferenceCache(2 * refs[0].nbytes)  # any two fit, the third evicts one
     wrong = []
 
     def work(seed):
@@ -470,18 +475,26 @@ PENCIL_DOMAINS = {
 PENCIL_BCS = [ex.DIRICHLET, ex.NEUMANN, ex.robin(1.0)]
 
 
-def _pencils(d, seed, levels=(1, 2, 3, 4)):
-    """(K, M, neumann_like) of seeded images of d at each level and condition, as spectrum_fem builds them."""
+def _images(d, seed, levels=(1, 2, 3, 4)):
+    """(level, bc, T, reference, map onto the image) of seeded images T(d) at each level and condition."""
     out = []
     for level in levels:
         for bc, T in zip(PENCIL_BCS, _seeded_maps(seed + level, len(PENCIL_BCS))):
             try:
-                ref, T = fem._reference(d, level, T, bc.is_dirichlet)
+                out.append((level, bc, T, *fem._reference(d, level, T, bc.is_dirichlet)))
             except ValueError:  # no interior node at this level
                 continue
-            A, M = ref.pencil(T, bc)
-            out.append((A, M, bc.is_neumann_like))
     return out
+
+
+def _pencils(d, seed, levels=(1, 2, 3, 4)):
+    """(K, M, neumann_like) of seeded images of d at each level and condition, as spectrum_fem builds them."""
+    return [(*ref.pencil(T, bc), bc.is_neumann_like) for _, bc, _, ref, T in _images(d, seed, levels)]
+
+
+def _shift_invert_pencils():
+    """The hexagon's level-4 Neumann and Robin images: 561 unknowns, above the dense threshold."""
+    return _pencils(g.regular_polygon(6), seed=5, levels=(4,))[1:]
 
 
 def _block(n, dim, dense):
@@ -505,20 +518,43 @@ def _plain_eigs(K, M, n, neumann_like):
     return np.sort(vals)[:n]
 
 
+def _reduced(ref, bc) -> bool:
+    """Whether an image of ref under bc is solved on its reduced form C(S) (at the default dense threshold)."""
+    return ref.C is not None and fem._linear(bc)
+
+
+def _plain_image_eigs(ref, T, bc, n):
+    """The first n values of the unmemoized solve of an image: eigh of C(S) if reduced, else of its pencil."""
+    import scipy.linalg
+
+    if _reduced(ref, bc):
+        b = _block(n, ref.dim, True)
+        return scipy.linalg.eigh(ref.reduced(fem._metric(T)), lower=False, subset_by_index=[0, b - 1])[0][:n]
+    A, M = ref.pencil(T, bc)
+    return _plain_eigs(A, M, n, bc.is_neumann_like)
+
+
+def _path(ref, bc) -> str:
+    if _reduced(ref, bc):
+        return "reduced"
+    return "dense" if ref.dim <= fem.DENSE_THRESHOLD else "shift-invert"
+
+
 @pytest.mark.parametrize("name", list(PENCIL_DOMAINS))
 def test_cached_solve_equals_plain_eigh_and_eigsh_bit_for_bit(name, monkeypatch):
     _fresh_caches(monkeypatch)
+    d, opts = PENCIL_DOMAINS[name], fem.FemOptions()
     paths = set()
-    for K, M, neumann_like in _pencils(PENCIL_DOMAINS[name], seed=sum(map(ord, name))):
-        dim = K.shape[0]
+    for level, bc, T0, ref, T in _images(d, seed=sum(map(ord, name))):
+        dim = ref.dim
         ns = list(range(1, min(6, dim) + 1)) + ([dim] if dim <= 8 else [])  # n == dim: a block of dim
         for n in reversed(ns):  # n = 6 solves the block that n = 5..2 read
-            got = fem.solve_eigs(K, M, n, neumann_like=neumann_like)
-            assert np.array_equal(got, _plain_eigs(K, M, n, neumann_like)), (name, dim, n)
-        paths.add(dim <= fem.DENSE_THRESHOLD)
-    assert True in paths
+            got = fem._solve_level(d, T0, bc, n, level, opts)
+            assert np.array_equal(got, _plain_image_eigs(ref, T, bc, n)), (name, dim, n)
+        paths.add(_path(ref, bc))
+    assert {"reduced", "dense"} <= paths  # Robin images up to the threshold are dense generalized pencils
     if name in ("hexagon", "disk"):
-        assert False in paths
+        assert "shift-invert" in paths
 
 
 def test_small_dense_pencils_equal_eigh():
@@ -537,8 +573,8 @@ def test_small_dense_pencils_equal_eigh():
 
 
 def test_cached_solve_does_not_depend_on_call_order(monkeypatch):
-    # the square's level-4 Dirichlet image has 225 unknowns (dense), its Neumann one 289 (shift-invert)
-    for A, B, neumann_like in _pencils(g.square(1.0), seed=5, levels=(4,))[:2]:
+    # the square's level-4 Dirichlet pencil has 225 unknowns (dense), the hexagon's Neumann one 561 (shift-invert)
+    for A, B, neumann_like in _pencils(g.square(1.0), seed=5, levels=(4,))[:1] + _shift_invert_pencils()[:1]:
         _fresh_caches(monkeypatch)
         cold = fem.solve_eigs(A, B, 3, neumann_like=neumann_like)
         _fresh_caches(monkeypatch)
@@ -551,6 +587,138 @@ def test_cached_solve_does_not_depend_on_call_order(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# reduced references: one Cholesky per reference, one standard eigh per image
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["equilateral", "square", "hexagon", "disk"])
+def test_reduced_solve_matches_generalized_eigh(name):
+    import scipy.linalg
+
+    d = PENCIL_DOMAINS[name]
+    reduced = 0
+    for level in (2, 3, 4):
+        for bc in (ex.DIRICHLET, ex.NEUMANN):
+            for T in _seeded_maps(31 + level, 4):  # det > 0 and det < 0, alternating
+                ref, T = fem._reference(d, level, T, bc.is_dirichlet)
+                if ref.C is None:
+                    assert ref.dim > fem.DENSE_THRESHOLD
+                    continue
+                b = min(6, ref.dim)
+                A, M = ref.pencil(T, bc)
+                want = scipy.linalg.eigh(A.toarray(), M.toarray(), subset_by_index=[0, b - 1])[0]
+                C = ref.reduced(fem._metric(T))
+                got = ref.solve(fem._metric(T), b)
+                first = 0
+                if bc.is_neumann_like:  # the kernel value is roundoff
+                    assert abs(got[0] - want[0]) <= 1e-9
+                    first = 1
+                # both solves are backward stable: small values of strongly stretched images agree only to
+                # a few eps ||C(S)||, the largest eigenvalue of the whole discrete spectrum
+                norm = scipy.linalg.eigh(C, lower=False, eigvals_only=True, subset_by_index=[ref.dim - 1] * 2)[0]
+                np.testing.assert_allclose(got[first:], want[first:], rtol=1e-12, atol=16 * np.finfo(float).eps * norm)
+                reduced += 1
+    assert reduced >= (2 if name == "disk" else 16)  # the disk: its level-2 Dirichlet images only
+
+
+def test_reduced_values_do_not_depend_on_call_order(monkeypatch):
+    import scipy.linalg
+
+    opts = fem.FemOptions(max_refinement=4)
+    for d, bc in ((g.square(1.0), ex.NEUMANN), (g.equilateral_triangle(), ex.DIRICHLET)):
+        for T0 in _seeded_maps(41, 2):
+            ref, T = fem._reference(d, 4, T0, bc.is_dirichlet)
+            assert ref.C is not None
+            want = scipy.linalg.eigh(ref.reduced(fem._metric(T)), lower=False, subset_by_index=[0, 5])[0][:3]
+            _fresh_caches(monkeypatch)
+            cold = fem._solve_level(d, T0, bc, 3, 4, opts)
+            _fresh_caches(monkeypatch)
+            fem._solve_level(d, T0, bc, 6, 4, opts)
+            warm = fem._solve_level(d, T0, bc, 3, 4, opts)  # a prefix of n = 6's block
+            again = fem._solve_level(d, T0, bc, 3, 4, opts)  # from the memo
+            assert np.array_equal(cold, want) and np.array_equal(warm, want) and np.array_equal(again, want)
+            again[0] = -1.0  # callers own what they get back
+            assert np.array_equal(fem._solve_level(d, T0, bc, 3, 4, opts), want)
+
+
+def test_reduced_image_is_solved_once_per_block(monkeypatch):
+    _fresh_caches(monkeypatch)
+    solved = _count_solves(monkeypatch)
+    opts = fem.FemOptions(max_refinement=4)
+    maps = _seeded_maps(43, 4)
+    for bc in (ex.DIRICHLET, ex.NEUMANN):
+        for n in range(1, 7):
+            for T in maps:
+                fem.spectrum_fem(g.square(1.0), bc, n, opts, T)
+    # two levels, two conditions, four maps: one standard solve of six values each, and no pencil
+    assert len(solved) == 16 and len({key for key, _ in solved}) == 16
+    assert all(key[0] == "reduced" and b == 6 for key, b in solved)
+    fem.spectrum_fem(g.square(1.0), ex.NEUMANN, 7, opts, maps[0])  # a block of seven is another entry
+    assert [b for _, b in solved[16:]] == [7, 7]
+
+
+def test_corrupted_reduction_fails_typed_and_is_not_memoized(monkeypatch):
+    _fresh_caches(monkeypatch)
+    monkeypatch.setattr(fem, "_REFERENCES", fem._ReferenceCache(fem.REFERENCE_CACHE_BYTES))
+    d, T, opts = g.square(1.0), _seeded_maps(47, 1)[0], fem.FemOptions(max_refinement=3)
+    good = fem._solve_level(d, T, ex.DIRICHLET, 6, 3, opts)
+    _fresh_caches(monkeypatch)
+    ref, _ = fem._reference(d, 3, T, True)
+    C, j = ref.C.copy(), ref.dim // 2
+    C[0, j * (j + 3) // 2] *= 1.0 + 1e-6  # the packed diagonal entry of C11 at the middle unknown
+    ref.C = C
+    for _ in range(2):
+        with pytest.raises(fem.SolverFailure, match="residual"):
+            fem._solve_level(d, T, ex.DIRICHLET, 6, 3, opts)
+    assert len(fem._VALUES._entries) == 0
+    monkeypatch.setattr(fem, "_REFERENCES", fem._ReferenceCache(fem.REFERENCE_CACHE_BYTES))
+    assert np.array_equal(fem._solve_level(d, T, ex.DIRICHLET, 6, 3, opts), good)  # a rebuilt reference
+
+
+def test_failed_cholesky_is_a_solver_failure_and_is_not_cached():
+    # a clockwise triangle has negative area, so a negative definite mass matrix
+    mesh = fem.Mesh(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), np.array([[0, 1, 2]]),
+                    np.array([[0, 2], [2, 1], [1, 0]]))
+    fem._Reference(mesh, False)  # unreduced: nothing to factor
+    with pytest.raises(fem.SolverFailure, match="not positive definite"):
+        fem._Reference(mesh, False, reduce=True)
+    cache = fem._ReferenceCache(fem.REFERENCE_CACHE_BYTES)
+    with pytest.raises(fem.SolverFailure):
+        cache.get("clockwise", lambda: fem._Reference(mesh, False, reduce=True))
+    assert cache._bytes == 0 and not cache._entries
+
+
+def test_dense_eigensolver_failures_are_typed_and_not_memoized(monkeypatch):
+    import scipy.linalg
+
+    _fresh_caches(monkeypatch)
+
+    def fail(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("the algorithm failed to converge")
+
+    monkeypatch.setattr(fem.scipy.linalg, "eigh", fail)
+    d, T, opts = g.square(1.0), _seeded_maps(59, 1)[0], fem.FemOptions(max_refinement=3)
+    for bc in (ex.DIRICHLET, ex.robin(1.0)):  # the reduced image, then a generalized dense pencil
+        with pytest.raises(fem.SolverFailure, match="dense eigensolve failed"):
+            fem._solve_level(d, T, bc, 2, 3, opts)
+    assert len(fem._VALUES._entries) == 0
+
+
+def test_reduced_solves_compute_no_digest(monkeypatch):
+    from eigenplane import experiments as xp
+
+    _fresh_caches(monkeypatch)
+    digests = []
+    sha256 = fem.hashlib.sha256
+    monkeypatch.setattr(fem.hashlib, "sha256", lambda *a: digests.append(1) or sha256(*a))
+    for d in (g.equilateral_triangle(), g.square(1.0)):  # criterion 7's domains and levels
+        for bc in (ex.DIRICHLET, ex.NEUMANN):
+            for T in _seeded_maps(53, 2):
+                for n in (1, 6):
+                    xp.verify_linear_map_bound(d, T, bc, n, fem.FemOptions(max_refinement=4))
+    assert digests == []
+
+
+# ---------------------------------------------------------------------------
 # the eigenvalue memo: one solve per pencil and block
 # ---------------------------------------------------------------------------
 
@@ -560,12 +728,17 @@ def _dense_key(K, M):
 
 
 def _count_solves(monkeypatch):
-    """Record (dense key, number of values) of every eigh and eigsh call, i.e. every solve that misses the memo."""
+    """Record (key, number of values) of every eigh and eigsh call, i.e. every solve that misses the memo.
+
+    The key is the dense key of a pencil (K, M), or ("reduced", content_key(C)) for a standard eigh of C(S).
+    """
     solved = []
     eigh, eigsh = fem.scipy.linalg.eigh, fem.splinalg.eigsh
 
-    def dense(K, M, subset_by_index, **kwargs):
-        solved.append((_dense_key(K, M), subset_by_index[1] + 1))
+    def dense(K, M=None, subset_by_index=None, **kwargs):
+        # keyed before the call: the reduced solve lets eigh overwrite C(S)
+        key = ("reduced", fem.content_key(K)) if M is None else _dense_key(K, M)
+        solved.append((key, subset_by_index[1] + 1))
         return eigh(K, M, subset_by_index=subset_by_index, **kwargs)
 
     def shift_invert(K, k, M, **kwargs):
@@ -578,8 +751,8 @@ def _count_solves(monkeypatch):
 
 
 def test_memo_hit_equals_cold_solve_bit_for_bit(monkeypatch):
-    # the square's level-4 Dirichlet image is dense (225 unknowns), its Neumann one shift-invert (289)
-    for K, M, neumann_like in _pencils(g.square(1.0), seed=5, levels=(4,))[:2]:
+    # the square's level-4 Dirichlet pencil is dense (225 unknowns), the hexagon's Neumann one shift-invert (561)
+    for K, M, neumann_like in _pencils(g.square(1.0), seed=5, levels=(4,))[:1] + _shift_invert_pencils()[:1]:
         _fresh_caches(monkeypatch)
         want = _plain_eigs(K, M, 4, neumann_like)
         solved = _count_solves(monkeypatch)
@@ -596,15 +769,14 @@ def test_memo_hit_equals_cold_solve_bit_for_bit(monkeypatch):
         # another matrix or the other path is another entry
         K2 = K.copy()
         K2.data[0] *= 1.0 + 2.0**-40
-        other_path = 100 if K.shape[0] <= fem.DENSE_THRESHOLD else 300
+        other_path = 100 if K.shape[0] <= fem.DENSE_THRESHOLD else 1000
         fem.solve_eigs(K2, M, 4, neumann_like=neumann_like)
         fem.solve_eigs(K, M, 4, dense_threshold=other_path, neumann_like=neumann_like)
         assert len(solved) == 3
 
 
 def test_lone_shift_invert_fundamental_is_its_own_entry(monkeypatch):
-    # the square's level-4 Neumann and Robin images have 289 unknowns: shift-invert
-    for K, M, neumann_like in _pencils(g.square(1.0), seed=5, levels=(4,))[1:]:
+    for K, M, neumann_like in _shift_invert_pencils():
         assert K.shape[0] > fem.DENSE_THRESHOLD
         _fresh_caches(monkeypatch)
         want = [_plain_eigs(K, M, n, neumann_like) for n in range(1, 7)]
@@ -643,6 +815,8 @@ def test_hexagon_right_hand_side_is_solved_once_per_bc_and_n(monkeypatch):
         # n = 2 and 3 read one block of six
         assert [b for key, b in solved if key == _dense_key(K, M)] == [6], bc.kind
     assert len(solved) == len({key for key, _ in solved})  # every pencil was solved once
+    # per condition, the five maps and the hexagon itself: level 3 on the reduced form, level 4 by shift-invert
+    assert sorted(key[0] == "reduced" for key, _ in solved) == [False] * 12 + [True] * 12
 
 
 def test_solver_failures_are_not_memoized(monkeypatch):
@@ -660,8 +834,9 @@ def test_value_memo_stays_within_its_byte_bound_under_threads(monkeypatch):
     import sys
     import threading
 
-    pencils = _pencils(g.square(1.0), seed=9, levels=(2, 3))
-    want = [[_plain_eigs(K, M, n, nl) for n in range(1, 7)] for K, M, nl in pencils]
+    d, opts = g.square(1.0), fem.FemOptions()
+    images = _images(d, seed=9, levels=(2, 3))  # reduced Dirichlet and Neumann images, dense Robin pencils
+    want = [[_plain_image_eigs(ref, T, bc, n) for n in range(1, 7)] for _, bc, _, ref, T in images]
     memo = fem._ReferenceCache(8 * 24)  # room for four blocks of six: entries are evicted and solved again
     monkeypatch.setattr(fem, "_VALUES", memo)
     sizes = []
@@ -670,9 +845,9 @@ def test_value_memo_stays_within_its_byte_bound_under_threads(monkeypatch):
     def work(seed):
         rng = np.random.default_rng(seed)
         for _ in range(200):
-            i, n = int(rng.integers(0, len(pencils))), int(rng.integers(1, 7))
-            K, M, nl = pencils[i]
-            if not np.array_equal(fem.solve_eigs(K, M, n, neumann_like=nl), want[i][n - 1]):
+            i, n = int(rng.integers(0, len(images))), int(rng.integers(1, 7))
+            level, bc, T, _, _ = images[i]
+            if not np.array_equal(fem._solve_level(d, T, bc, n, level, opts), want[i][n - 1]):
                 wrong.append((i, n))
             with memo._lock:  # a consistent view, between two updates
                 sizes.append(memo._bytes)
@@ -691,4 +866,4 @@ def test_value_memo_stays_within_its_byte_bound_under_threads(monkeypatch):
     assert wrong == []
     assert max(sizes) <= memo.max_bytes
     assert memo._bytes == sum(v.nbytes for v in memo._entries.values()) <= memo.max_bytes
-    assert 0 < len(memo._entries) < len(pencils) * 6
+    assert 0 < len(memo._entries) < len(images) * 6
