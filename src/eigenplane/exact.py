@@ -336,6 +336,10 @@ def _robin_roots(l: float, sigma: float, start: int, stop: int) -> list[float]:
         a, b = lo + 1e-13, hi - 1e-13
         if f(a) * f(b) > 0:
             a, b = lo + 4 * math.ulp(hi), hi - 4 * math.ulp(hi)
+        if not f(a) * f(b) <= 0:
+            # a huge sigma puts the root within an ulp of hi, or overflows f to NaN
+            raise NumericalFailure(f"no bracket holds the Robin root k={k} of (0, {l:g}) at sigma={sigma:g}: "
+                                   f"sigma is too large for double precision")
         # below 1 the absolute tolerance shrinks with the bracket, keeping small roots accurate relative to their size
         w = brentq(f, a, b, **{**_BRENTQ_KW, "xtol": _BRENTQ_KW["xtol"] * min(1.0, hi)})
         out.append(w * w)

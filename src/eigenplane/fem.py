@@ -20,14 +20,16 @@ every FEM spectrum takes the same path.
 
 A reference of at most DENSE_THRESHOLD unknowns is reduced once when it is
 built: one Cholesky M = U^T U, and Cij = U^-T Kij U^-1 kept as packed upper
-triangles.  A Dirichlet or Neumann image is then the standard problem
-C(S) v = lambda v with C(S) = S11 C11 + S12 C12 + S22 C22, one dense eigh
-with no sparse matrix built and nothing hashed.  Robin with sigma > 0 adds
-the reference boundary edges' mass scaled by |T t_e|, which is not linear in
-S; its images, and the images of larger references, are solved as the
-pencil (A, M): by generalized dense eigh up to the dense threshold, by
-shift-invert Lanczos above it.  The default threshold, 400 unknowns, is the
-measured crossover of the standard dense solve and shift-invert (FemOptions).
+triangles.  Every image of it, Dirichlet, Neumann or Robin, is then the
+standard problem (C(S) + U^-T B U^-1) v = lambda v with C(S) = S11 C11 +
+S12 C12 + S22 C22, one dense eigh with no sparse matrix built and nothing
+hashed.  B is the image's Robin boundary mass (zero unless sigma > 0): the
+reference boundary edges' mass scaled by sigma |T t_e| / |det T|, which S
+and sigma determine, and which lives on the boundary nodes only, so its term
+costs one triangular solve for those nodes' columns of U^-T.  Images of
+larger references are solved as the pencil (A, M) by shift-invert Lanczos.
+The default threshold, 400 unknowns, is the measured crossover of the
+standard dense solve and shift-invert (FemOptions).
 
 Each image is solved once, for a block of its BLOCK = 6 smallest
 eigenvalues (or n, if more are asked), and a call for n values reads a
@@ -37,9 +39,9 @@ pays for every value it converges (six values took 1.5 to 1.8 times as long
 as one on a 465-unknown pencil, one BLAS thread on a 2-vCPU virtual
 machine), while a dense solve costs about the same for one value as for
 six.  A small memo remembers each block: a reduced image's under its
-reference's serial number, S and the block size, a pencil's under a SHA-256
-digest of the matrices' contents, the path and the block size; the
-finite-difference Schrodinger solves share it.
+reference's serial number, S, sigma and the block size, a pencil's under
+a SHA-256 digest of the matrices' contents, the path and the block size;
+the finite-difference Schrodinger solves share it.
 """
 
 from __future__ import annotations
@@ -255,9 +257,9 @@ class _Reference:
 
     With `reduce` and at most DENSE_THRESHOLD unknowns, the reference also
     keeps U (M = U^T U) and Cij = U^-T Kij U^-1 as packed upper triangles,
-    U in `U` and the three Cij as the rows of `C`; an image is then the
-    standard problem of C(S) (`solve`).  Otherwise C and U are None.  Every
-    array is read-only, and `serial` numbers the reference among all built.
+    U in `U` and the three Cij as the rows of `C`; an image is then a
+    standard problem (`solve`).  Otherwise C and U are None.  Every array is
+    read-only, and `serial` numbers the reference among all built.
     """
 
     def __init__(self, mesh: Mesh, dirichlet: bool, reduce: bool = False):
@@ -344,30 +346,67 @@ class _Reference:
 
     def pencil(self, T: LinearMap2, bc: BoundarySpec):
         """Pencil (A, M) of the image under T, |det T| divided out: A = stiffness (+ Robin boundary mass)."""
-        s11, s12, s22 = _metric(T)
+        s11, s12, s22 = s = _metric(T)
         K11, K12, K22 = self.K
         k = s11 * K11.data + s12 * K12.data + s22 * K22.data
-        if not _linear(bc):
-            # an image edge has length |T t_e|; the boundary mass is not scaled by |det T|, so divide it out
-            h = np.linalg.norm(self.edges @ T.as_array().T, axis=1)
-            w = (bc.sigma / abs(T.det)) * h[:, None] * _EDGE_MASS
-            k += np.bincount(self.edge_slots.ravel(), weights=w.ravel(), minlength=len(k))
+        if bc.sigma:
+            k += np.bincount(self.edge_slots.ravel(), weights=self.robin_weights(s, bc.sigma).ravel(), minlength=len(k))
         return self._csr(k, self.M.indices, self.M.indptr), self.M
 
-    def reduced(self, s) -> np.ndarray:
-        """C(S) = S11 C11 + S12 C12 + S22 C22 for s = (S11, S12, S22): a new array, its upper triangle set."""
-        return lapack.dtpttr(self.dim, s @ self.C)[0]
+    def robin_weights(self, s, sigma: float) -> np.ndarray:
+        """Each boundary edge's Robin mass entries (_EDGE_MASS order) on the image with metric s, |det T| divided out.
 
-    def solve(self, s, b: int) -> np.ndarray:
-        """The b smallest eigenvalues of C(S) = S11 C11 + S12 C12 + S22 C22, for s = (S11, S12, S22).
-
-        One standard eigh of the upper triangle; each pair (lambda, v) is
-        residual-checked as the pair (lambda, U^-1 v) of the image's pencil
-        (A(S), M), so a wrong reduction fails as a wrong solve would.
+        The image edge T t has length |T t| = sqrt(t^T S^-1 t), and 1/|det T|
+        = sqrt(det S), so the weight sigma |T t| / |det T| is
+        sigma sqrt(t^T adj(S) t): S and sigma determine it.
         """
-        vals, vecs = _dense_eigh(b, self.reduced(s), lower=False, overwrite_a=True)
+        s11, s12, s22 = s
+        tx, ty = self.edges.T
+        with np.errstate(over="ignore"):  # a weight beyond double precision is inf, and the solve fails typed
+            return sigma * np.sqrt(s22 * tx * tx - 2.0 * s12 * tx * ty + s11 * ty * ty)[:, None] * _EDGE_MASS
+
+    def boundary_mass(self, s, sigma: float):
+        """The boundary nodes and B_bb, the image's Robin boundary mass B on them (B is zero elsewhere)."""
+        # each edge's ends, read off its diagonal slots and numbered among the boundary nodes
+        nodes, local = np.unique(self.M.indices[self.edge_slots[:, [0, 3]]], return_inverse=True)
+        local = local.reshape(-1, 2)
+        B = np.zeros((len(nodes), len(nodes)))
+        np.add.at(B, (local[:, [0, 0, 1, 1]], local[:, [0, 1, 0, 1]]), self.robin_weights(s, sigma))
+        return nodes, B
+
+    def reduced(self, s, sigma: float = 0.0) -> np.ndarray:
+        """C(S) + U^-T B U^-1, B the Robin boundary mass at sigma: a new array, its upper triangle set.
+
+        C(S) = S11 C11 + S12 C12 + S22 C22 for s = (S11, S12, S22).  For
+        sigma > 0 the second term is L B_bb L^T, L the boundary nodes'
+        columns of U^-T: one dtrsm.
+        """
+        a = lapack.dtpttr(self.dim, s @ self.C)[0]
+        if sigma:
+            nodes, B = self.boundary_mass(s, sigma)
+            L = blas.dtrsm(1.0, lapack.dtpttr(self.dim, self.U)[0], np.eye(self.dim)[:, nodes], trans_a=1)
+            with np.errstate(over="ignore", invalid="ignore"):  # an entry that overflows is refused by solve
+                a += L @ (B @ L.T)
+        return a
+
+    def solve(self, s, sigma: float, b: int) -> np.ndarray:
+        """The b smallest eigenvalues of the image with metric s = (S11, S12, S22) and Robin parameter sigma.
+
+        One standard eigh of the upper triangle of `reduced(s, sigma)`; each
+        pair (lambda, v) is residual-checked as the pair (lambda, U^-1 v) of
+        the image's pencil (A(S) + B, M), so a wrong reduction fails as a
+        wrong solve would.
+        """
+        a = self.reduced(s, sigma)
+        if not np.isfinite(a).all():
+            raise SolverFailure(f"reduced matrix of the image is not finite at dim={self.dim} (sigma={sigma:g})")
+        vals, vecs = _dense_eigh(b, a, lower=False, overwrite_a=True, check_finite=False)
         u = blas.dtrsm(1.0, lapack.dtpttr(self.dim, self.U)[0], vecs)
-        _check_residuals(sum(x * (K @ u) for x, K in zip(s, self.K)), self.M @ u, vals)
+        Au = sum(x * (K @ u) for x, K in zip(s, self.K))
+        if sigma:
+            nodes, B = self.boundary_mass(s, sigma)
+            Au[nodes] += B @ u[nodes]
+        _check_residuals(Au, self.M @ u, vals)
         return vals
 
 
@@ -411,11 +450,6 @@ def _metric(T: LinearMap2) -> np.ndarray:
     Ti = T.inverse().as_array()
     S = Ti @ Ti.T
     return np.array([S[0, 0], S[0, 1], S[1, 1]])
-
-
-def _linear(bc: BoundarySpec) -> bool:
-    """Whether the image's stiffness is linear in S: everything but Robin with sigma > 0."""
-    return bc.is_dirichlet or bc.is_neumann_like
 
 
 def _reference(d: DomainSpec, level: int, T: LinearMap2, dirichlet: bool) -> tuple[_Reference, LinearMap2]:
@@ -480,9 +514,7 @@ class FemOptions:
     8.8-9.7 ms at 385, 10.2-10.4 against 8.7-10.5 ms at 405, 13.7-13.9
     against 11.0-11.3 ms at 465).  References above DENSE_THRESHOLD are not
     reduced, so a larger dense_threshold solves their images as generalized
-    pencils; Robin pencils (sigma > 0) are generalized dense up to the
-    threshold, which costs more than shift-invert from about 250 unknowns on
-    (8.1-8.8 against 6.9-8.2 ms at 289).
+    pencils.
     """
 
     max_refinement: int = 5
@@ -612,8 +644,9 @@ _VALUES = _ReferenceCache(VALUE_CACHE_BYTES)
 
 def _check_residuals(KV, MV, vals):
     """Raise SolverFailure unless every K v = lambda M v holds to EIG_TOLERANCE, given KV and MV."""
-    res = np.linalg.norm(KV - MV * vals, axis=0)
-    bound = EIG_TOLERANCE * np.linalg.norm(MV, axis=0) * (1.0 + np.abs(vals))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed residual is not finite, and fails below
+        res = np.linalg.norm(KV - MV * vals, axis=0)
+        bound = EIG_TOLERANCE * np.linalg.norm(MV, axis=0) * (1.0 + np.abs(vals))
     # absolute floor guards tiny Neumann kernel values, where |lam| ~ 0; a NaN residual fails too
     bad = np.nonzero(~(res <= np.maximum(bound, EIG_TOLERANCE)))[0]
     if len(bad):
@@ -659,9 +692,9 @@ def _solve_level(d, T, bc, n, level, opts):
     ref, T = _reference(d, level, T, bc.is_dirichlet)
     if ref.dim < n:
         raise ValueError(f"level {level} mesh has only {ref.dim} degrees of freedom, need {n}")
-    if ref.C is not None and ref.dim <= opts.dense_threshold and _linear(bc):
+    if ref.C is not None and ref.dim <= opts.dense_threshold:
         s, b = _metric(T), min(max(n, BLOCK), ref.dim)
-        return memoized(("reduced", ref.serial, s.tobytes(), b), lambda: ref.solve(s, b))[:n]
+        return memoized(("reduced", ref.serial, s.tobytes(), bc.sigma, b), lambda: ref.solve(s, bc.sigma, b))[:n]
     A, M = ref.pencil(T, bc)
     return solve_eigs(A, M, n, opts.dense_threshold, neumann_like=bc.is_neumann_like)
 

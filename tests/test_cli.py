@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +281,22 @@ def test_solver_failure_exits_3(capsys, monkeypatch):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("error: residual ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    "spectrum --shape rectangle --l1 2 --l2 1 --bc robin --sigma 1e16 -n 2",  # the root is within an ulp of pi / l
+    "verify robin --shape square --map 2,0,0,1 --sigma 1e308 -n 2",  # sigma^2 overflows
+    "spectrum --shape square --bc robin --sigma 1e300 --engine fem -n 3 --levels 3",  # the residual overflows
+    "spectrum --shape square --bc robin --sigma 1e308 --engine fem -n 3 --levels 3",  # the reduced matrix does
+])
+def test_huge_robin_sigma_exits_3_with_one_line(capsys, monkeypatch, argv):
+    _fresh_caches(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would be a second line on stderr
+        code = cli.run(argv.split())
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 # numeric arguments: counts (steps, maps, eigenvalues, n_max) and FEM levels,

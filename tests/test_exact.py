@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -467,6 +468,15 @@ def _robin_roots_mpmath(l, sigma, count):
 @pytest.mark.parametrize("l", [1e6, 1e7])
 def test_long_robin_side_roots_are_accurate_relative_to_their_size(l):
     np.testing.assert_allclose(ex.robin_interval_eigs(l, 1.0, 2), _robin_roots_mpmath(l, 1.0, 2), rtol=1e-12, atol=0.0)
+
+
+def test_robin_roots_beyond_double_precision_are_numerical_failures():
+    # up to sigma = 1e14 the first root on (0, 2) still has a bracket; at 1e16 it lies within an ulp of pi / 2,
+    # and at 1e308 sigma^2 overflows
+    assert 0.0 < ex.robin_interval_eigs(2.0, 1e14, 3)[0] < (math.pi / 2.0) ** 2
+    for sigma in (1e16, 1e308):
+        with pytest.raises(ex.NumericalFailure, match=re.escape(f"k=0 of (0, 2) at sigma={sigma:g}")):
+            ex.robin_interval_eigs(2.0, sigma, 3)
 
 
 def test_robin_interval_first_root():

@@ -518,43 +518,33 @@ def _plain_eigs(K, M, n, neumann_like):
     return np.sort(vals)[:n]
 
 
-def _reduced(ref, bc) -> bool:
-    """Whether an image of ref under bc is solved on its reduced form C(S) (at the default dense threshold)."""
-    return ref.C is not None and fem._linear(bc)
-
-
 def _plain_image_eigs(ref, T, bc, n):
-    """The first n values of the unmemoized solve of an image: eigh of C(S) if reduced, else of its pencil."""
+    """The first n values of the unmemoized solve of an image: eigh of its reduced form if any, else of its pencil."""
     import scipy.linalg
 
-    if _reduced(ref, bc):
+    if ref.C is not None:
         b = _block(n, ref.dim, True)
-        return scipy.linalg.eigh(ref.reduced(fem._metric(T)), lower=False, subset_by_index=[0, b - 1])[0][:n]
+        C = ref.reduced(fem._metric(T), bc.sigma)
+        return scipy.linalg.eigh(C, lower=False, subset_by_index=[0, b - 1])[0][:n]
     A, M = ref.pencil(T, bc)
     return _plain_eigs(A, M, n, bc.is_neumann_like)
-
-
-def _path(ref, bc) -> str:
-    if _reduced(ref, bc):
-        return "reduced"
-    return "dense" if ref.dim <= fem.DENSE_THRESHOLD else "shift-invert"
 
 
 @pytest.mark.parametrize("name", list(PENCIL_DOMAINS))
 def test_cached_solve_equals_plain_eigh_and_eigsh_bit_for_bit(name, monkeypatch):
     _fresh_caches(monkeypatch)
     d, opts = PENCIL_DOMAINS[name], fem.FemOptions()
-    paths = set()
+    reduced = set()
     for level, bc, T0, ref, T in _images(d, seed=sum(map(ord, name))):
         dim = ref.dim
         ns = list(range(1, min(6, dim) + 1)) + ([dim] if dim <= 8 else [])  # n == dim: a block of dim
         for n in reversed(ns):  # n = 6 solves the block that n = 5..2 read
             got = fem._solve_level(d, T0, bc, n, level, opts)
             assert np.array_equal(got, _plain_image_eigs(ref, T, bc, n)), (name, dim, n)
-        paths.add(_path(ref, bc))
-    assert {"reduced", "dense"} <= paths  # Robin images up to the threshold are dense generalized pencils
-    if name in ("hexagon", "disk"):
-        assert "shift-invert" in paths
+        # every image of at most DENSE_THRESHOLD unknowns is reduced, whatever its condition; larger ones shift-invert
+        assert (ref.C is not None) == (dim <= fem.DENSE_THRESHOLD), (name, level, bc.kind)
+        reduced.add(ref.C is not None)
+    assert reduced == ({True, False} if name in ("hexagon", "disk") else {True})
 
 
 def test_small_dense_pencils_equal_eigh():
@@ -590,34 +580,57 @@ def test_cached_solve_does_not_depend_on_call_order(monkeypatch):
 # reduced references: one Cholesky per reference, one standard eigh per image
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", ["equilateral", "square", "hexagon", "disk"])
-def test_reduced_solve_matches_generalized_eigh(name):
+def _assert_reduced_matches_generalized(ref, T, bc):
+    """The reduced solve of the image T of ref equals the generalized eigh of its pencil, to backward stability."""
     import scipy.linalg
 
+    s, b = fem._metric(T), min(6, ref.dim)
+    A, M = ref.pencil(T, bc)
+    want = scipy.linalg.eigh(A.toarray(), M.toarray(), subset_by_index=[0, b - 1])[0]
+    C = ref.reduced(s, bc.sigma)
+    got = ref.solve(s, bc.sigma, b)
+    first = 0
+    if bc.is_neumann_like:  # the kernel value is roundoff
+        assert abs(got[0] - want[0]) <= 1e-9
+        first = 1
+    # both solves are backward stable: small values of strongly stretched images agree only to
+    # a few eps ||C(S) + U^-T B U^-1||, the largest eigenvalue of the whole discrete spectrum
+    norm = scipy.linalg.eigh(C, lower=False, eigvals_only=True, subset_by_index=[ref.dim - 1] * 2)[0]
+    np.testing.assert_allclose(got[first:], want[first:], rtol=1e-12, atol=16 * np.finfo(float).eps * norm)
+
+
+@pytest.mark.parametrize("name", ["equilateral", "square", "hexagon", "disk"])
+def test_reduced_solve_matches_generalized_eigh(name):
     d = PENCIL_DOMAINS[name]
     reduced = 0
     for level in (2, 3, 4):
-        for bc in (ex.DIRICHLET, ex.NEUMANN):
+        for bc in (ex.DIRICHLET, ex.NEUMANN, ex.robin(1.0)):
             for T in _seeded_maps(31 + level, 4):  # det > 0 and det < 0, alternating
                 ref, T = fem._reference(d, level, T, bc.is_dirichlet)
                 if ref.C is None:
                     assert ref.dim > fem.DENSE_THRESHOLD
                     continue
-                b = min(6, ref.dim)
-                A, M = ref.pencil(T, bc)
-                want = scipy.linalg.eigh(A.toarray(), M.toarray(), subset_by_index=[0, b - 1])[0]
-                C = ref.reduced(fem._metric(T))
-                got = ref.solve(fem._metric(T), b)
-                first = 0
-                if bc.is_neumann_like:  # the kernel value is roundoff
-                    assert abs(got[0] - want[0]) <= 1e-9
-                    first = 1
-                # both solves are backward stable: small values of strongly stretched images agree only to
-                # a few eps ||C(S)||, the largest eigenvalue of the whole discrete spectrum
-                norm = scipy.linalg.eigh(C, lower=False, eigvals_only=True, subset_by_index=[ref.dim - 1] * 2)[0]
-                np.testing.assert_allclose(got[first:], want[first:], rtol=1e-12, atol=16 * np.finfo(float).eps * norm)
+                _assert_reduced_matches_generalized(ref, T, bc)
                 reduced += 1
-    assert reduced >= (2 if name == "disk" else 16)  # the disk: its level-2 Dirichlet images only
+    assert reduced >= (2 if name == "disk" else 24)  # the disk: its level-2 Dirichlet images only
+
+
+@pytest.mark.parametrize("level", [3, 4])
+def test_reduced_robin_matches_generalized_eigh_across_sigma(level, monkeypatch):
+    _fresh_caches(monkeypatch)
+    T0, d = g.LinearMap2(1.2, 0.3, 0.0, 0.9), g.equilateral_triangle()
+    ref, T = fem._reference(d, level, T0, False)
+    assert ref.C is not None
+    for sigma in (1e-3, 1.0, 1e3, 1e5, 1e7):
+        _assert_reduced_matches_generalized(ref, T, ex.robin(sigma))
+    # at sigma = 1e8 the residual check fails on either route: a typed failure, and nothing remembered
+    opts = fem.FemOptions(max_refinement=level)
+    for _ in range(2):
+        with pytest.raises(fem.SolverFailure, match="residual"):
+            fem._solve_level(d, T0, ex.robin(1e8), 3, level, opts)
+        with pytest.raises(fem.SolverFailure, match="residual"):
+            fem.solve_eigs(*ref.pencil(T, ex.robin(1e8)), 3)
+    assert len(fem._VALUES._entries) == 0
 
 
 def test_reduced_values_do_not_depend_on_call_order(monkeypatch):
@@ -641,19 +654,27 @@ def test_reduced_values_do_not_depend_on_call_order(monkeypatch):
 
 
 def test_reduced_image_is_solved_once_per_block(monkeypatch):
+    from eigenplane import experiments as xp
+
     _fresh_caches(monkeypatch)
     solved = _count_solves(monkeypatch)
     opts = fem.FemOptions(max_refinement=4)
     maps = _seeded_maps(43, 4)
-    for bc in (ex.DIRICHLET, ex.NEUMANN):
+    for bc in (ex.DIRICHLET, ex.NEUMANN, ex.robin(1.0)):
         for n in range(1, 7):
             for T in maps:
                 fem.spectrum_fem(g.square(1.0), bc, n, opts, T)
-    # two levels, two conditions, four maps: one standard solve of six values each, and no pencil
-    assert len(solved) == 16 and len({key for key, _ in solved}) == 16
+    # two levels, three conditions, four maps: one standard solve of six values each, and no pencil
+    assert len(solved) == 24
+    for d in (g.square(1.0), g.equilateral_triangle()):
+        for n in range(1, 7):
+            for T in maps:
+                xp.verify_robin_bound(d, T, 1.0, n, opts)
+    # two levels of four Robin images of each domain, and of the triangle itself (the square's side is exact)
+    assert len(solved) == 24 + 18 and len({key for key, _ in solved}) == 24 + 18
     assert all(key[0] == "reduced" and b == 6 for key, b in solved)
     fem.spectrum_fem(g.square(1.0), ex.NEUMANN, 7, opts, maps[0])  # a block of seven is another entry
-    assert [b for _, b in solved[16:]] == [7, 7]
+    assert [b for _, b in solved[42:]] == [7, 7]
 
 
 def test_corrupted_reduction_fails_typed_and_is_not_memoized(monkeypatch):
@@ -697,9 +718,12 @@ def test_dense_eigensolver_failures_are_typed_and_not_memoized(monkeypatch):
 
     monkeypatch.setattr(fem.scipy.linalg, "eigh", fail)
     d, T, opts = g.square(1.0), _seeded_maps(59, 1)[0], fem.FemOptions(max_refinement=3)
-    for bc in (ex.DIRICHLET, ex.robin(1.0)):  # the reduced image, then a generalized dense pencil
+    for bc in (ex.DIRICHLET, ex.robin(1.0)):  # reduced images
         with pytest.raises(fem.SolverFailure, match="dense eigensolve failed"):
             fem._solve_level(d, T, bc, 2, 3, opts)
+    ref, T = fem._reference(d, 3, T, False)
+    with pytest.raises(fem.SolverFailure, match="dense eigensolve failed"):  # a generalized dense pencil
+        fem.solve_eigs(*ref.pencil(T, ex.robin(1.0)), 2)
     assert len(fem._VALUES._entries) == 0
 
 
@@ -710,12 +734,32 @@ def test_reduced_solves_compute_no_digest(monkeypatch):
     digests = []
     sha256 = fem.hashlib.sha256
     monkeypatch.setattr(fem.hashlib, "sha256", lambda *a: digests.append(1) or sha256(*a))
-    for d in (g.equilateral_triangle(), g.square(1.0)):  # criterion 7's domains and levels
-        for bc in (ex.DIRICHLET, ex.NEUMANN):
-            for T in _seeded_maps(53, 2):
-                for n in (1, 6):
-                    xp.verify_linear_map_bound(d, T, bc, n, fem.FemOptions(max_refinement=4))
+    opts = fem.FemOptions(max_refinement=4)
+    for d in (g.equilateral_triangle(), g.square(1.0)):  # criterion 7's and criterion 8's domains and levels
+        for T in _seeded_maps(53, 2):
+            for n in (1, 6):
+                for bc in (ex.DIRICHLET, ex.NEUMANN):
+                    xp.verify_linear_map_bound(d, T, bc, n, opts)
+                xp.verify_robin_bound(d, T, 1.0, n, opts)
     assert digests == []
+
+
+def test_no_image_up_to_the_dense_threshold_is_solved_as_a_generalized_pencil(monkeypatch):
+    _fresh_caches(monkeypatch)
+    calls = []
+    eigh = fem.scipy.linalg.eigh
+
+    def counting(a, b=None, **kwargs):
+        calls.append(b is not None)
+        return eigh(a, b, **kwargs)
+
+    monkeypatch.setattr(fem.scipy.linalg, "eigh", counting)
+    small = 0
+    for name, d in PENCIL_DOMAINS.items():
+        for level, bc, T, ref, _ in _images(d, seed=61):  # Dirichlet, Neumann and Robin, levels 1-4
+            fem._solve_level(d, T, bc, min(6, ref.dim), level, fem.FemOptions())
+            small += ref.dim <= fem.DENSE_THRESHOLD
+    assert calls.count(True) == 0 and calls.count(False) == small > 40
 
 
 # ---------------------------------------------------------------------------
@@ -835,7 +879,7 @@ def test_value_memo_stays_within_its_byte_bound_under_threads(monkeypatch):
     import threading
 
     d, opts = g.square(1.0), fem.FemOptions()
-    images = _images(d, seed=9, levels=(2, 3))  # reduced Dirichlet and Neumann images, dense Robin pencils
+    images = _images(d, seed=9, levels=(2, 3))  # reduced Dirichlet, Neumann and Robin images
     want = [[_plain_image_eigs(ref, T, bc, n) for n in range(1, 7)] for _, bc, _, ref, T in images]
     memo = fem._ReferenceCache(8 * 24)  # room for four blocks of six: entries are evicted and solved again
     monkeypatch.setattr(fem, "_VALUES", memo)
