@@ -9,6 +9,13 @@ complete with no cutoff, and it evaluates only the cells next to those it has
 already taken.  More than MAX_EIGENVALUES values are refused up front.  Each
 Bessel zero is solved once, into a grow-only table per order shared by all
 callers, on a bracket that does not depend on how many zeros were asked for.
+
+Every bracketed root (Bessel zeros, 1D Robin roots) is solved by _brentq, a
+line-for-line port of Brent's zeroin (R. P. Brent, Algorithms for
+Minimization without Derivatives, 1973, ch. 4) as scipy's C brentq
+(scipy/optimize/Zeros/brentq.c) implements it, so the roots equal scipy's
+bit for bit without importing scipy.optimize.  scipy.special is imported
+only when a Bessel zero is first solved.
 """
 
 from __future__ import annotations
@@ -131,6 +138,56 @@ class BesselZeroRequest:
 
 _BRENTQ_KW = dict(xtol=1e-13, rtol=8.9e-16, maxiter=200)
 
+
+def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """A root of f in [a, b], where f(a) and f(b) differ in sign, to xtol + rtol |x|.
+
+    Brent's zeroin, step for step as scipy.optimize.brentq: the same
+    evaluations in the same order and the same IEEE double arithmetic, so the
+    same float.  A bracket without a sign change, or maxiter iterations
+    without convergence, raises NumericalFailure.
+    """
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise NumericalFailure(f"f({xpre!r}) and f({xcur!r}) have the same sign: no root is bracketed")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                try:
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                except ZeroDivisionError:  # C's inf or nan, which never passes the test below
+                    stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise NumericalFailure(f"no root converged in {maxiter} iterations on [{a!r}, {b!r}]; last {xcur!r}")
+
 # (m, derivative) -> the first zeros of J_m (or J_m') found so far.  Tables only
 # grow, and zero p is always solved on the same bracket, so each zero is solved
 # once and its value never depends on how many zeros were asked for.
@@ -154,7 +211,6 @@ def _zero(m: int, p: int, derivative: bool = False) -> float:
         table = _ZEROS.setdefault((m, derivative), [])
         if len(table) >= p:
             return table[p - 1]
-        from scipy.optimize import brentq
         from scipy.special import jv, jvp
 
         # J_m's first p zeros need p + m - k zeros of each lower order k;
@@ -164,7 +220,7 @@ def _zero(m: int, p: int, derivative: bool = False) -> float:
             if k > 0:
                 below = _ZEROS[(k - 1, False)]
                 for i in range(len(zs), want):
-                    zs.append(brentq(lambda t: jv(k, t), below[i], below[i + 1], **_BRENTQ_KW))
+                    zs.append(_brentq(lambda t: jv(k, t), below[i], below[i + 1], **_BRENTQ_KW))
             elif len(zs) < want:
                 # resume the scan at the unit step after the last zero found
                 x = math.floor(zs[-1]) + 1.0 if zs else 2.0
@@ -175,12 +231,12 @@ def _zero(m: int, p: int, derivative: bool = False) -> float:
                     if fx == 0.0:
                         zs.append(x)
                     elif fx * fx2 < 0:
-                        zs.append(brentq(lambda t: jv(0, t), x, x2, **_BRENTQ_KW))
+                        zs.append(_brentq(lambda t: jv(0, t), x, x2, **_BRENTQ_KW))
                     x, fx = x2, fx2
         if derivative:
             brackets = [float(m)] + _ZEROS[(m, False)]
             for i in range(len(table), p):
-                table.append(brentq(lambda t: jvp(m, t), brackets[i], brackets[i + 1], **_BRENTQ_KW))
+                table.append(_brentq(lambda t: jvp(m, t), brackets[i], brackets[i + 1], **_BRENTQ_KW))
         return table[p - 1]
 
 
@@ -322,8 +378,6 @@ def robin_interval_eigs(l: float, sigma: float, count: int) -> np.ndarray:
 
 def _robin_roots(l: float, sigma: float, start: int, stop: int) -> list[float]:
     """Robin roots rho_k of (0, l) for start <= k < stop (sigma > 0), each bracketed on its own."""
-    from scipy.optimize import brentq
-
     def f(w: float) -> float:
         return (w * w - sigma * sigma) * math.sin(w * l) - 2.0 * sigma * w * math.cos(w * l)
 
@@ -341,6 +395,6 @@ def _robin_roots(l: float, sigma: float, start: int, stop: int) -> list[float]:
             raise NumericalFailure(f"no bracket holds the Robin root k={k} of (0, {l:g}) at sigma={sigma:g}: "
                                    f"sigma is too large for double precision")
         # below 1 the absolute tolerance shrinks with the bracket, keeping small roots accurate relative to their size
-        w = brentq(f, a, b, **{**_BRENTQ_KW, "xtol": _BRENTQ_KW["xtol"] * min(1.0, hi)})
+        w = _brentq(f, a, b, **{**_BRENTQ_KW, "xtol": _BRENTQ_KW["xtol"] * min(1.0, hi)})
         out.append(w * w)
     return out

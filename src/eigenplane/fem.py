@@ -42,6 +42,11 @@ six.  A small memo remembers each block: a reduced image's under its
 reference's serial number, S, sigma and the block size, a pencil's under
 a SHA-256 digest of the matrices' contents, the path and the block size;
 the finite-difference Schrodinger solves share it.
+
+scipy is imported by the functions that build sparse matrices or solve,
+when they first run: scipy.linalg by the reductions and dense solves,
+scipy.sparse by assembly, and scipy.sparse.linalg by shift-invert only.
+An image whose values the memo holds imports nothing.
 """
 
 from __future__ import annotations
@@ -54,10 +59,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sparse
-import scipy.sparse.linalg as splinalg
-from scipy.linalg import blas, lapack
 
 from .exact import BoundarySpec, NumericalFailure, Spectrum
 from .geometry import DomainSpec, Ellipse, LinearMap2, Polygon, orient
@@ -313,6 +314,8 @@ class _Reference:
         dpotrf or dsygst, which read and write its upper triangle only, and
         packed; one dim x dim array besides U lives at a time.
         """
+        from scipy.linalg import lapack
+
         n = self.dim
 
         def dense(data):
@@ -341,17 +344,23 @@ class _Reference:
 
     @staticmethod
     def _csr(data, indices, indptr):
+        from scipy import sparse
+
         n = len(indptr) - 1
         return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
 
     def pencil(self, T: LinearMap2, bc: BoundarySpec):
         """Pencil (A, M) of the image under T, |det T| divided out: A = stiffness (+ Robin boundary mass)."""
-        s11, s12, s22 = s = _metric(T)
+        return self.stiffness(_metric(T), bc.sigma), self.M
+
+    def stiffness(self, s, sigma: float):
+        """A of the image with metric s = (S11, S12, S22) and Robin parameter sigma, on M's pattern."""
+        s11, s12, s22 = s
         K11, K12, K22 = self.K
         k = s11 * K11.data + s12 * K12.data + s22 * K22.data
-        if bc.sigma:
-            k += np.bincount(self.edge_slots.ravel(), weights=self.robin_weights(s, bc.sigma).ravel(), minlength=len(k))
-        return self._csr(k, self.M.indices, self.M.indptr), self.M
+        if sigma:
+            k += np.bincount(self.edge_slots.ravel(), weights=self.robin_weights(s, sigma).ravel(), minlength=len(k))
+        return self._csr(k, self.M.indices, self.M.indptr)
 
     def robin_weights(self, s, sigma: float) -> np.ndarray:
         """Each boundary edge's Robin mass entries (_EDGE_MASS order) on the image with metric s, |det T| divided out.
@@ -381,6 +390,8 @@ class _Reference:
         sigma > 0 the second term is L B_bb L^T, L the boundary nodes'
         columns of U^-T: one dtrsm.
         """
+        from scipy.linalg import blas, lapack
+
         a = lapack.dtpttr(self.dim, s @ self.C)[0]
         if sigma:
             nodes, B = self.boundary_mass(s, sigma)
@@ -397,16 +408,14 @@ class _Reference:
         the image's pencil (A(S) + B, M), so a wrong reduction fails as a
         wrong solve would.
         """
+        from scipy.linalg import blas, lapack
+
         a = self.reduced(s, sigma)
         if not np.isfinite(a).all():
             raise SolverFailure(f"reduced matrix of the image is not finite at dim={self.dim} (sigma={sigma:g})")
         vals, vecs = _dense_eigh(b, a, lower=False, overwrite_a=True, check_finite=False)
         u = blas.dtrsm(1.0, lapack.dtpttr(self.dim, self.U)[0], vecs)
-        Au = sum(x * (K @ u) for x, K in zip(s, self.K))
-        if sigma:
-            nodes, B = self.boundary_mass(s, sigma)
-            Au[nodes] += B @ u[nodes]
-        _check_residuals(Au, self.M @ u, vals)
+        _check_residuals(self.stiffness(s, sigma), self.M, u, vals)
         return vals
 
 
@@ -495,6 +504,11 @@ def assemble(mesh: Mesh, bc: BoundarySpec):
 DENSE_THRESHOLD = 400
 #: Relative (and, near a zero eigenvalue, absolute) residual every eigenpair must meet.
 EIG_TOLERANCE = 1e-8
+#: Residual allowed per unit ||K||_inf |v| on top of EIG_TOLERANCE: the roundoff of a backward-stable solve.
+#: Solves of Robin images (levels 1-4, sigma up to 1e14) left up to 10 eps.
+ROUNDOFF = 16 * np.finfo(float).eps
+#: The loosest relative residual accepted, however large the roundoff term.
+MAX_TOLERANCE = 1e-6
 #: Eigenvalues solved per pencil: one solve serves the partial sums n = 1..6 of the paper's bounds.
 BLOCK = 6
 #: Bytes of eigenvalues remembered between calls (4096 values); each entry's key and array add ~400 bytes more.
@@ -571,6 +585,9 @@ def _solve_block(K, M, b: int, dense: bool, neumann_like: bool) -> np.ndarray:
     if dense:
         vals, vecs = _dense_eigh(b, _dense(K), _dense(M))
     else:
+        from scipy import sparse
+        from scipy.sparse import linalg as splinalg
+
         sigma = 1e-8 * float(K.diagonal().sum()) / dim if neumann_like else 0.0
         try:
             vals, vecs = splinalg.eigsh(
@@ -581,14 +598,16 @@ def _solve_block(K, M, b: int, dense: bool, neumann_like: bool) -> np.ndarray:
             raise SolverFailure(f"shift-invert iteration failed at dim={dim}, n={b}: {exc}") from exc
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-    _check_residuals(K @ vecs, M @ vecs, vals)
+    _check_residuals(K, M, vecs, vals)
     return vals
 
 
 def _dense_eigh(b: int, *args, **kwargs):
     """scipy.linalg.eigh(*args, subset_by_index=[0, b - 1], **kwargs), its LAPACK failures raised as SolverFailure."""
+    from scipy.linalg import eigh
+
     try:
-        return scipy.linalg.eigh(*args, subset_by_index=[0, b - 1], **kwargs)
+        return eigh(*args, subset_by_index=[0, b - 1], **kwargs)
     except np.linalg.LinAlgError as exc:  # no convergence, or a mass matrix that is not positive definite
         raise SolverFailure(f"dense eigensolve failed at dim={args[0].shape[0]}, n={b}: {exc}") from exc
 
@@ -627,11 +646,15 @@ def memoized(key, solve) -> np.ndarray:
 
 def _dense(A):
     """A as a new dense float array, never the caller's own."""
+    from scipy import sparse
+
     return A.toarray() if sparse.issparse(A) else np.array(A, dtype=float)
 
 
 def _matrix_arrays(A) -> tuple:
     """A's storage and the arrays that, with its shape, determine A: CSC's or CSR's three, or the dense array."""
+    from scipy import sparse
+
     if sparse.issparse(A):
         if A.format != "csc":
             A = A.tocsr()
@@ -642,13 +665,36 @@ def _matrix_arrays(A) -> tuple:
 _VALUES = _ReferenceCache(VALUE_CACHE_BYTES)
 
 
-def _check_residuals(KV, MV, vals):
-    """Raise SolverFailure unless every K v = lambda M v holds to EIG_TOLERANCE, given KV and MV."""
+def _inf_norm(A) -> float:
+    """max_i sum_j |A_ij|, which bounds the 2-norm of a symmetric A."""
+    from scipy import sparse
+
+    if not sparse.issparse(A):
+        return float(np.abs(A).sum(axis=1).max())
+    A = A.tocsr()
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    return float(np.bincount(rows, weights=np.abs(A.data), minlength=A.shape[0]).max())
+
+
+def _check_residuals(K, M, vecs, vals):
+    """Raise SolverFailure unless every pair (lambda, v) meets |K v - lambda M v| <= its bound.
+
+    The bound is EIG_TOLERANCE r plus the roundoff that a backward-stable
+    solve leaves, ROUNDOFF ||K||_inf |v|, but at most MAX_TOLERANCE r, where
+    r = |M v| (1 + |lambda|), and at least EIG_TOLERANCE.  The roundoff term matters only where ||K|| is
+    large against M, as under Robin with a large sigma (||K|| grows like
+    sigma), where EIG_TOLERANCE alone refuses correct pairs; the cap refuses
+    the pairs whose values roundoff may have moved by more than about
+    MAX_TOLERANCE.
+    """
+    KV, MV = K @ vecs, M @ vecs
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed residual is not finite, and fails below
         res = np.linalg.norm(KV - MV * vals, axis=0)
-        bound = EIG_TOLERANCE * np.linalg.norm(MV, axis=0) * (1.0 + np.abs(vals))
-    # absolute floor guards tiny Neumann kernel values, where |lam| ~ 0; a NaN residual fails too
-    bad = np.nonzero(~(res <= np.maximum(bound, EIG_TOLERANCE)))[0]
+        r = np.linalg.norm(MV, axis=0) * (1.0 + np.abs(vals))
+        roundoff = ROUNDOFF * _inf_norm(K) * np.linalg.norm(vecs, axis=0)
+        # the absolute floor guards tiny Neumann kernel values, where |lam| ~ 0
+        bound = np.maximum(np.minimum(EIG_TOLERANCE * r + roundoff, MAX_TOLERANCE * r), EIG_TOLERANCE)
+    bad = np.nonzero(~(res <= bound))[0]  # a NaN residual fails too
     if len(bad):
         i = bad[0]
         raise SolverFailure(

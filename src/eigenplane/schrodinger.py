@@ -20,6 +20,7 @@ Schrodinger bound is solved once for all maps, and a map that leaves W
 unchanged (a quarter turn of a radial potential) reuses it too.  The solve
 is deterministic, so a remembered value equals a cold _fd_eigs bit for bit.
 Grids above MAX_GRID_POINTS per side are refused before any work.
+scipy.sparse is imported by the grid solve, when one first runs.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
-import scipy.sparse.linalg as splinalg
 
 from .exact import NumericalFailure, Spectrum
 from .fem import SolverFailure, content_key, memoized
@@ -130,6 +129,9 @@ class GridSpec:
 
 
 def _fd_eigs(W: PotentialSpec, h: float, n: int, L: float, points: int) -> np.ndarray:
+    from scipy import sparse
+    from scipy.sparse import linalg as splinalg
+
     x = np.linspace(-L, L, points)
     dx = x[1] - x[0]
     xi = x[1:-1]

@@ -283,6 +283,28 @@ def test_solver_failure_exits_3(capsys, monkeypatch):
     assert err.startswith("error: residual ") and err.count("\n") == 1
 
 
+def test_large_robin_sigma_fem_spectrum_passes_its_residual_check(capsys, monkeypatch):
+    # the roundoff of the dense solves grows like sigma; at 1e8 it is still far below the reported error
+    _fresh_caches(monkeypatch)
+    base = "spectrum --shape square --bc robin --sigma 1e8 --engine fem -n 3 --levels".split()
+    rows = []
+    for levels in ("4", "6"):
+        assert cli.run(base + [levels]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows.append(np.array([[float(x) for x in ln.split(",")[1:4:2]] for ln in captured.out.splitlines()[2:]]))
+    (coarse, coarse_err), (fine, fine_err) = (r.T for r in rows)
+    assert np.all(np.abs(coarse - fine) <= coarse_err + fine_err)
+
+
+def test_strongly_stretched_neumann_image_passes_its_residual_check(capsys, monkeypatch):
+    # ||K|| grows like ||S|| ~ 1e5, and the roundoff of the kernel value's pair with it
+    _fresh_caches(monkeypatch)
+    assert cli.run("verify theorem1 --shape equilateral --map 1,0.3,0,0.002 --bc neumann -n 2".split()) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and json.loads(captured.out.splitlines()[-1])["holds"]
+
+
 @pytest.mark.parametrize("argv", [
     "spectrum --shape rectangle --l1 2 --l2 1 --bc robin --sigma 1e16 -n 2",  # the root is within an ulp of pi / l
     "verify robin --shape square --map 2,0,0,1 --sigma 1e308 -n 2",  # sigma^2 overflows
@@ -410,13 +432,30 @@ def test_fem_options_are_read_when_any_spectrum_comes_from_fem(capsys):
     assert len(recs) == 2 and all(r["inputs"]["lhs_method"] == "fem" for r in recs)
 
 
-def test_cli_import_leaves_scipy_special_and_optimize_unloaded():
+def _scipy_modules_loaded(argv):
+    """The scipy modules that a fresh interpreter holds after importing eigenplane.cli and running argv, if any."""
     import subprocess
     import sys
 
-    code = "import sys, eigenplane.cli; print(sorted({'scipy.special', 'scipy.optimize'} & set(sys.modules)))"
+    run = "" if argv is None else f"cli.run({argv!r}); "
+    code = (f"import sys, eigenplane.cli as cli; {run}"
+            "print(*sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')), file=sys.stderr)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout == "[]\n"
+    return set(out.stderr.split())
+
+
+def test_cli_import_leaves_scipy_special_and_optimize_unloaded():
+    assert _scipy_modules_loaded(None) == set()  # nor any other part of scipy
+
+
+def test_moments_load_no_scipy():
+    assert _scipy_modules_loaded(["moments", "--shape", "square"]) == set()
+
+
+def test_exact_disk_spectrum_loads_scipy_special_alone():
+    loaded = _scipy_modules_loaded(["spectrum", "--shape", "disk", "--engine", "exact", "-n", "200"])
+    assert "scipy.special" in loaded
+    assert not {m for m in loaded if m.split(".")[:2] in (["scipy", "optimize"], ["scipy", "linalg"], ["scipy", "sparse"])}
 
 
 def _leaves(parser, path=()):

@@ -120,17 +120,15 @@ def _assert_tables_sorted(tables):
 
 
 def test_each_bessel_zero_is_solved_once(monkeypatch):
-    import scipy.optimize
-
     calls = []
-    brentq = scipy.optimize.brentq
+    brentq = ex._brentq
 
     def counting(f, a, b, **kw):
         calls.append((a, b))
         return brentq(f, a, b, **kw)
 
     monkeypatch.setattr(ex, "_ZEROS", {})
-    monkeypatch.setattr(scipy.optimize, "brentq", counting)
+    monkeypatch.setattr(ex, "_brentq", counting)
     ex.disk_spectrum(1.0, ex.DIRICHLET, 500)
     ex.disk_spectrum(1.0, ex.NEUMANN, 500)
     entries = sum(len(zeros) for zeros in ex._ZEROS.values())
@@ -196,6 +194,58 @@ def test_high_order_bessel_zeros_need_no_recursion():
     from scipy.special import jv
 
     assert jv(150, j150 * (1 - 1e-12)) * jv(150, j150 * (1 + 1e-12)) < 0
+
+
+# ---------------------------------------------------------------------------
+# the Brent root-finder: a port of scipy's brentq, equal to it bit for bit
+# ---------------------------------------------------------------------------
+
+def _brent_cases():
+    """(f, a, b, keywords) over seeded brackets of J_m and J_m' zeros and of Robin roots."""
+    from scipy.special import jv, jvp
+
+    rng = np.random.default_rng(19)
+    for m in [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 120, 150]:
+        for derivative in (False, True):
+            f = (lambda t, m=m: jvp(m, t)) if derivative else (lambda t, m=m: jv(m, t))
+            for p in (1, 2, 5, 9):
+                z = ex.bessel_zero(ex.BesselZeroRequest(m, p, derivative))
+                # each side at most 0.3 of the gap to the neighbouring zeros, so the bracket holds z alone
+                a, b = z - rng.uniform(1e-3, 0.3), z + rng.uniform(1e-3, 0.3)
+                yield f, a, b, ex._BRENTQ_KW
+    for sigma in np.logspace(-2, 14, 33):
+        for l in (0.3, 1.0, 7.0):
+            def f(w, s=float(sigma), l=l):
+                return (w * w - s * s) * math.sin(w * l) - 2.0 * s * w * math.cos(w * l)
+
+            for k in range(4):
+                lo, hi = k * math.pi / l, (k + 1) * math.pi / l
+                a, b = lo + rng.uniform(1e-13, 1e-9), hi - rng.uniform(1e-13, 1e-9)
+                if f(a) * f(b) < 0:
+                    yield f, a, b, {**ex._BRENTQ_KW, "xtol": 1e-13 * min(1.0, hi)}
+
+
+def test_brent_port_equals_scipy_brentq_bit_for_bit():
+    from scipy.optimize import brentq
+
+    cases = list(_brent_cases())
+    assert len(cases) > 400
+    for f, a, b, kw in cases:
+        got = ex._brentq(f, a, b, **kw)
+        assert type(got) is float
+        assert got == brentq(f, a, b, **kw), (a, b, kw)
+
+
+def test_brent_port_edge_cases():
+    f = lambda x: x - 1.0  # noqa: E731
+    for a, b in [(1.0, 3.0), (-2.0, 1.0)]:  # a zero exactly at an endpoint is returned as is
+        assert ex._brentq(f, a, b, **ex._BRENTQ_KW) == 1.0
+    with pytest.raises(ex.NumericalFailure, match="same sign"):
+        ex._brentq(f, 2.0, 3.0, **ex._BRENTQ_KW)
+    with pytest.raises(ex.NumericalFailure, match="no root converged in 3 iterations"):
+        ex._brentq(math.cos, 0.0, 3.0, xtol=1e-13, rtol=8.9e-16, maxiter=3)
+    assert type(ex._brentq(math.cos, 0.0, 3.0, **ex._BRENTQ_KW)) is float
+    assert type(ex._brentq(lambda x: np.float64(x) - 0.5, np.float64(0.0), np.float64(1.0), **ex._BRENTQ_KW)) is float
 
 
 # ---------------------------------------------------------------------------

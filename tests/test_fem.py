@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sparse
+import scipy.sparse.linalg as splinalg
 
 from eigenplane import exact as ex
 from eigenplane import fem
@@ -504,9 +506,6 @@ def _block(n, dim, dense):
 
 def _plain_eigs(K, M, n, neumann_like):
     """The first n values of the unmemoized block solve: eigh on the dense path, eigsh above it."""
-    import scipy.linalg
-    import scipy.sparse.linalg as splinalg
-
     dim = K.shape[0]
     dense = dim <= fem.DENSE_THRESHOLD
     b = _block(n, dim, dense)
@@ -520,8 +519,6 @@ def _plain_eigs(K, M, n, neumann_like):
 
 def _plain_image_eigs(ref, T, bc, n):
     """The first n values of the unmemoized solve of an image: eigh of its reduced form if any, else of its pencil."""
-    import scipy.linalg
-
     if ref.C is not None:
         b = _block(n, ref.dim, True)
         C = ref.reduced(fem._metric(T), bc.sigma)
@@ -548,8 +545,6 @@ def test_cached_solve_equals_plain_eigh_and_eigsh_bit_for_bit(name, monkeypatch)
 
 
 def test_small_dense_pencils_equal_eigh():
-    import scipy.linalg
-
     rng = np.random.default_rng(4)
     for dim in (1, 2, 3, 7):
         a, b = rng.standard_normal((2, dim, dim))
@@ -582,8 +577,6 @@ def test_cached_solve_does_not_depend_on_call_order(monkeypatch):
 
 def _assert_reduced_matches_generalized(ref, T, bc):
     """The reduced solve of the image T of ref equals the generalized eigh of its pencil, to backward stability."""
-    import scipy.linalg
-
     s, b = fem._metric(T), min(6, ref.dim)
     A, M = ref.pencil(T, bc)
     want = scipy.linalg.eigh(A.toarray(), M.toarray(), subset_by_index=[0, b - 1])[0]
@@ -621,21 +614,35 @@ def test_reduced_robin_matches_generalized_eigh_across_sigma(level, monkeypatch)
     T0, d = g.LinearMap2(1.2, 0.3, 0.0, 0.9), g.equilateral_triangle()
     ref, T = fem._reference(d, level, T0, False)
     assert ref.C is not None
-    for sigma in (1e-3, 1.0, 1e3, 1e5, 1e7):
+    for sigma in (1e-3, 1.0, 1e3, 1e5, 1e7, 1e8):
         _assert_reduced_matches_generalized(ref, T, ex.robin(sigma))
-    # at sigma = 1e8 the residual check fails on either route: a typed failure, and nothing remembered
+    # at sigma = 1e12 roundoff moves the values by more than MAX_TOLERANCE, and the residual check
+    # fails on either route: a typed failure, and nothing remembered
     opts = fem.FemOptions(max_refinement=level)
     for _ in range(2):
         with pytest.raises(fem.SolverFailure, match="residual"):
-            fem._solve_level(d, T0, ex.robin(1e8), 3, level, opts)
+            fem._solve_level(d, T0, ex.robin(1e12), 3, level, opts)
         with pytest.raises(fem.SolverFailure, match="residual"):
-            fem.solve_eigs(*ref.pencil(T, ex.robin(1e8)), 3)
+            fem.solve_eigs(*ref.pencil(T, ex.robin(1e12)), 3)
     assert len(fem._VALUES._entries) == 0
 
 
-def test_reduced_values_do_not_depend_on_call_order(monkeypatch):
-    import scipy.linalg
+@pytest.mark.parametrize("sigma", [0.0, 1e8])
+@pytest.mark.parametrize("level", [3, 4])
+def test_residual_check_refuses_values_moved_by_one_part_in_a_million(sigma, level):
+    # the roundoff term of the bound grows like sigma, yet stays below a 1e-6 relative error at sigma = 1e8
+    bc = ex.robin(sigma)
+    A, M = fem._reference(g.square(1.0), level, g.LinearMap2.identity(), False)[0].pencil(g.LinearMap2.identity(), bc)
+    vals, vecs = scipy.linalg.eigh(A.toarray(), M.toarray(), subset_by_index=[0, 5])
+    fem._check_residuals(A, M, vecs, vals)
+    for i in range(1, 6):  # every value but the Neumann kernel's, whose bound is absolute
+        moved = vals.copy()
+        moved[i] *= 1.0 + 1e-6
+        with pytest.raises(fem.SolverFailure, match="residual"):
+            fem._check_residuals(A, M, vecs, moved)
 
+
+def test_reduced_values_do_not_depend_on_call_order(monkeypatch):
     opts = fem.FemOptions(max_refinement=4)
     for d, bc in ((g.square(1.0), ex.NEUMANN), (g.equilateral_triangle(), ex.DIRICHLET)):
         for T0 in _seeded_maps(41, 2):
@@ -709,14 +716,12 @@ def test_failed_cholesky_is_a_solver_failure_and_is_not_cached():
 
 
 def test_dense_eigensolver_failures_are_typed_and_not_memoized(monkeypatch):
-    import scipy.linalg
-
     _fresh_caches(monkeypatch)
 
     def fail(*args, **kwargs):
         raise scipy.linalg.LinAlgError("the algorithm failed to converge")
 
-    monkeypatch.setattr(fem.scipy.linalg, "eigh", fail)
+    monkeypatch.setattr(scipy.linalg, "eigh", fail)
     d, T, opts = g.square(1.0), _seeded_maps(59, 1)[0], fem.FemOptions(max_refinement=3)
     for bc in (ex.DIRICHLET, ex.robin(1.0)):  # reduced images
         with pytest.raises(fem.SolverFailure, match="dense eigensolve failed"):
@@ -747,13 +752,13 @@ def test_reduced_solves_compute_no_digest(monkeypatch):
 def test_no_image_up_to_the_dense_threshold_is_solved_as_a_generalized_pencil(monkeypatch):
     _fresh_caches(monkeypatch)
     calls = []
-    eigh = fem.scipy.linalg.eigh
+    eigh = scipy.linalg.eigh
 
     def counting(a, b=None, **kwargs):
         calls.append(b is not None)
         return eigh(a, b, **kwargs)
 
-    monkeypatch.setattr(fem.scipy.linalg, "eigh", counting)
+    monkeypatch.setattr(scipy.linalg, "eigh", counting)
     small = 0
     for name, d in PENCIL_DOMAINS.items():
         for level, bc, T, ref, _ in _images(d, seed=61):  # Dirichlet, Neumann and Robin, levels 1-4
@@ -777,7 +782,7 @@ def _count_solves(monkeypatch):
     The key is the dense key of a pencil (K, M), or ("reduced", content_key(C)) for a standard eigh of C(S).
     """
     solved = []
-    eigh, eigsh = fem.scipy.linalg.eigh, fem.splinalg.eigsh
+    eigh, eigsh = scipy.linalg.eigh, splinalg.eigsh
 
     def dense(K, M=None, subset_by_index=None, **kwargs):
         # keyed before the call: the reduced solve lets eigh overwrite C(S)
@@ -789,8 +794,8 @@ def _count_solves(monkeypatch):
         solved.append((_dense_key(K, M), k))
         return eigsh(K, k=k, M=M, **kwargs)
 
-    monkeypatch.setattr(fem.scipy.linalg, "eigh", dense)
-    monkeypatch.setattr(fem.splinalg, "eigsh", shift_invert)
+    monkeypatch.setattr(scipy.linalg, "eigh", dense)
+    monkeypatch.setattr(splinalg, "eigsh", shift_invert)
     return solved
 
 

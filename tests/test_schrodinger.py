@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as splinalg
 
 from eigenplane import experiments as xp
 from eigenplane import fem
@@ -183,13 +184,13 @@ def _count_eigsh(monkeypatch, memo_bytes=fem.VALUE_CACHE_BYTES):
     """A fresh memo of memo_bytes, and the list of unknowns of every eigsh call made from here on."""
     monkeypatch.setattr(fem, "_VALUES", fem._ReferenceCache(memo_bytes))
     calls = []
-    eigsh = sch.splinalg.eigsh
+    eigsh = splinalg.eigsh
 
     def counted(A, *args, **kwargs):
         calls.append(A.shape[0])
         return eigsh(A, *args, **kwargs)
 
-    monkeypatch.setattr(sch.splinalg, "eigsh", counted)
+    monkeypatch.setattr(splinalg, "eigsh", counted)
     return calls
 
 
@@ -232,7 +233,7 @@ def test_fd_failures_are_not_memoized(monkeypatch):
         calls.append(A.shape[0])
         raise RuntimeError("no convergence")
 
-    monkeypatch.setattr(sch.splinalg, "eigsh", fail)
+    monkeypatch.setattr(splinalg, "eigsh", fail)
     for _ in range(2):
         with pytest.raises(sch.SolverFailure, match="grid eigensolve failed"):
             sch._fd_eigs(sch.harmonic(), 1.0, 2, 6.0, 51)
@@ -253,14 +254,14 @@ MAPPED_TRISYM = sch.transformed_problem(sch.trisym(0.2), 1.0, g.LinearMap2(2.0, 
 )
 def test_fd_values_match_a_plain_shift_invert_eigsh(W, h, points, monkeypatch):
     operators = []
-    eigsh = sch.splinalg.eigsh
+    eigsh = splinalg.eigsh
 
     def keep(A, *args, **kwargs):
         operators.append(A)
         return eigsh(A, *args, **kwargs)
 
     monkeypatch.setattr(fem, "_VALUES", fem._ReferenceCache(fem.VALUE_CACHE_BYTES))
-    monkeypatch.setattr(sch.splinalg, "eigsh", keep)
+    monkeypatch.setattr(splinalg, "eigsh", keep)
     for n in range(1, 5):
         got = sch._fd_eigs(W, h, n, 8.0, points)
         # eigsh's own factor: splu with its default COLAMD ordering
@@ -273,14 +274,14 @@ def test_fd_values_match_a_plain_shift_invert_eigsh(W, h, points, monkeypatch):
 
 def test_fd_factor_keeps_its_fill_small(monkeypatch):
     factors = []
-    splu = sch.splinalg.splu
+    splu = splinalg.splu
 
     def keep(A, *args, **kwargs):
         factors.append(splu(A, *args, **kwargs))
         return factors[-1]
 
     monkeypatch.setattr(fem, "_VALUES", fem._ReferenceCache(fem.VALUE_CACHE_BYTES))
-    monkeypatch.setattr(sch.splinalg, "splu", keep)
+    monkeypatch.setattr(splinalg, "splu", keep)
     sch._fd_eigs(sch.harmonic(), 1.0, 1, 8.0, 101)
     # 364 676 stored entries with the minimum-degree ordering, 666 448 with COLAMD
     assert len(factors) == 1 and factors[0].L.nnz + factors[0].U.nnz < 450_000
