@@ -9,19 +9,26 @@ complete with no cutoff, and it evaluates only the cells next to those it has
 already taken.  More than MAX_EIGENVALUES values are refused up front.  Each
 Bessel zero is solved once, into a grow-only table per order shared by all
 callers, on a bracket that does not depend on how many zeros were asked for.
+The table starts from a snapshot shipped as package data
+(data/bessel_zeros.npz): the exact state it reaches from empty after the
+MAX_EIGENVALUES-value disk spectra under Dirichlet and Neumann conditions.
+The first Bessel zero asked for reads it, not the import of this module.
+Since no bracket depends on what was solved before, growth past the snapshot
+gives the same bits as growth from an empty table.
 
 Every bracketed root (Bessel zeros, 1D Robin roots) is solved by _brentq, a
 line-for-line port of Brent's zeroin (R. P. Brent, Algorithms for
 Minimization without Derivatives, 1973, ch. 4) as scipy's C brentq
 (scipy/optimize/Zeros/brentq.c) implements it, so the roots equal scipy's
 bit for bit without importing scipy.optimize.  scipy.special is imported
-only when a Bessel zero is first solved.
+only when a zero beyond the snapshot is solved.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import os
 import threading
 from dataclasses import dataclass, field
 
@@ -190,9 +197,29 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int) -> fl
 
 # (m, derivative) -> the first zeros of J_m (or J_m') found so far.  Tables only
 # grow, and zero p is always solved on the same bracket, so each zero is solved
-# once and its value never depends on how many zeros were asked for.
-_ZEROS: dict[tuple[int, bool], list[float]] = {}
+# once and its value never depends on how many zeros were asked for.  None until
+# the first _zero call fills it from the snapshot.
+_ZEROS: dict[tuple[int, bool], list[float]] | None = None
 _ZEROS_LOCK = threading.Lock()
+_SNAPSHOT = os.path.join(os.path.dirname(__file__), "data", "bessel_zeros.npz")
+
+
+def _load_snapshot() -> dict[tuple[int, bool], list[float]]:
+    """The zero tables shipped in _SNAPSHOT: row i holds the counts[i] zeros of order keys[i] = (m, derivative)."""
+    with np.load(_SNAPSHOT, allow_pickle=False) as data:
+        keys, counts, zeros = data["keys"], data["counts"], data["zeros"]
+    ends = np.cumsum(counts).tolist()
+    return {(m, bool(d)): zeros[end - count:end].tolist()
+            for (m, d), count, end in zip(keys.tolist(), counts.tolist(), ends)}
+
+
+def _save_snapshot(tables: dict[tuple[int, bool], list[float]]) -> None:
+    """Write zero tables to _SNAPSHOT as _load_snapshot reads them, rows in key order."""
+    keys = sorted(tables)
+    np.savez(_SNAPSHOT,
+             keys=np.array(keys, dtype=np.int64).reshape(-1, 2),
+             counts=np.array([len(tables[key]) for key in keys], dtype=np.int64),
+             zeros=np.array([z for key in keys for z in tables[key]], dtype=np.float64))
 
 
 def _zero(m: int, p: int, derivative: bool = False) -> float:
@@ -205,10 +232,14 @@ def _zero(m: int, p: int, derivative: bool = False) -> float:
     For m >= 1 the zeros of J_m' interlace with those of J_m:
     m < j'_{m,1} < j_{m,1} < j'_{m,2} < j_{m,2} < ...; J_0' = -J_1.
     """
+    global _ZEROS
     if derivative and m == 0:
         m, derivative = 1, False
     with _ZEROS_LOCK:
-        table = _ZEROS.setdefault((m, derivative), [])
+        if _ZEROS is None:
+            _ZEROS = _load_snapshot()
+        tables = _ZEROS
+        table = tables.setdefault((m, derivative), [])
         if len(table) >= p:
             return table[p - 1]
         from scipy.special import jv, jvp
@@ -216,9 +247,9 @@ def _zero(m: int, p: int, derivative: bool = False) -> float:
         # J_m's first p zeros need p + m - k zeros of each lower order k;
         # grow the short orders in a loop, from order 0 upward
         for k in range(m + 1):
-            zs, want = _ZEROS.setdefault((k, False), []), p + m - k
+            zs, want = tables.setdefault((k, False), []), p + m - k
             if k > 0:
-                below = _ZEROS[(k - 1, False)]
+                below = tables[(k - 1, False)]
                 for i in range(len(zs), want):
                     zs.append(_brentq(lambda t: jv(k, t), below[i], below[i + 1], **_BRENTQ_KW))
             elif len(zs) < want:
@@ -234,7 +265,7 @@ def _zero(m: int, p: int, derivative: bool = False) -> float:
                         zs.append(_brentq(lambda t: jv(0, t), x, x2, **_BRENTQ_KW))
                     x, fx = x2, fx2
         if derivative:
-            brackets = [float(m)] + _ZEROS[(m, False)]
+            brackets = [float(m)] + tables[(m, False)]
             for i in range(len(table), p):
                 table.append(_brentq(lambda t: jvp(m, t), brackets[i], brackets[i + 1], **_BRENTQ_KW))
         return table[p - 1]

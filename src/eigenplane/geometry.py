@@ -321,12 +321,10 @@ def _polygon_raw_moments(v: np.ndarray):
     return area, np.array([cx, cy]), m0
 
 
-def moments(d: DomainSpec) -> GeometricMoments:
-    """Exact area, centroid, second moments and perimeter of a domain."""
+def _centered_moments(d: DomainSpec):
+    """Area, centroid and centroid-centered second moment matrix of a domain, exactly."""
     if isinstance(d, Polygon):
-        v = d.vertices
-        area, c, m0 = _polygon_raw_moments(v)
-        perim = float(np.sum(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)))
+        area, c, m0 = _polygon_raw_moments(d.vertices)
     elif isinstance(d, Ellipse):
         s1, s2 = d.semi_axes
         area = math.pi * s1 * s2
@@ -334,13 +332,26 @@ def moments(d: DomainSpec) -> GeometricMoments:
         R = _rot_array(d.rotation)
         mc = R @ np.diag([math.pi * s1**3 * s2 / 4.0, math.pi * s1 * s2**3 / 4.0]) @ R.T
         m0 = mc + area * np.outer(c, c)
-        from scipy.special import ellipe
-
-        a, b = max(s1, s2), min(s1, s2)
-        perim = float(4.0 * a * ellipe(1.0 - (b / a) ** 2))
     else:
         raise TypeError(f"not a domain: {type(d).__name__}")
-    mc = m0 - area * np.outer(c, c)
+    return area, c, m0 - area * np.outer(c, c)
+
+
+def moments(d: DomainSpec) -> GeometricMoments:
+    """Exact area, centroid, second moments and perimeter of a domain.
+
+    An ellipse's perimeter is a complete elliptic integral, so this imports
+    scipy.special for ellipses; polygons need numpy alone.
+    """
+    area, c, mc = _centered_moments(d)
+    if isinstance(d, Polygon):
+        v = d.vertices
+        perim = float(np.sum(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)))
+    else:
+        from scipy.special import ellipe
+
+        a, b = max(d.semi_axes), min(d.semi_axes)
+        perim = float(4.0 * a * ellipe(1.0 - (b / a) ** 2))
     inertia_c = float(np.trace(mc))
     return GeometricMoments(
         area=area,
@@ -353,12 +364,17 @@ def moments(d: DomainSpec) -> GeometricMoments:
 
 
 def functional_factor(d: DomainSpec, about: str = "centroid") -> float:
-    """A^3 / I, the scale factor of every bound; I about the centroid or the origin."""
-    m = moments(d)
+    """A^3 / I, the scale factor of every bound; I about the centroid or the origin.
+
+    It reads the same area and moments as `moments`, so it agrees with it bit
+    for bit, but skips the perimeter and so never imports scipy.
+    """
+    area, c, mc = _centered_moments(d)
+    inertia = float(np.trace(mc))
     if about == "centroid":
-        return m.area**3 / m.inertia_centroid
+        return area**3 / inertia
     if about == "origin":
-        return m.area**3 / m.inertia_origin
+        return area**3 / (inertia + area * float(c @ c))
     raise ValueError(f"about must be 'centroid' or 'origin', got {about!r}")
 
 

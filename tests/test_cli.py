@@ -452,10 +452,13 @@ def test_moments_load_no_scipy():
     assert _scipy_modules_loaded(["moments", "--shape", "square"]) == set()
 
 
-def test_exact_disk_spectrum_loads_scipy_special_alone():
-    loaded = _scipy_modules_loaded(["spectrum", "--shape", "disk", "--engine", "exact", "-n", "200"])
-    assert "scipy.special" in loaded
-    assert not {m for m in loaded if m.split(".")[:2] in (["scipy", "optimize"], ["scipy", "linalg"], ["scipy", "sparse"])}
+def test_exact_disk_commands_load_no_scipy():
+    # their Bessel zeros come from the shipped snapshot, their A^3/I needs no elliptic integral
+    for command in ["spectrum --shape disk --engine exact -n 200 --bc dirichlet",
+                    "spectrum --shape disk --engine exact -n 200 --bc neumann",
+                    "sweep kroger --shape disk --n-max 100",
+                    "conjecture disk-vs-square --n-max 50"]:
+        assert _scipy_modules_loaded(command.split()) == set(), command
 
 
 def _leaves(parser, path=()):

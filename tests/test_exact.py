@@ -119,6 +119,12 @@ def _assert_tables_sorted(tables):
         assert all(a < b for a, b in zip(zeros, zeros[1:])), key  # increasing, no duplicates
 
 
+def _start_empty(monkeypatch):
+    """Let the next _zero call start from an empty table instead of the shipped snapshot."""
+    monkeypatch.setattr(ex, "_ZEROS", None)
+    monkeypatch.setattr(ex, "_load_snapshot", dict)
+
+
 def test_each_bessel_zero_is_solved_once(monkeypatch):
     calls = []
     brentq = ex._brentq
@@ -127,7 +133,7 @@ def test_each_bessel_zero_is_solved_once(monkeypatch):
         calls.append((a, b))
         return brentq(f, a, b, **kw)
 
-    monkeypatch.setattr(ex, "_ZEROS", {})
+    _start_empty(monkeypatch)
     monkeypatch.setattr(ex, "_brentq", counting)
     ex.disk_spectrum(1.0, ex.DIRICHLET, 500)
     ex.disk_spectrum(1.0, ex.NEUMANN, 500)
@@ -148,12 +154,12 @@ def test_bessel_zero_tables_grow_the_same_under_threads(monkeypatch):
     import threading
 
     requests = [(m, p, d) for m in range(12) for p in (1, 4, 9, 17) for d in (False, True)]
-    monkeypatch.setattr(ex, "_ZEROS", {})
+    _start_empty(monkeypatch)
     for m, p, d in requests:
         ex._zero(m, p, d)
     single = ex._ZEROS
 
-    monkeypatch.setattr(ex, "_ZEROS", {})
+    _start_empty(monkeypatch)
     got = []
 
     def work(seed):
@@ -185,7 +191,7 @@ def test_high_order_bessel_zeros_need_no_recursion():
 
     code = (
         "import sys, scipy.optimize, scipy.special; from eigenplane import exact as ex; "
-        "sys.setrecursionlimit(120); "
+        "sys.setrecursionlimit(120); ex._load_snapshot = dict; "
         "print(*(repr(ex.bessel_zero(ex.BesselZeroRequest(m, p))) for m, p in [(150, 1), (149, 1), (149, 2)]))"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
