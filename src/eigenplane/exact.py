@@ -106,9 +106,9 @@ class Spectrum:
             self.error_estimates = np.asarray(self.error_estimates, dtype=float)
         if self.values.shape != self.error_estimates.shape:
             raise ValueError("values and error_estimates must have equal length")
-        if np.any(np.diff(self.values) < 0):
+        if (self.values[1:] < self.values[:-1]).any():
             raise ValueError("eigenvalues must be sorted nondecreasing")
-        if np.any(self.error_estimates < 0):
+        if (self.error_estimates < 0).any():
             raise ValueError("error estimates must be nonnegative")
         if self.method not in ("exact", "fem", "fd"):
             raise ValueError(f"unknown method tag {self.method!r}")

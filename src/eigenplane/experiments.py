@@ -44,6 +44,7 @@ from .geometry import (
     require_rotational_symmetry,
     square,
     symmetry_order,
+    _next,
 )
 from .schrodinger import GridSpec, PotentialSpec, schrodinger_spectrum, transformed_problem
 
@@ -126,16 +127,16 @@ def classify_model_shape(d: DomainSpec):
             return ("disk", 0.5 * (s1 + s2))
         return None
     v = d.vertices
-    sides = np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)
+    sides = np.linalg.norm(_next(v) - v, axis=1)
     scale = sides.max()
     if len(v) == 3:
-        if np.all(np.abs(sides - sides[0]) <= 1e-12 * scale):
+        if (np.abs(sides - sides[0]) <= 1e-12 * scale).all():
             return ("equilateral", float(sides[0]))
         return None
     if len(v) == 4:
-        edges = np.roll(v, -1, axis=0) - v
-        dots = np.abs(np.einsum("ij,ij->i", edges, np.roll(edges, -1, axis=0)))
-        if np.all(dots <= 1e-12 * scale * scale):
+        edges = _next(v) - v
+        dots = np.abs(np.einsum("ij,ij->i", edges, _next(edges)))
+        if (dots <= 1e-12 * scale * scale).all():
             return ("rectangle", (float(sides[0]), float(sides[1])))
     return None
 

@@ -721,8 +721,7 @@ def spectrum_fem(
     T = LinearMap2.identity() if T is None else T
     level = opts.max_refinement
     _check_size(d, level)  # fail before the coarse level is solved
-    coarse = _solve_level(d, T, bc, n, level - 1, opts)
-    fine = _solve_level(d, T, bc, n, level, opts)
+    coarse, fine = _solve_levels(d, T, bc, n, (level - 1, level), opts)
     err = np.abs(fine - coarse) / 3.0
     vals = (4.0 * fine - coarse) / 3.0 if opts.extrapolate else fine
     order = np.argsort(vals)
@@ -735,14 +734,29 @@ def spectrum_fem(
 
 
 def _solve_level(d, T, bc, n, level, opts):
-    ref, T = _reference(d, level, T, bc.is_dirichlet)
-    if ref.dim < n:
-        raise ValueError(f"level {level} mesh has only {ref.dim} degrees of freedom, need {n}")
-    if ref.C is not None and ref.dim <= opts.dense_threshold:
-        s, b = _metric(T), min(max(n, BLOCK), ref.dim)
-        return memoized(("reduced", ref.serial, s.tobytes(), bc.sigma, b), lambda: ref.solve(s, bc.sigma, b))[:n]
-    A, M = ref.pencil(T, bc)
-    return solve_eigs(A, M, n, opts.dense_threshold, neumann_like=bc.is_neumann_like)
+    return _solve_levels(d, T, bc, n, (level,), opts)[0]
+
+
+def _solve_levels(d, T, bc, n, levels, opts) -> list[np.ndarray]:
+    """The n smallest eigenvalues of T(d) on each of the levels.
+
+    Every level's reference is carried onto T(d) by the same map, so its
+    metric is formed once, by the first level solved on the reduced route.
+    """
+    out, s = [], None
+    for level in levels:
+        ref, carry = _reference(d, level, T, bc.is_dirichlet)
+        if ref.dim < n:
+            raise ValueError(f"level {level} mesh has only {ref.dim} degrees of freedom, need {n}")
+        if ref.C is not None and ref.dim <= opts.dense_threshold:
+            s = _metric(carry) if s is None else s
+            b = min(max(n, BLOCK), ref.dim)
+            key = ("reduced", ref.serial, s.tobytes(), bc.sigma, b)
+            out.append(memoized(key, lambda: ref.solve(s, bc.sigma, b))[:n])
+        else:
+            A, M = ref.pencil(carry, bc)
+            out.append(solve_eigs(A, M, n, opts.dense_threshold, neumann_like=bc.is_neumann_like))
+    return out
 
 
 def mesh_to_text(mesh: Mesh) -> str:

@@ -132,10 +132,10 @@ class Polygon:
         )
         if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
             raise ValueError("polygon needs at least 3 planar vertices")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("polygon vertices must be finite")
         area2 = _signed_area2(arr)
-        scale = float(np.max(np.abs(arr))) or 1.0
+        scale = float(np.abs(arr).max()) or 1.0
         if abs(area2) <= 1e-14 * scale * scale:
             raise ValueError("degenerate polygon (zero area)")
         if area2 < 0:
@@ -144,6 +144,7 @@ class Polygon:
             raise ValueError("polygon is self-intersecting")
         arr.setflags(write=False)
         self.vertices = arr
+        self._symmetry_order: int | None = None  # see symmetry_order
 
     def __repr__(self):
         return f"Polygon({self.vertices.tolist()})"
@@ -276,9 +277,14 @@ def matrix_frame_average(x, Y, order: int) -> float:
 # moments
 # ---------------------------------------------------------------------------
 
+def _next(a: np.ndarray) -> np.ndarray:
+    """The rows of a shifted cyclically by one, a[i + 1] at i: np.roll(a, -1, axis=0) by slice and concatenate."""
+    return np.concatenate((a[1:], a[:1]))
+
+
 def _signed_area2(v: np.ndarray) -> float:
     x, y = v[:, 0], v[:, 1]
-    return float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    return float((x * _next(y) - _next(x) * y).sum())
 
 
 def orient(a, b, c) -> float:
@@ -309,7 +315,7 @@ def _self_intersects(v: np.ndarray) -> bool:
 def _polygon_raw_moments(v: np.ndarray):
     """Area, centroid and origin-centered second moment matrix via Green's theorem."""
     x, y = v[:, 0], v[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    xn, yn = _next(x), _next(y)
     cross = x * yn - xn * y
     area = 0.5 * float(np.sum(cross))
     cx = float(np.sum((x + xn) * cross)) / (6.0 * area)
@@ -346,7 +352,7 @@ def moments(d: DomainSpec) -> GeometricMoments:
     area, c, mc = _centered_moments(d)
     if isinstance(d, Polygon):
         v = d.vertices
-        perim = float(np.sum(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)))
+        perim = float(np.sum(np.linalg.norm(_next(v) - v, axis=1)))
     else:
         from scipy.special import ellipe
 
@@ -449,21 +455,33 @@ def hs_ratio_check(d: DomainSpec, T: LinearMap2) -> tuple[float, float]:
 def inverse_image_invariance_check(d: DomainSpec, T: LinearMap2) -> tuple[float, float]:
     """(I/A^2)(TD) and (I/A^2)(T^-1 D): equal for symmetric D."""
     require_rotational_symmetry(symmetry_order(d))
-    mt = moments(apply_map(T, d))
-    mi = moments(apply_map(T.inverse(), d))
-    return mt.inertia_centroid / mt.area**2, mi.inertia_centroid / mi.area**2
+
+    def ratio(image):  # I / A^2 from the moments alone: an ellipse's perimeter is never needed
+        area, _, mc = _centered_moments(image)
+        return float(np.trace(mc)) / area**2
+
+    return ratio(apply_map(T, d)), ratio(apply_map(T.inverse(), d))
 
 
 def symmetry_order(d: DomainSpec) -> int:
     """Largest N with rotation by 2*pi/N about the centroid fixing the domain.
 
     Returns INFINITE_ORDER (0) for disks/circles.  Polygons are tested on
-    coordinates scaled to unit diameter with absolute tolerance 1e-9.
+    coordinates scaled to unit diameter with absolute tolerance 1e-9.  A
+    polygon's order is computed on the first call and kept on the instance:
+    its vertices are read-only, so the value cannot go stale, and two
+    threads racing on the first call only compute the same value twice.
     """
     if isinstance(d, Ellipse):
         s1, s2 = d.semi_axes
         return INFINITE_ORDER if abs(s1 - s2) <= 1e-12 * max(s1, s2) else 2
-    v = d.vertices
+    if d._symmetry_order is None:
+        d._symmetry_order = _polygon_symmetry_order(d.vertices)
+    return d._symmetry_order
+
+
+def _polygon_symmetry_order(v: np.ndarray) -> int:
+    """symmetry_order of the polygon with vertices v, computed afresh."""
     w = v - _polygon_raw_moments(v)[1]
     diam = float(np.max(np.linalg.norm(w[:, None, :] - w[None, :, :], axis=2)))
     w = w / diam

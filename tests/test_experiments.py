@@ -37,6 +37,58 @@ def test_classify_is_rigid_motion_invariant():
     assert sorted(sides) == pytest.approx([1.0, 2.0], rel=1e-12)
 
 
+def _classify_by_roll(d):
+    """classify_model_shape of a polygon as written with np.roll."""
+    v = d.vertices
+    sides = np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)
+    scale = sides.max()
+    if len(v) == 3:
+        if np.all(np.abs(sides - sides[0]) <= 1e-12 * scale):
+            return ("equilateral", float(sides[0]))
+        return None
+    if len(v) == 4:
+        edges = np.roll(v, -1, axis=0) - v
+        dots = np.abs(np.einsum("ij,ij->i", edges, np.roll(edges, -1, axis=0)))
+        if np.all(dots <= 1e-12 * scale * scale):
+            return ("rectangle", (float(sides[0]), float(sides[1])))
+    return None
+
+
+def test_classify_matches_the_roll_formula_bit_for_bit():
+    rng = np.random.default_rng(21)
+    shapes = [g.equilateral_triangle(), g.square(1.0), g.rectangle(2.0, 0.7), g.regular_polygon(5)]
+    for _ in range(6):
+        angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, int(rng.integers(3, 6))))
+        shapes.append(g.Polygon(np.column_stack([np.cos(angles), np.sin(angles)]) * rng.uniform(0.5, 2.0)))
+    maps = [g.LinearMap2(1.3, 0.4, -0.2, 0.8), g.LinearMap2(0.7, 1.1, 0.9, -0.5)]  # det > 0, det < 0
+    for theta, c in ((0.7, 1.9), (2.3, 0.45), (4.0, 1.0)):
+        rot = c * np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+        maps += [g.LinearMap2.from_array(rot), g.LinearMap2.from_array(rot @ np.diag([1.0, -1.0]))]
+    kinds = set()
+    for d in shapes + [g.apply_map(T, s) for T in maps for s in shapes]:
+        want = _classify_by_roll(d)
+        assert xp.classify_model_shape(d) == want
+        kinds.add(None if want is None else want[0])
+    assert kinds == {"equilateral", "rectangle", None}
+
+
+def test_symmetry_order_is_computed_once_per_polygon(monkeypatch):
+    calls = []
+    compute = g._polygon_symmetry_order
+    monkeypatch.setattr(g, "_polygon_symmetry_order", lambda v: calls.append(len(v)) or compute(v))
+    sq, eq = g.square(1.0), g.equilateral_triangle()
+    T = g.LinearMap2(1.3, 0.4, -0.2, 0.8)
+    for bc in (ex.DIRICHLET, ex.NEUMANN):
+        for n in range(1, 7):
+            assert xp.verify_linear_map_bound(sq, T, bc, n, FAST).holds
+    assert calls == [4]  # 12 reports, one computation
+    assert g.symmetry_order(eq) == 3 and calls == [4, 3]  # another polygon has its own order
+    assert g.symmetry_order(sq) == 4 and g.symmetry_order(eq) == 3 and calls == [4, 3]
+    image = g.apply_map(g.LinearMap2(2.0, 0.0, 0.0, 2.0), sq)
+    assert g.symmetry_order(image) == 4 and calls == [4, 3, 4]  # computed afresh, not inherited
+    assert g.symmetry_order(g.apply_map(T, sq)) == 2 and calls == [4, 3, 4, 4]
+
+
 def test_normalized_sum_equilateral_dirichlet():
     val = xp.normalized_sum(g.equilateral_triangle(), ex.DIRICHLET, 1, "exact")
     assert val == pytest.approx(12 * PI2, rel=1e-12)

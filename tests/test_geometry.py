@@ -343,6 +343,26 @@ def test_inverse_image_invariance_examples():
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
+def test_inverse_image_invariance_reads_moments_without_the_perimeter():
+    # I / A^2 needs no elliptic integral: same bits as the ratios of `moments`, and no scipy on a disk
+    import subprocess
+    import sys
+
+    for d, T in [(g.Ellipse((0.3, -0.2), (1.0, 1.0)), g.LinearMap2(1.5, 0.3, -0.2, 0.9)),
+                 (g.square(1.0), g.LinearMap2(2, 1, 0, 1)),
+                 (g.equilateral_triangle(), g.LinearMap2(0.4, -1.1, 0.7, 0.2))]:
+        want = []
+        for image in (g.apply_map(T, d), g.apply_map(T.inverse(), d)):
+            m = g.moments(image)
+            want.append(m.inertia_centroid / m.area**2)
+        assert g.inverse_image_invariance_check(d, T) == tuple(want)
+    code = ("import sys; from eigenplane import geometry as g; "
+            "g.inverse_image_invariance_check(g.Ellipse((0.0, 0.0), (1.0, 1.0)), g.LinearMap2(1.5, 0.3, -0.2, 0.9)); "
+            "print(*sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
+
+
 def test_moment_lemma_pairs_random_maps():
     # the ratio/invariance/transformation identities over seeded random maps
     rng = np.random.default_rng(11)
@@ -392,6 +412,36 @@ def test_symmetry_order_scalene():
 def test_symmetry_order_translated_square():
     p = g.Polygon(g.square(1.0).vertices + np.array([5.0, -2.0]))
     assert g.symmetry_order(p) == 4
+
+
+def _star_polygon(rng, k):
+    """A simple polygon of k vertices: increasing angles, gaps under pi, random radii, a random offset."""
+    angles = 2.0 * math.pi * (np.arange(k) + rng.uniform(0.0, 0.4, k)) / k
+    radii = rng.uniform(0.3, 2.0, k)
+    return g.Polygon(np.column_stack([radii * np.cos(angles), radii * np.sin(angles)]) + rng.uniform(-3, 3, 2))
+
+
+def test_shifted_rows_give_the_roll_formulas_bit_for_bit():
+    rng = np.random.default_rng(21)
+    polygons = [_star_polygon(rng, k) for k in range(3, 10) for _ in range(4)]
+    maps = [g.LinearMap2(1.3, 0.4, -0.2, 0.8), g.LinearMap2(0.7, 1.1, 0.9, -0.5)]  # det > 0, det < 0
+    for d in polygons + [g.apply_map(T, p) for T in maps for p in polygons]:
+        v = d.vertices
+        for a in (v, v[:, 0], v[:, 1]):
+            assert np.array_equal(g._next(a), np.roll(a, -1, axis=0))
+        x, y = v[:, 0], v[:, 1]
+        assert g._signed_area2(v) == float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+        xn, yn = np.roll(x, -1), np.roll(y, -1)
+        cross = x * yn - xn * y
+        area = 0.5 * float(np.sum(cross))
+        got_area, got_c, got_m0 = g._polygon_raw_moments(v)
+        assert got_area == area
+        assert got_c.tolist() == [float(np.sum((x + xn) * cross)) / (6.0 * area),
+                                  float(np.sum((y + yn) * cross)) / (6.0 * area)]
+        ixy = float(np.sum((x * yn + 2 * x * y + 2 * xn * yn + xn * y) * cross)) / 24.0
+        assert got_m0.tolist() == [[float(np.sum((x * x + x * xn + xn * xn) * cross)) / 12.0, ixy],
+                                   [ixy, float(np.sum((y * y + y * yn + yn * yn) * cross)) / 12.0]]
+        assert g.moments(d).perimeter == float(np.sum(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1)))
 
 
 # ---------------------------------------------------------------------------
