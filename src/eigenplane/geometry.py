@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -292,23 +293,47 @@ def orient(a, b, c) -> float:
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
-def _segments_properly_intersect(p1, p2, q1, q2) -> bool:
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
+#: Edge pairs tested per vectorized step of _self_intersects; it bounds the step's memory on polygons with many vertices.
+_PAIRS_PER_STEP = 1024
+
+
+@lru_cache(maxsize=16)
+def _crossing_tests(n: int, first: int, stop: int) -> np.ndarray:
+    """Indices into an n-gon's raveled vertices of the orient(a, b, c) tests of its edge pairs i < j sharing no vertex, first <= i < stop.
+
+    Edge k runs from vertex k to vertex k + 1 (mod n).  The result has shape
+    (3, 2, 4 * pairs): a, b and c, then x and y, then the tests vertex i and
+    vertex i + 1 against edge j, and vertex j and vertex j + 1 against edge i,
+    each over all pairs.
+    """
+    i, j = np.nonzero(np.arange(first, stop)[:, None] + 2 <= np.arange(n))
+    i += first
+    keep = (i > 0) | (j < n - 1)  # edges 0 and n - 1 share vertex 0
+    i, j = i[keep], j[keep]
+    i1, j1 = (i + 1) % n, (j + 1) % n
+    points = np.array([np.concatenate(p) for p in ((j, j, i, i), (j1, j1, i1, i1), (i, i1, j, j1))])
+    tests = 2 * points[:, None, :] + np.arange(2)[:, None]
+    tests.setflags(write=False)
+    return tests
 
 
 def _self_intersects(v: np.ndarray) -> bool:
+    """Whether two edges sharing no vertex properly cross: each has one end strictly left of the other's line, and one not.
+
+    Every such pair is tested at once (in steps of _PAIRS_PER_STEP pairs),
+    with orient's own arithmetic, so the verdicts equal a pairwise loop's.
+    """
     n = len(v)
-    for i in range(n):
-        a1, a2 = v[i], v[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue  # shared endpoint
-            if _segments_properly_intersect(a1, a2, v[j], v[(j + 1) % n]):
-                return True
+    if n < 4:
+        return False  # every two edges of a triangle share a vertex
+    rows = max(1, _PAIRS_PER_STEP // n)
+    for first in range(0, n - 2, rows):
+        a, b, c = v.ravel().take(_crossing_tests(n, first, min(first + rows, n - 2)))
+        e, d = b - a, c - a
+        left = (e[0] * d[1] - e[1] * d[0] > 0).reshape(2, 2, -1)  # orient(a, b, c) > 0
+        split = left[:, 0] != left[:, 1]
+        if np.count_nonzero(split[0] & split[1]):
+            return True
     return False
 
 

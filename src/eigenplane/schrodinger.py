@@ -6,20 +6,30 @@ which is checked after each solve.  Potentials are rotationally symmetric
 families, optionally pushed forward through a linear map (W composed with
 the inverse map).
 
-The grid operator K = h*Lap + diag(W) is symmetric, so SuperLU factors it
-with a minimum-degree ordering of K + K^T and diagonal pivots (about half
-the fill of its default COLAMD column ordering; threshold pivoting stays on
-should a tiny h make K indefinite).  The factor is handed as OPinv to a
-values-only shift-invert eigsh (sigma = 0, fixed start vector), whose values
-agree with a plain eigsh(K, sigma=0) to about 1e-14 relative.
+Each spectrum is one solve ladder: the coarse grid (every other point, so
+coarse point j is fine point 2j) first, then the fine grid, each for a block
+of b = max(n, BLOCK) values (one for a lone n = 1, as in fem.solve_eigs), so
+partial sums n = 1..6 read a prefix of one block.  A grid operator
+K = h*Lap + diag(W) is symmetric, so SuperLU factors it with a
+minimum-degree ordering of K + K^T and diagonal pivots (about half the fill
+of its default COLAMD column ordering; threshold pivoting stays on should a
+tiny h make K indefinite).  The factor is handed as OPinv to a shift-invert
+eigsh (sigma = 0) run to the relative tolerance FD_TOLERANCE.  The coarse
+Lanczos starts from a fixed pseudo-random vector; the fine one starts from
+the coarse eigenvectors, interpolated bilinearly onto the fine grid and
+combined with fixed pseudo-random weights, so it converges in about one
+sweep and reruns stay bit-identical.  Every pair of both blocks then passes
+fem's residual check (identity mass), the contract FEM's solves meet; the
+values agree with a plain eigsh(K, sigma=0) to about 1e-14 relative.
 
-Each grid operator's values are remembered in fem's eigenvalue memo, keyed
-by a SHA-256 digest of its CSC arrays and n, so within one process an
-operator is solved once per n: the fixed right-hand side -h Lap + W of the
-Schrodinger bound is solved once for all maps, and a map that leaves W
-unchanged (a quarter turn of a radial potential) reuses it too.  The solve
-is deterministic, so a remembered value equals a cold _fd_eigs bit for bit.
-Grids above MAX_GRID_POINTS per side are refused before any work.
+Each ladder's two blocks are remembered as one entry of fem's eigenvalue
+memo, keyed by a SHA-256 digest of both grid operators' CSC arrays and b, so
+within one process an operator pair is solved once per ladder: the fixed
+right-hand side -h Lap + W of the Schrodinger bound is solved once for all
+maps and all n <= BLOCK, and a map that leaves W unchanged (a quarter turn
+of a radial potential) reuses it too.  No eigenvector outlives the call.
+The solve is deterministic, so a remembered block equals a cold ladder bit
+for bit.  Grids above MAX_GRID_POINTS per side are refused before any work.
 scipy.sparse is imported by the grid solve, when one first runs.
 """
 
@@ -30,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import NumericalFailure, Spectrum
-from .fem import SolverFailure, content_key, memoized
+from .fem import BLOCK, SolverFailure, _check_residuals, content_key, memoized
 from .geometry import INFINITE_ORDER, LinearMap2
 
 __all__ = [
@@ -47,6 +57,8 @@ __all__ = [
 DEFAULT_TRISYM_BETA = 0.2
 #: Largest grid solved: `verify schrodinger --points 1001 -n 1` took 29 s and 1.35 GB on one thread.
 MAX_GRID_POINTS = 1001
+#: ARPACK's convergence tolerance for the grid eigensolves, each of whose pairs is then residual-checked.
+FD_TOLERANCE = 1e-10
 
 
 class WidenGridError(NumericalFailure):
@@ -128,9 +140,9 @@ class GridSpec:
             raise ValueError(f"{self.points_per_side} points per side is more than {MAX_GRID_POINTS}")
 
 
-def _fd_eigs(W: PotentialSpec, h: float, n: int, L: float, points: int) -> np.ndarray:
+def _grid_operator(W: PotentialSpec, h: float, L: float, points: int):
+    """K = h * (five-point -Lap) + diag(W) on the box's interior points, x1-major, as CSC."""
     from scipy import sparse
-    from scipy.sparse import linalg as splinalg
 
     x = np.linspace(-L, L, points)
     dx = x[1] - x[0]
@@ -141,21 +153,66 @@ def _fd_eigs(W: PotentialSpec, h: float, n: int, L: float, points: int) -> np.nd
     eye = sparse.identity(m)
     lap = sparse.kron(T1, eye) + sparse.kron(eye, T1)
     X1, X2 = np.meshgrid(xi, xi, indexing="ij")
-    K = (h * lap + sparse.diags(W.values(X1, X2).ravel())).tocsc()
+    return (h * lap + sparse.diags(W.values(X1, X2).ravel())).tocsc()
+
+
+def _interpolate(U: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation of coarse-grid functions onto the nested fine grid.
+
+    U holds values at the m x m interior points of a coarse grid on its last
+    two axes; the result holds values at the (2m + 1) x (2m + 1) interior
+    points of the grid with twice the intervals, coarse point j being fine
+    point 2j, and zero on the box edge as on the coarse grid.
+    """
+    for axis in (-2, -1):
+        U = np.moveaxis(U, axis, 0)
+        edge = np.zeros((1,) + U.shape[1:])
+        padded = np.concatenate((edge, U, edge))
+        F = np.empty((2 * len(U) + 1,) + U.shape[1:])
+        F[1::2] = U
+        F[0::2] = 0.5 * (padded[:-1] + padded[1:])
+        U = np.moveaxis(F, 0, axis)
+    return U
+
+
+def _grid_eigs(K, b: int, v0: np.ndarray, points: int) -> tuple[np.ndarray, np.ndarray]:
+    """The b smallest eigenpairs of the grid operator K, ascending, residual-checked."""
+    from scipy import sparse
+    from scipy.sparse import linalg as splinalg
+
+    try:
+        # the symmetric ordering of the module docstring, not eigsh's own COLAMD factor
+        lu = splinalg.splu(K, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
+        vals, vecs = splinalg.eigsh(K, k=b, sigma=0.0, which="LM", v0=v0, tol=FD_TOLERANCE,
+                                    OPinv=splinalg.LinearOperator(K.shape, matvec=lu.solve, dtype=float))
+    except (splinalg.ArpackNoConvergence, RuntimeError) as exc:
+        raise SolverFailure(f"grid eigensolve failed ({points} points): {exc}") from exc
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
+    _check_residuals(K, sparse.identity(K.shape[0], format="csr"), vecs, vals)
+    return vals, vecs
+
+
+def _ladder(W: PotentialSpec, h: float, n: int, L: float, points: int) -> np.ndarray:
+    """A block of the smallest eigenvalues on the fine grid (row 0) and on the coarse grid (row 1).
+
+    The block is b = max(n, BLOCK) values, or one for a lone n = 1.  The
+    coarse grid (every other point) is solved first from a fixed random start;
+    its eigenvectors, interpolated onto the fine grid and combined with fixed
+    random weights, start the fine Lanczos.
+    """
+    b = 1 if n == 1 else max(n, BLOCK)
+    coarse_points = (points + 1) // 2
+    K, Kc = _grid_operator(W, h, L, points), _grid_operator(W, h, L, coarse_points)
 
     def solve():
-        try:
-            # the symmetric ordering of the module docstring, not eigsh's own COLAMD factor
-            lu = splinalg.splu(K, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
-            # fixed pseudo-random start (see fem.solve_eigs) keeps reruns bit-identical
-            vals = splinalg.eigsh(K, k=n, sigma=0.0, which="LM", return_eigenvectors=False,
-                                  v0=np.random.default_rng(0).standard_normal(m * m),
-                                  OPinv=splinalg.LinearOperator(K.shape, matvec=lu.solve, dtype=float))
-        except (splinalg.ArpackNoConvergence, RuntimeError) as exc:
-            raise SolverFailure(f"grid eigensolve failed ({points} points): {exc}") from exc
-        return np.sort(vals)
+        m = coarse_points - 2
+        coarse, vecs = _grid_eigs(Kc, b, np.random.default_rng(0).standard_normal(m * m), coarse_points)
+        modes = _interpolate(vecs.T.reshape(b, m, m)).reshape(b, -1)
+        fine, _ = _grid_eigs(K, b, np.random.default_rng(0).standard_normal(b) @ modes, points)
+        return np.stack((fine, coarse))
 
-    return memoized(("fd", content_key(K), n), solve)
+    return memoized(("fd", content_key(K, Kc), b), solve)
 
 
 def schrodinger_spectrum(W: PotentialSpec, h: float, n: int, grid: GridSpec = GridSpec()) -> Spectrum:
@@ -171,8 +228,7 @@ def schrodinger_spectrum(W: PotentialSpec, h: float, n: int, grid: GridSpec = Gr
     if n < 1:
         raise ValueError("need n >= 1")
     L, points = grid.half_width, grid.points_per_side
-    fine = _fd_eigs(W, h, n, L, points)
-    coarse = _fd_eigs(W, h, n, L, (points + 1) // 2)
+    fine, coarse = _ladder(W, h, n, L, points)[:, :n]
     err = np.abs(fine - coarse) / 3.0
 
     # truncation check: W on the box edge must dominate the highest level

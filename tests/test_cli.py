@@ -321,6 +321,25 @@ def test_huge_robin_sigma_exits_3_with_one_line(capsys, monkeypatch, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+
+def test_a_grid_eigenpair_failing_its_residual_check_exits_3_with_one_line(capsys, monkeypatch):
+    import scipy.sparse.linalg as splinalg
+
+    eigsh = splinalg.eigsh
+
+    def perturbed(A, *args, **kwargs):
+        vals, vecs = eigsh(A, *args, **kwargs)
+        return vals * (1.0 + 1e-6), vecs
+
+    _fresh_caches(monkeypatch)
+    monkeypatch.setattr(splinalg, "eigsh", perturbed)
+    code = cli.run(["verify", "schrodinger", "--points", "51", "--half-width", "6", "--map", "1.2,0.3,0,0.9", "-n", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: residual ")
+
 # numeric arguments: counts (steps, maps, eigenvalues, n_max) and FEM levels,
 # each on a command cheap enough to run at every value drawn
 COUNT_COMMANDS = [

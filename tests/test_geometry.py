@@ -130,6 +130,57 @@ def test_polygon_rejects_bowtie():
         g.Polygon([[0, 0], [1, 1], [1, 0], [0, 1]])
 
 
+
+def _pairwise_self_intersects(v):
+    """The pairwise loop the vectorized check replaced: orient on every two edges sharing no vertex."""
+    n = len(v)
+    for i in range(n):
+        p1, p2 = v[i], v[(i + 1) % n]
+        for j in range(i + 1, n):
+            if j == i or (j + 1) % n == i or (i + 1) % n == j:
+                continue  # shared endpoint
+            q1, q2 = v[j], v[(j + 1) % n]
+            d1, d2 = g.orient(q1, q2, p1), g.orient(q1, q2, p2)
+            d3, d4 = g.orient(p1, p2, q1), g.orient(p1, p2, q2)
+            if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
+                return True
+    return False
+
+
+def _star(rng, n):
+    """A simple polygon: n vertices at sorted random angles and random radii about the origin."""
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    r = rng.uniform(0.2, 1.0, n)
+    return np.column_stack([r * np.cos(angles), r * np.sin(angles)])
+
+
+def test_vectorized_self_intersection_matches_the_pairwise_loop():
+    rng = np.random.default_rng(20261019)
+    cases = [np.array([[0, 0], [1, 1], [1, 0], [0, 1]], float)]  # the bow-tie
+    for _ in range(300):
+        n = int(rng.integers(3, 13))
+        star = _star(rng, n)
+        cases.append(star)  # simple
+        cases.append(star @ rng.normal(size=(2, 2)))  # its linear image, still simple
+        if n >= 4:
+            i, j = rng.choice(n, 2, replace=False)
+            bow = star.copy()
+            bow[[i, j]] = bow[[j, i]]  # two vertices swapped: usually a crossing
+            cases.append(bow)
+        # integer vertices on a 5 x 5 lattice: collinear edges, vertices touching edges, repeated vertices
+        cases.append(rng.integers(-2, 3, size=(n, 2)).astype(float))
+    cases.append(np.array([[0, 0], [2, 0], [2, 2], [1, 0], [0, 2]], float))  # a vertex touching an edge
+    cases.append(np.array([[0, 0], [4, 0], [4, 1], [2, 0], [0, 1]], float))  # a spike along an edge
+    many = g.regular_polygon(300).vertices.copy()  # more pairs than one vectorized step
+    cases.append(many)
+    many = many.copy()
+    many[[10, 200]] = many[[200, 10]]
+    cases.append(many)
+    verdicts = [g._self_intersects(v) for v in cases]
+    assert verdicts == [_pairwise_self_intersects(v) for v in cases]
+    assert verdicts[0] and verdicts[-1] and not verdicts[-2]
+    assert 100 < sum(verdicts) < len(cases) - 300  # both verdicts are well represented
+
 def test_polygon_normalizes_orientation():
     p = g.Polygon([[0, 1], [1, 0], [0, 0]])  # clockwise input
     x, y = p.vertices[:, 0], p.vertices[:, 1]

@@ -174,7 +174,7 @@ def test_composed_pushforward():
 
 
 # ---------------------------------------------------------------------------
-# the eigenvalue memo: each grid operator is solved once per n
+# the eigenvalue memo: each grid operator pair is solved once per ladder
 # ---------------------------------------------------------------------------
 
 MEMO_GRID = sch.GridSpec(6.0, 51)
@@ -197,14 +197,18 @@ def _count_eigsh(monkeypatch, memo_bytes=fem.VALUE_CACHE_BYTES):
 @pytest.mark.parametrize("W", [sch.harmonic(), sch.power_radial(4), sch.trisym(0.2)], ids=lambda W: W.kind)
 def test_fd_memo_hit_equals_cold_solve_bit_for_bit(W, monkeypatch):
     calls = _count_eigsh(monkeypatch)
-    cold = sch._fd_eigs(W, 1.3, 3, 6.0, 51)
-    hit = sch._fd_eigs(W, 1.3, 3, 6.0, 51)
-    assert len(calls) == 1 and np.array_equal(hit, cold)
+    cold = sch._ladder(W, 1.3, 3, 6.0, 51)
+    hit = sch._ladder(W, 1.3, 3, 6.0, 51)
+    assert calls == [24 * 24, 49 * 49]  # the coarse grid, then the fine one
+    assert cold.shape == (2, fem.BLOCK) and np.array_equal(hit, cold)
     hit[0] = -1.0  # callers own what they get back
-    assert np.array_equal(sch._fd_eigs(W, 1.3, 3, 6.0, 51), cold)
-    sch._fd_eigs(W, 1.3, 2, 6.0, 51)  # another n
-    sch._fd_eigs(W, 1.4, 3, 6.0, 51)  # another operator
-    assert len(calls) == 3
+    assert np.array_equal(sch._ladder(W, 1.3, 3, 6.0, 51), cold)
+    for n in range(2, fem.BLOCK + 1):  # another n within the block reads the same entry
+        assert np.array_equal(sch._ladder(W, 1.3, n, 6.0, 51), cold)
+    assert len(calls) == 2
+    sch._ladder(W, 1.3, 1, 6.0, 51)  # a lone n = 1 is a block of its own
+    sch._ladder(W, 1.4, 3, 6.0, 51)  # another operator
+    assert len(calls) == 6
 
 
 def test_schrodinger_right_hand_side_is_solved_once_over_three_maps(monkeypatch):
@@ -236,23 +240,25 @@ def test_fd_failures_are_not_memoized(monkeypatch):
     monkeypatch.setattr(splinalg, "eigsh", fail)
     for _ in range(2):
         with pytest.raises(sch.SolverFailure, match="grid eigensolve failed"):
-            sch._fd_eigs(sch.harmonic(), 1.0, 2, 6.0, 51)
+            sch._ladder(sch.harmonic(), 1.0, 2, 6.0, 51)
     assert len(calls) == 2 and len(fem._VALUES._entries) == 0
 
 
 # ---------------------------------------------------------------------------
-# the grid solve: a minimum-degree symmetric factor handed to eigsh
+# the solve ladder: a minimum-degree symmetric factor handed to eigsh, the
+# coarse grid's eigenvectors starting the fine Lanczos, every pair residual-checked
 # ---------------------------------------------------------------------------
 
 MAPPED_TRISYM = sch.transformed_problem(sch.trisym(0.2), 1.0, g.LinearMap2(2.0, 0.0, 0.0, 1.0))
 
 
-@pytest.mark.parametrize("points", [51, 101])
+@pytest.mark.parametrize("points", [51, 101, 201])
 @pytest.mark.parametrize(
     "W, h", [(sch.harmonic(), 1.0), (sch.power_radial(4), 1.0), MAPPED_TRISYM],
     ids=["harmonic", "power", "mapped-trisym"],
 )
 def test_fd_values_match_a_plain_shift_invert_eigsh(W, h, points, monkeypatch):
+    # the unmapped harmonic's clusters 4, 4 and 6, 6, 6 would show a value the warm start missed
     operators = []
     eigsh = splinalg.eigsh
 
@@ -262,14 +268,16 @@ def test_fd_values_match_a_plain_shift_invert_eigsh(W, h, points, monkeypatch):
 
     monkeypatch.setattr(fem, "_VALUES", fem._ReferenceCache(fem.VALUE_CACHE_BYTES))
     monkeypatch.setattr(splinalg, "eigsh", keep)
-    for n in range(1, 5):
-        got = sch._fd_eigs(W, h, n, 8.0, points)
-        # eigsh's own factor: splu with its default COLAMD ordering
-        K = operators[-1]
-        v0 = np.random.default_rng(1).standard_normal(K.shape[0])
-        plain = np.sort(eigsh(K, k=n, sigma=0.0, v0=v0, return_eigenvectors=False))
-        np.testing.assert_allclose(got, plain, rtol=1e-12, atol=0.0)
-    assert len(operators) == 4
+    plain = {}
+    for n in range(1, fem.BLOCK + 1):
+        got = sch._ladder(W, h, n, 8.0, points)
+        for row, K in enumerate(operators[:-3:-1]):  # the fine grid's operator, then the coarse one's
+            b = got.shape[1]
+            if (id(K), b) not in plain:  # eigsh's own factor: splu with its default COLAMD ordering
+                v0 = np.random.default_rng(1).standard_normal(K.shape[0])
+                plain[id(K), b] = np.sort(eigsh(K, k=b, sigma=0.0, v0=v0, return_eigenvectors=False))
+            np.testing.assert_allclose(got[row, :n], plain[id(K), b][:n], rtol=1e-12, atol=0.0)
+    assert len(operators) == 4  # n = 1, then one block for n = 2..6
 
 
 def test_fd_factor_keeps_its_fill_small(monkeypatch):
@@ -282,6 +290,76 @@ def test_fd_factor_keeps_its_fill_small(monkeypatch):
 
     monkeypatch.setattr(fem, "_VALUES", fem._ReferenceCache(fem.VALUE_CACHE_BYTES))
     monkeypatch.setattr(splinalg, "splu", keep)
-    sch._fd_eigs(sch.harmonic(), 1.0, 1, 8.0, 101)
+    sch._ladder(sch.harmonic(), 1.0, 1, 8.0, 101)
     # 364 676 stored entries with the minimum-degree ordering, 666 448 with COLAMD
-    assert len(factors) == 1 and factors[0].L.nnz + factors[0].U.nnz < 450_000
+    assert [f.shape[0] for f in factors] == [49 * 49, 99 * 99]
+    assert factors[-1].L.nnz + factors[-1].U.nnz < 450_000
+
+
+def test_one_factorization_per_grid_serves_n_2_to_6(monkeypatch):
+    shapes = []
+    splu = splinalg.splu
+
+    def counted(A, *args, **kwargs):
+        shapes.append(A.shape[0])
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(fem, "_VALUES", fem._ReferenceCache(fem.VALUE_CACHE_BYTES))
+    monkeypatch.setattr(splinalg, "splu", counted)
+    W, h = MAPPED_TRISYM
+    spectra = [sch.schrodinger_spectrum(W, h, n, MEMO_GRID) for n in range(2, fem.BLOCK + 1)]
+    assert shapes == [24 * 24, 49 * 49]
+    for s in spectra:
+        np.testing.assert_array_equal(s.values, spectra[-1].values[: len(s.values)])
+
+
+def test_the_coarse_modes_start_the_fine_lanczos(monkeypatch):
+    runs = []
+    eigsh = splinalg.eigsh
+
+    def keep(A, *args, **kwargs):
+        vals, vecs = eigsh(A, *args, **kwargs)
+        runs.append((kwargs["v0"] / np.linalg.norm(kwargs["v0"]), vecs))
+        return vals, vecs
+
+    monkeypatch.setattr(fem, "_VALUES", fem._ReferenceCache(fem.VALUE_CACHE_BYTES))
+    monkeypatch.setattr(splinalg, "eigsh", keep)
+    sch._ladder(sch.power_radial(4), 1.0, 4, 8.0, 101)
+    (coarse_start, coarse_vecs), (fine_start, fine_vecs) = runs
+    assert fine_start.size == 99 * 99
+
+    def outside(v, V):  # the part of the unit start vector outside the block it converged to
+        return np.linalg.norm(v - V @ (V.T @ v))
+
+    assert outside(fine_start, fine_vecs) < 0.05
+    assert outside(coarse_start, coarse_vecs) > 0.9  # a random start is nowhere near it
+
+
+def test_coarse_grid_functions_interpolate_bilinearly_onto_the_nested_grid():
+    L, points = 8.0, 101
+    tent = lambda x: L - np.abs(x)  # linear between coarse points: 0 is coarse point 25
+    xf = np.linspace(-L, L, points)[1:-1]
+    xc = np.linspace(-L, L, (points + 1) // 2)[1:-1]
+    coarse = np.stack([np.outer(tent(xc), tent(xc)), np.outer(xc * tent(xc), tent(xc))])
+    fine = sch._interpolate(coarse)
+    assert fine.shape == (2, points - 2, points - 2)
+    np.testing.assert_allclose(fine[0], np.outer(tent(xf), tent(xf)), rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(fine[:, 1::2, 1::2], coarse)  # coarse point j is fine point 2j
+
+
+@pytest.mark.parametrize("unknowns", [24 * 24, 49 * 49], ids=["coarse", "fine"])
+def test_a_wrong_grid_eigenvalue_fails_the_residual_check(unknowns, monkeypatch):
+    eigsh = splinalg.eigsh
+
+    def perturbed(A, *args, **kwargs):
+        vals, vecs = eigsh(A, *args, **kwargs)
+        if A.shape[0] == unknowns:
+            vals = vals.copy()
+            vals[-1] *= 1.0 + 1e-6
+        return vals, vecs
+
+    monkeypatch.setattr(fem, "_VALUES", fem._ReferenceCache(fem.VALUE_CACHE_BYTES))
+    monkeypatch.setattr(splinalg, "eigsh", perturbed)
+    with pytest.raises(sch.SolverFailure, match="residual .* exceeds"):
+        sch.schrodinger_spectrum(sch.harmonic(), 1.0, 2, MEMO_GRID)
+    assert len(fem._VALUES._entries) == 0
