@@ -22,11 +22,11 @@ A reference of at most DENSE_THRESHOLD unknowns is reduced once when it is
 built: one Cholesky M = U^T U, and Cij = U^-T Kij U^-1 kept as packed upper
 triangles.  Every image of it, Dirichlet, Neumann or Robin, is then the
 standard problem (C(S) + U^-T B U^-1) v = lambda v with C(S) = S11 C11 +
-S12 C12 + S22 C22, one dense eigh with no sparse matrix built and nothing
-hashed.  B is the image's Robin boundary mass (zero unless sigma > 0): the
-reference boundary edges' mass scaled by sigma |T t_e| / |det T|, which S
-and sigma determine, and which lives on the boundary nodes only, so its term
-costs one triangular solve for those nodes' columns of U^-T.  Images of
+S12 C12 + S22 C22, one dense eigh and no generalized solve.  B is the
+image's Robin boundary mass (zero unless sigma > 0): the reference boundary
+edges' mass scaled by sigma |T t_e| / |det T|, which S and sigma determine,
+and which lives on the boundary nodes only, so its term costs one
+triangular solve for those nodes' columns of U^-T.  Images of
 larger references are solved as the pencil (A, M) by shift-invert Lanczos.
 The default threshold, 400 unknowns, is the measured crossover of the
 standard dense solve and shift-invert (FemOptions).
@@ -38,10 +38,10 @@ n = 1 on the shift-invert path solves for one value only, because Lanczos
 pays for every value it converges (six values took 1.5 to 1.8 times as long
 as one on a 465-unknown pencil, one BLAS thread on a 2-vCPU virtual
 machine), while a dense solve costs about the same for one value as for
-six.  A small memo remembers each block: a reduced image's under its
-reference's serial number, S, sigma and the block size, a pencil's under
-a SHA-256 digest of the matrices' contents, the path and the block size;
-the finite-difference Schrodinger solves share it.
+six.  A small memo remembers each block under what builds the image's
+operator, never its bytes: the reference's cache key, S, sigma, the path
+and the block size.  So a hit forms no pencil, even after the reference is
+evicted and rebuilt; the finite-difference ladders share the memo.
 
 scipy is imported by the functions that build sparse matrices or solve,
 when they first run: scipy.linalg by the reductions and dense solves,
@@ -51,8 +51,6 @@ An image whose values the memo holds imports nothing.
 
 from __future__ import annotations
 
-import hashlib
-import itertools
 import math
 import threading
 from collections import OrderedDict
@@ -260,10 +258,11 @@ class _Reference:
     keeps U (M = U^T U) and Cij = U^-T Kij U^-1 as packed upper triangles,
     U in `U` and the three Cij as the rows of `C`; an image is then a
     standard problem (`solve`).  Otherwise C and U are None.  Every array is
-    read-only, and `serial` numbers the reference among all built.
+    read-only.  `key` is the reference cache's key, which determines the
+    reference (None for one built outside the cache).
     """
 
-    def __init__(self, mesh: Mesh, dirichlet: bool, reduce: bool = False):
+    def __init__(self, mesh: Mesh, dirichlet: bool, reduce: bool = False, key=None):
         verts, tris = mesh.vertices, mesh.triangles
         keep = np.ones(len(verts), dtype=bool)
         keep[mesh.boundary_edges] = not dirichlet  # Dirichlet eliminates the boundary nodes
@@ -299,7 +298,7 @@ class _Reference:
         e = mesh.boundary_edges[:0] if dirichlet else mesh.boundary_edges
         self.edges = verts[e[:, 1]] - verts[e[:, 0]]
         self.edge_slots = np.searchsorted(pattern, e[:, [0, 0, 1, 1]] * nk + e[:, [0, 1, 0, 1]])
-        self.serial = next(_SERIALS)
+        self.key = key
         self.C = self.U = None
         if reduce and nk <= DENSE_THRESHOLD:
             self._reduce(pattern)
@@ -451,7 +450,6 @@ class _ReferenceCache:
 
 
 _REFERENCES = _ReferenceCache(REFERENCE_CACHE_BYTES)
-_SERIALS = itertools.count()
 
 
 def _metric(T: LinearMap2) -> np.ndarray:
@@ -478,7 +476,7 @@ def _reference(d: DomainSpec, level: int, T: LinearMap2, dirichlet: bool) -> tup
 
     def build():
         mesh = mesh_domain(Polygon(d.vertices @ _REFLECT.as_array()) if flip else d, level)
-        return _Reference(mesh, dirichlet, reduce=True)
+        return _Reference(mesh, dirichlet, reduce=True, key=key)
 
     return _REFERENCES.get(key, build), (T @ _REFLECT if flip else T)
 
@@ -511,7 +509,8 @@ ROUNDOFF = 16 * np.finfo(float).eps
 MAX_TOLERANCE = 1e-6
 #: Eigenvalues solved per pencil: one solve serves the partial sums n = 1..6 of the paper's bounds.
 BLOCK = 6
-#: Bytes of eigenvalues remembered between calls (4096 values); each entry's key and array add ~400 bytes more.
+#: Bytes of eigenvalues remembered between calls (4096 values); each entry's key and array add ~400 bytes more
+#: (measured: 360 for a FEM image, which shares its reference's key and vertex bytes; 410 for an FD ladder).
 VALUE_CACHE_BYTES = 32 * 2**10
 
 
@@ -558,30 +557,20 @@ def solve_eigs(
     bit-identical; a constant start would be orthogonal to the antisymmetric
     modes of symmetric domains.
 
-    The solve is for a block of b = min(max(n, BLOCK), dim) values, except
-    that a lone n = 1 on the shift-invert path solves for b = 1: Lanczos
-    pays for each value it converges, dense eigh hardly does.  The values
-    memo (VALUE_CACHE_BYTES, shared with the finite-difference solves of
-    `schrodinger`) keeps each block under (SHA-256 digest of K and M, path,
-    b), so n = 2..6 of one pencil cost one solve while the memo holds it.
-    The values are the first n of scipy.linalg.eigh(K, M,
-    subset_by_index=[0, b - 1]) or of the sorted scipy.sparse.linalg.eigsh(k=b)
-    bit for bit, whatever was asked before; callers get their own copy.
-    Every pair of the block is residual-checked before it is remembered, and
-    a failed solve is not remembered.
+    The solve is for a block of b = _block(n, dim, dense) values: BLOCK or
+    n, whichever is more, except that a lone n = 1 on the shift-invert path
+    solves for one value, since Lanczos pays for each value it converges and
+    dense eigh hardly does.  The values are the first n of
+    scipy.linalg.eigh(K, M, subset_by_index=[0, b - 1]) or of the sorted
+    scipy.sparse.linalg.eigsh(k=b) bit for bit.  Every pair of the block is
+    residual-checked.  Nothing is remembered here: the memo keys an image by
+    what builds its pencil (spectrum_fem), which arbitrary matrices lack.
     """
     dim = K.shape[0]
     if n < 1 or n > dim:
         raise ValueError(f"need 1 <= n <= {dim}, got {n}")
     dense = dim <= dense_threshold
-    b = 1 if n == 1 and not dense else min(max(n, BLOCK), dim)
-    key = (content_key(K, M), dense, neumann_like and not dense, b)
-    return memoized(key, lambda: _solve_block(K, M, b, dense, neumann_like))[:n]
-
-
-def _solve_block(K, M, b: int, dense: bool, neumann_like: bool) -> np.ndarray:
-    """The b smallest eigenvalues of the pencil, by dense eigh or shift-invert eigsh, residual-checked."""
-    dim = K.shape[0]
+    b = _block(n, dim, dense)
     if dense:
         vals, vecs = _dense_eigh(b, _dense(K), _dense(M))
     else:
@@ -599,7 +588,12 @@ def _solve_block(K, M, b: int, dense: bool, neumann_like: bool) -> np.ndarray:
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
     _check_residuals(K, M, vecs, vals)
-    return vals
+    return vals[:n]
+
+
+def _block(n: int, dim: int, dense: bool) -> int:
+    """Values solved for a call asking n of dim: a block of BLOCK (or n), one for a lone n = 1 off the dense path."""
+    return 1 if n == 1 and not dense else min(max(n, BLOCK), dim)
 
 
 def _dense_eigh(b: int, *args, **kwargs):
@@ -612,29 +606,14 @@ def _dense_eigh(b: int, *args, **kwargs):
         raise SolverFailure(f"dense eigensolve failed at dim={args[0].shape[0]}, n={b}: {exc}") from exc
 
 
-def content_key(*matrices) -> bytes:
-    """A SHA-256 digest of the matrices' contents: shapes, storage, dtypes and arrays.
-
-    The arrays are hashed through their buffers, with no copy unless one is
-    not C-contiguous; equal matrices stored alike get equal digests.  The
-    32-byte digest is the whole key, so a cache entry's key stays small.
-    """
-    digest = hashlib.sha256()
-    for A in matrices:
-        storage, arrays = _matrix_arrays(A)
-        digest.update(repr((np.shape(A), storage, [(a.dtype.str, a.size) for a in arrays])).encode())
-        for a in arrays:
-            digest.update(np.ascontiguousarray(a))
-    return digest.digest()
-
-
 def memoized(key, solve) -> np.ndarray:
     """solve()'s eigenvalues, remembered under key in the values memo; the caller owns the copy returned.
 
-    The key must determine the values: content_key of the operator (or a
-    reduced image's reference serial and S), the block size and whatever
-    else selects the solver's path.  An exception from solve is raised and
-    nothing is remembered.
+    The key is what builds the operator solve() solves, never its bytes: a
+    FEM image's reference cache key, S, sigma, path and block size, or a
+    finite-difference ladder's potential, map, h, grid and block size.  Two
+    equal keys must build byte-identical operators.  An exception from solve
+    is raised and nothing is remembered.
     """
     def build():
         vals = np.array(solve(), dtype=float)
@@ -649,17 +628,6 @@ def _dense(A):
     from scipy import sparse
 
     return A.toarray() if sparse.issparse(A) else np.array(A, dtype=float)
-
-
-def _matrix_arrays(A) -> tuple:
-    """A's storage and the arrays that, with its shape, determine A: CSC's or CSR's three, or the dense array."""
-    from scipy import sparse
-
-    if sparse.issparse(A):
-        if A.format != "csc":
-            A = A.tocsr()
-        return A.format, (A.indptr, A.indices, A.data)
-    return "dense", (np.asarray(A),)
 
 
 _VALUES = _ReferenceCache(VALUE_CACHE_BYTES)
@@ -741,21 +709,25 @@ def _solve_levels(d, T, bc, n, levels, opts) -> list[np.ndarray]:
     """The n smallest eigenvalues of T(d) on each of the levels.
 
     Every level's reference is carried onto T(d) by the same map, so its
-    metric is formed once, by the first level solved on the reduced route.
+    metric S is formed once.  A memo hit forms no pencil and solves nothing.
     """
     out, s = [], None
     for level in levels:
         ref, carry = _reference(d, level, T, bc.is_dirichlet)
         if ref.dim < n:
             raise ValueError(f"level {level} mesh has only {ref.dim} degrees of freedom, need {n}")
-        if ref.C is not None and ref.dim <= opts.dense_threshold:
-            s = _metric(carry) if s is None else s
-            b = min(max(n, BLOCK), ref.dim)
-            key = ("reduced", ref.serial, s.tobytes(), bc.sigma, b)
-            out.append(memoized(key, lambda: ref.solve(s, bc.sigma, b))[:n])
-        else:
-            A, M = ref.pencil(carry, bc)
-            out.append(solve_eigs(A, M, n, opts.dense_threshold, neumann_like=bc.is_neumann_like))
+        s = _metric(carry) if s is None else s
+        dense = ref.dim <= opts.dense_threshold
+        path = "reduced" if dense and ref.C is not None else "dense" if dense else "shift-invert"
+        b = _block(n, ref.dim, dense)
+
+        def solve():  # called at once by memoized, on a miss only
+            if path == "reduced":
+                return ref.solve(s, bc.sigma, b)
+            return solve_eigs(ref.stiffness(s, bc.sigma), ref.M, b, opts.dense_threshold,
+                              neumann_like=bc.is_neumann_like)
+
+        out.append(memoized((ref.key, s.tobytes(), bc.sigma, path, b), solve)[:n])
     return out
 
 

@@ -8,7 +8,7 @@ the inverse map).
 
 Each spectrum is one solve ladder: the coarse grid (every other point, so
 coarse point j is fine point 2j) first, then the fine grid, each for a block
-of b = max(n, BLOCK) values (one for a lone n = 1, as in fem.solve_eigs), so
+of b = max(n, BLOCK) values (one for a lone n = 1, by fem's block rule), so
 partial sums n = 1..6 read a prefix of one block.  A grid operator
 K = h*Lap + diag(W) is symmetric, so SuperLU factors it with a
 minimum-degree ordering of K + K^T and diagonal pivots (about half the fill
@@ -23,14 +23,14 @@ fem's residual check (identity mass), the contract FEM's solves meet; the
 values agree with a plain eigsh(K, sigma=0) to about 1e-14 relative.
 
 Each ladder's two blocks are remembered as one entry of fem's eigenvalue
-memo, keyed by a SHA-256 digest of both grid operators' CSC arrays and b, so
-within one process an operator pair is solved once per ladder: the fixed
-right-hand side -h Lap + W of the Schrodinger bound is solved once for all
-maps and all n <= BLOCK, and a map that leaves W unchanged (a quarter turn
-of a radial potential) reuses it too.  No eigenvector outlives the call.
-The solve is deterministic, so a remembered block equals a cold ladder bit
-for bit.  Grids above MAX_GRID_POINTS per side are refused before any work.
-scipy.sparse is imported by the grid solve, when one first runs.
+memo, keyed by what builds both grid operators (potential, inverse map, h,
+grid and b), so a hit builds neither: the fixed right-hand side -h Lap + W
+of the Schrodinger bound is solved once for all maps and all n <= BLOCK,
+and a quarter turn of a radial potential, keyed as unmapped, reuses it.
+No eigenvector outlives the call.  The solve is deterministic, so a
+remembered block equals a cold ladder bit for bit.  Grids above
+MAX_GRID_POINTS per side are refused before any work.  scipy.sparse is
+imported by the grid solve, when one first runs.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import NumericalFailure, Spectrum
-from .fem import BLOCK, SolverFailure, _check_residuals, content_key, memoized
+from .fem import SolverFailure, _block, _check_residuals, memoized
 from .geometry import INFINITE_ORDER, LinearMap2
 
 __all__ = [
@@ -199,20 +199,35 @@ def _ladder(W: PotentialSpec, h: float, n: int, L: float, points: int) -> np.nda
     The block is b = max(n, BLOCK) values, or one for a lone n = 1.  The
     coarse grid (every other point) is solved first from a fixed random start;
     its eigenvectors, interpolated onto the fine grid and combined with fixed
-    random weights, start the fine Lanczos.
+    random weights, start the fine Lanczos.  The operators are built on a memo miss only.
     """
-    b = 1 if n == 1 else max(n, BLOCK)
     coarse_points = (points + 1) // 2
-    K, Kc = _grid_operator(W, h, L, points), _grid_operator(W, h, L, coarse_points)
+    m = coarse_points - 2
+    b = _block(n, m * m, False)
 
     def solve():
-        m = coarse_points - 2
+        K, Kc = _grid_operator(W, h, L, points), _grid_operator(W, h, L, coarse_points)
         coarse, vecs = _grid_eigs(Kc, b, np.random.default_rng(0).standard_normal(m * m), coarse_points)
         modes = _interpolate(vecs.T.reshape(b, m, m)).reshape(b, -1)
         fine, _ = _grid_eigs(K, b, np.random.default_rng(0).standard_normal(b) @ modes, points)
         return np.stack((fine, coarse))
 
-    return memoized(("fd", content_key(K, Kc), b), solve)
+    return memoized(("fd", W.kind, W.q, W.beta, _inverse_key(W), h, L, points, b), solve)
+
+
+def _inverse_key(W: PotentialSpec) -> bytes | None:
+    """The inverse pushforward entries W.values reads, or None where W's grid values are the unmapped ones.
+
+    A signed permutation only swaps and negates (x1, x2), which leaves the
+    harmonic and power values bit for bit, and h' = h; trisym's
+    x1^3 - 3 x1 x2^2 changes under most of them, so trisym keeps its map.
+    """
+    if W.pushforward is None:
+        return None
+    inv = W.pushforward.inverse().as_array()
+    if W.kind != "trisym" and any(np.array_equal(np.abs(inv), P) for P in (np.eye(2), np.eye(2)[::-1])):
+        return None
+    return inv.tobytes()
 
 
 def schrodinger_spectrum(W: PotentialSpec, h: float, n: int, grid: GridSpec = GridSpec()) -> Spectrum:

@@ -1,4 +1,7 @@
+import ast
+import hashlib
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -489,16 +492,6 @@ def _images(d, seed, levels=(1, 2, 3, 4)):
     return out
 
 
-def _pencils(d, seed, levels=(1, 2, 3, 4)):
-    """(K, M, neumann_like) of seeded images of d at each level and condition, as spectrum_fem builds them."""
-    return [(*ref.pencil(T, bc), bc.is_neumann_like) for _, bc, _, ref, T in _images(d, seed, levels)]
-
-
-def _shift_invert_pencils():
-    """The hexagon's level-4 Neumann and Robin images: 561 unknowns, above the dense threshold."""
-    return _pencils(g.regular_polygon(6), seed=5, levels=(4,))[1:]
-
-
 def _block(n, dim, dense):
     """The number of values one solve computes for a call asking n: a block of six, one for a lone shift-invert n = 1."""
     return 1 if n == 1 and not dense else min(max(n, 6), dim)
@@ -557,18 +550,26 @@ def test_small_dense_pencils_equal_eigh():
         assert np.array_equal(K, K0) and np.array_equal(M, M0)  # the caller's matrices are untouched
 
 
+def _level4_images():
+    """(d, level, bc, T, reference, map onto the image) of the square's level-4 Dirichlet image, reduced
+    (225 unknowns), and the hexagon's level-4 Neumann and Robin images, solved by shift-invert (561)."""
+    square, hexagon = g.square(1.0), g.regular_polygon(6)
+    return [(square, *_images(square, seed=5, levels=(4,))[0])] + [
+        (hexagon, *image) for image in _images(hexagon, seed=5, levels=(4,))[1:]]
+
+
 def test_cached_solve_does_not_depend_on_call_order(monkeypatch):
-    # the square's level-4 Dirichlet pencil has 225 unknowns (dense), the hexagon's Neumann one 561 (shift-invert)
-    for A, B, neumann_like in _pencils(g.square(1.0), seed=5, levels=(4,))[:1] + _shift_invert_pencils()[:1]:
+    for d, level, bc, T, _, _ in _level4_images()[:2]:
+        opts = fem.FemOptions(max_refinement=level)
         _fresh_caches(monkeypatch)
-        cold = fem.solve_eigs(A, B, 3, neumann_like=neumann_like)
+        cold = fem._solve_level(d, T, bc, 3, level, opts)
         _fresh_caches(monkeypatch)
-        fem.solve_eigs(A, B, 6, neumann_like=neumann_like)
-        warm = fem.solve_eigs(A, B, 3, neumann_like=neumann_like)  # a prefix of n = 6's block
-        again = fem.solve_eigs(A, B, 3, neumann_like=neumann_like)  # from the memo
+        fem._solve_level(d, T, bc, 6, level, opts)
+        warm = fem._solve_level(d, T, bc, 3, level, opts)  # a prefix of n = 6's block
+        again = fem._solve_level(d, T, bc, 3, level, opts)  # from the memo
         assert np.array_equal(warm, cold) and np.array_equal(again, cold)
         again[0] = -1.0  # callers own what they get back
-        assert np.array_equal(fem.solve_eigs(A, B, 3, neumann_like=neumann_like), cold)
+        assert np.array_equal(fem._solve_level(d, T, bc, 3, level, opts), cold)
 
 
 # ---------------------------------------------------------------------------
@@ -732,21 +733,35 @@ def test_dense_eigensolver_failures_are_typed_and_not_memoized(monkeypatch):
     assert len(fem._VALUES._entries) == 0
 
 
-def test_reduced_solves_compute_no_digest(monkeypatch):
-    from eigenplane import experiments as xp
+def test_no_module_of_the_package_imports_hashlib():
+    # the memo keys every entry by what builds its operator, so nothing in the package hashes
+    import eigenplane
 
+    for path in pathlib.Path(eigenplane.__file__).parent.glob("*.py"):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module.split(".")[0])
+        assert "hashlib" not in imported, path.name
+
+
+def test_reduced_image_hits_the_memo_after_its_reference_is_rebuilt(monkeypatch):
     _fresh_caches(monkeypatch)
-    digests = []
-    sha256 = fem.hashlib.sha256
-    monkeypatch.setattr(fem.hashlib, "sha256", lambda *a: digests.append(1) or sha256(*a))
-    opts = fem.FemOptions(max_refinement=4)
-    for d in (g.equilateral_triangle(), g.square(1.0)):  # criterion 7's and criterion 8's domains and levels
-        for T in _seeded_maps(53, 2):
-            for n in (1, 6):
-                for bc in (ex.DIRICHLET, ex.NEUMANN):
-                    xp.verify_linear_map_bound(d, T, bc, n, opts)
-                xp.verify_robin_bound(d, T, 1.0, n, opts)
-    assert digests == []
+    monkeypatch.setattr(fem, "_REFERENCES", fem._ReferenceCache(fem.REFERENCE_CACHE_BYTES))
+    d, T, opts = g.equilateral_triangle(), _seeded_maps(67, 1)[0], fem.FemOptions(max_refinement=4)
+    bcs = (ex.DIRICHLET, ex.NEUMANN, ex.robin(1.0))
+    cold = [fem._solve_level(d, T, bc, 6, 4, opts) for bc in bcs]
+    evicted = [fem._reference(d, 4, T, bc.is_dirichlet)[0] for bc in bcs]
+    monkeypatch.setattr(fem, "_REFERENCES", fem._ReferenceCache(fem.REFERENCE_CACHE_BYTES))  # every reference gone
+    solved = _count_solves(monkeypatch)
+    for bc, ref, want in zip(bcs, evicted, cold):
+        assert ref.C is not None
+        assert np.array_equal(fem._solve_level(d, T, bc, 6, 4, opts), want), bc.kind
+        rebuilt = fem._reference(d, 4, T, bc.is_dirichlet)[0]
+        assert rebuilt is not ref and rebuilt.key == ref.key
+    assert solved == []  # no eigh: every image read the entry its evicted reference's solve left
 
 
 def test_no_image_up_to_the_dense_threshold_is_solved_as_a_generalized_pencil(monkeypatch):
@@ -771,27 +786,38 @@ def test_no_image_up_to_the_dense_threshold_is_solved_as_a_generalized_pencil(mo
 # the eigenvalue memo: one solve per pencil and block
 # ---------------------------------------------------------------------------
 
-def _dense_key(K, M):
-    """content_key of the pencil as dense arrays, whatever storage it comes in."""
-    return fem.content_key(*(A.toarray() if sparse.issparse(A) else np.asarray(A) for A in (K, M)))
+def _fingerprint(*matrices):
+    """A SHA-256 digest of the matrices as dense arrays: equal for equal contents, whatever their storage."""
+    digest = hashlib.sha256()
+    for A in matrices:
+        a = np.ascontiguousarray(A.toarray() if sparse.issparse(A) else A)
+        digest.update(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
+    return digest.hexdigest()
+
+
+def _solve_key(ref, T, bc):
+    """_count_solves's key for the solve of the image T of ref: its reduced matrix if any, else its pencil."""
+    if ref.C is not None:
+        return ("reduced", _fingerprint(ref.reduced(fem._metric(T), bc.sigma)))
+    return _fingerprint(*ref.pencil(T, bc))
 
 
 def _count_solves(monkeypatch):
     """Record (key, number of values) of every eigh and eigsh call, i.e. every solve that misses the memo.
 
-    The key is the dense key of a pencil (K, M), or ("reduced", content_key(C)) for a standard eigh of C(S).
+    The key is the fingerprint of a pencil (K, M), or ("reduced", fingerprint(C)) for a standard eigh of C(S).
     """
     solved = []
     eigh, eigsh = scipy.linalg.eigh, splinalg.eigsh
 
     def dense(K, M=None, subset_by_index=None, **kwargs):
         # keyed before the call: the reduced solve lets eigh overwrite C(S)
-        key = ("reduced", fem.content_key(K)) if M is None else _dense_key(K, M)
+        key = ("reduced", _fingerprint(K)) if M is None else _fingerprint(K, M)
         solved.append((key, subset_by_index[1] + 1))
         return eigh(K, M, subset_by_index=subset_by_index, **kwargs)
 
     def shift_invert(K, k, M, **kwargs):
-        solved.append((_dense_key(K, M), k))
+        solved.append((_fingerprint(K, M), k))
         return eigsh(K, k=k, M=M, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "eigh", dense)
@@ -800,42 +826,43 @@ def _count_solves(monkeypatch):
 
 
 def test_memo_hit_equals_cold_solve_bit_for_bit(monkeypatch):
-    # the square's level-4 Dirichlet pencil is dense (225 unknowns), the hexagon's Neumann one shift-invert (561)
-    for K, M, neumann_like in _pencils(g.square(1.0), seed=5, levels=(4,))[:1] + _shift_invert_pencils()[:1]:
+    for d, level, bc, T0, ref, T in _level4_images()[:2]:
+        opts = fem.FemOptions(max_refinement=level)
         _fresh_caches(monkeypatch)
-        want = _plain_eigs(K, M, 4, neumann_like)
+        want = _plain_image_eigs(ref, T, bc, 4)
         solved = _count_solves(monkeypatch)
-        cold = fem.solve_eigs(K, M, 4, neumann_like=neumann_like)
-        assert np.array_equal(cold, want) and solved == [(_dense_key(K, M), 6)]
-        # equal contents in new arrays hit the memo: no second solve
-        hit = fem.solve_eigs(K.copy(), M.copy(), 4, neumann_like=neumann_like)
+        cold = fem._solve_level(d, T0, bc, 4, level, opts)
+        assert np.array_equal(cold, want) and solved == [(_solve_key(ref, T, bc), 6)]
+        # an equal domain and map in new objects hit the memo: no second solve
+        same = g.LinearMap2(T0.a11, T0.a12, T0.a21, T0.a22)
+        hit = fem._solve_level(g.Polygon(d.vertices.copy()), same, bc, 4, level, opts)
         assert np.array_equal(hit, cold) and len(solved) == 1
         hit[0] = -1.0  # callers own what they get back
-        assert np.array_equal(fem.solve_eigs(K, M, 4, neumann_like=neumann_like), cold)
+        assert np.array_equal(fem._solve_level(d, T0, bc, 4, level, opts), cold)
         # n = 3 reads the same block: still one solve
-        assert np.array_equal(fem.solve_eigs(K, M, 3, neumann_like=neumann_like), cold[:3])
+        assert np.array_equal(fem._solve_level(d, T0, bc, 3, level, opts), cold[:3])
         assert len(solved) == 1
-        # another matrix or the other path is another entry
-        K2 = K.copy()
-        K2.data[0] *= 1.0 + 2.0**-40
-        other_path = 100 if K.shape[0] <= fem.DENSE_THRESHOLD else 1000
-        fem.solve_eigs(K2, M, 4, neumann_like=neumann_like)
-        fem.solve_eigs(K, M, 4, dense_threshold=other_path, neumann_like=neumann_like)
+        # another map or the other path is another entry
+        T2 = g.LinearMap2(T0.a11 * (1.0 + 2.0**-40), T0.a12, T0.a21, T0.a22)
+        other_path = 100 if ref.dim <= fem.DENSE_THRESHOLD else 1000
+        fem._solve_level(d, T2, bc, 4, level, opts)
+        fem._solve_level(d, T0, bc, 4, level, fem.FemOptions(max_refinement=level, dense_threshold=other_path))
         assert len(solved) == 3
 
 
 def test_lone_shift_invert_fundamental_is_its_own_entry(monkeypatch):
-    for K, M, neumann_like in _shift_invert_pencils():
-        assert K.shape[0] > fem.DENSE_THRESHOLD
+    for d, level, bc, T0, ref, T in _level4_images()[1:]:
+        assert ref.dim > fem.DENSE_THRESHOLD
+        opts = fem.FemOptions(max_refinement=level)
         _fresh_caches(monkeypatch)
-        want = [_plain_eigs(K, M, n, neumann_like) for n in range(1, 7)]
+        want = [_plain_image_eigs(ref, T, bc, n) for n in range(1, 7)]
         solved = _count_solves(monkeypatch)
-        one = fem.solve_eigs(K, M, 1, neumann_like=neumann_like)
-        assert np.array_equal(one, want[0]) and solved == [(_dense_key(K, M), 1)]  # eigsh(k=1)
+        one = fem._solve_level(d, T0, bc, 1, level, opts)
+        assert np.array_equal(one, want[0]) and solved == [(_solve_key(ref, T, bc), 1)]  # eigsh(k=1)
         for n in range(2, 7):  # one more solve, of six values, serves n = 2..6
-            assert np.array_equal(fem.solve_eigs(K, M, n, neumann_like=neumann_like), want[n - 1]), n
+            assert np.array_equal(fem._solve_level(d, T0, bc, n, level, opts), want[n - 1]), n
         assert [b for _, b in solved] == [1, 6] and len(fem._VALUES._entries) == 2
-        assert np.array_equal(fem.solve_eigs(K, M, 1, neumann_like=neumann_like), one) and len(solved) == 2
+        assert np.array_equal(fem._solve_level(d, T0, bc, 1, level, opts), one) and len(solved) == 2
 
 
 def test_hexagon_right_hand_side_is_solved_once_per_bc_and_n(monkeypatch):
@@ -843,26 +870,26 @@ def test_hexagon_right_hand_side_is_solved_once_per_bc_and_n(monkeypatch):
 
     _fresh_caches(monkeypatch)
     hexagon = g.regular_polygon(6)
+    identity = g.LinearMap2.identity()
     asked = []
-    solve_eigs = fem.solve_eigs
+    solve_levels = fem._solve_levels
 
-    def ask(K, M, n, *args, **kwargs):
-        asked.append((fem.content_key(K, M), n))
-        return solve_eigs(K, M, n, *args, **kwargs)
+    def ask(d, T, bc, n, *args, **kwargs):
+        asked.append((bc.kind, T.as_array().tobytes(), n))
+        return solve_levels(d, T, bc, n, *args, **kwargs)
 
-    monkeypatch.setattr(fem, "solve_eigs", ask)
+    monkeypatch.setattr(fem, "_solve_levels", ask)
     solved = _count_solves(monkeypatch)
     maps = _seeded_maps(11, 5)
     for bc in (ex.DIRICHLET, ex.NEUMANN):
-        ref, identity = fem._reference(hexagon, 4, g.LinearMap2.identity(), bc.is_dirichlet)
-        K, M = ref.pencil(identity, bc)
-        assert K.shape[0] > fem.DENSE_THRESHOLD  # shift-invert
+        ref, _ = fem._reference(hexagon, 4, identity, bc.is_dirichlet)
+        assert ref.dim > fem.DENSE_THRESHOLD  # shift-invert
         for n in (2, 3):
             for T in maps:
                 xp.verify_linear_map_bound(hexagon, T, bc, n)  # levels 3 and 4
-            assert asked.count((fem.content_key(K, M), n)) == len(maps), (bc.kind, n)
+            assert asked.count((bc.kind, identity.as_array().tobytes(), n)) == len(maps), (bc.kind, n)
         # n = 2 and 3 read one block of six
-        assert [b for key, b in solved if key == _dense_key(K, M)] == [6], bc.kind
+        assert [b for key, b in solved if key == _solve_key(ref, identity, bc)] == [6], bc.kind
     assert len(solved) == len({key for key, _ in solved})  # every pencil was solved once
     # per condition, the five maps and the hexagon itself: level 3 on the reduced form, level 4 by shift-invert
     assert sorted(key[0] == "reduced" for key, _ in solved) == [False] * 12 + [True] * 12
@@ -870,13 +897,19 @@ def test_hexagon_right_hand_side_is_solved_once_per_bc_and_n(monkeypatch):
 
 def test_solver_failures_are_not_memoized(monkeypatch):
     _fresh_caches(monkeypatch)
-    dim = fem.DENSE_THRESHOLD + 1
-    K = sparse.diags(np.r_[0.0, np.ones(dim - 1)]).tocsr()  # singular: its LU fails
-    M = sparse.identity(dim, format="csr")
+    calls = []
+
+    def singular(*args, **kwargs):
+        calls.append(1)
+        raise RuntimeError("Factor is exactly singular")  # what eigsh raises when its LU fails
+
+    monkeypatch.setattr(splinalg, "eigsh", singular)
+    d, level, bc, T, ref, _ = _level4_images()[1]
+    assert ref.dim > fem.DENSE_THRESHOLD
     for _ in range(2):
         with pytest.raises(fem.SolverFailure, match="shift-invert iteration failed"):
-            fem.solve_eigs(K, M, 2)
-    assert len(fem._VALUES._entries) == 0
+            fem._solve_level(d, T, bc, 2, level, fem.FemOptions(max_refinement=level))
+    assert len(calls) == 2 and len(fem._VALUES._entries) == 0
 
 
 def test_value_memo_stays_within_its_byte_bound_under_threads(monkeypatch):

@@ -244,6 +244,56 @@ def test_fd_failures_are_not_memoized(monkeypatch):
     assert len(calls) == 2 and len(fem._VALUES._entries) == 0
 
 
+def test_a_memo_hit_builds_no_grid_operator(monkeypatch):
+    calls = _count_eigsh(monkeypatch)
+    W, h = MAPPED_TRISYM
+    cold = sch.schrodinger_spectrum(W, h, 3, MEMO_GRID)
+    built = []
+    grid_operator = sch._grid_operator
+    monkeypatch.setattr(sch, "_grid_operator", lambda *args: built.append(args[-1]) or grid_operator(*args))
+    hit = sch.schrodinger_spectrum(W, h, 3, MEMO_GRID)
+    assert built == [] and len(calls) == 2
+    assert np.array_equal(hit.values, cold.values) and np.array_equal(hit.error_estimates, cold.error_estimates)
+
+
+#: The seven signed permutations other than the identity: each negates or swaps the coordinates.
+SIGNED_PERMUTATIONS = [g.LinearMap2(*m) for m in ((-1, 0, 0, 1), (1, 0, 0, -1), (-1, 0, 0, -1),
+                                                  (0, 1, 1, 0), (0, -1, 1, 0), (0, 1, -1, 0), (0, -1, -1, 0))]
+QUARTER_TURN = g.LinearMap2(0.0, -1.0, 1.0, 0.0)
+LADDER_CASES = {  # (base potential, potential, h, L, points, whether it shares the base's ladder)
+    **{f"{W.kind}-permutation-{i}": (W, sch.transformed_problem(W, 1.0, P)[0], 1.0, 6.0, 51, True)
+       for W in (sch.harmonic(), sch.power_radial(4)) for i, P in enumerate(SIGNED_PERMUTATIONS)},
+    "trisym-quarter-turn": (sch.trisym(0.2), sch.transformed_problem(sch.trisym(0.2), 1.0, QUARTER_TURN)[0],
+                            1.0, 6.0, 51, False),
+    "beta": (sch.trisym(0.2), sch.trisym(0.3), 1.0, 6.0, 51, False),
+    "q": (sch.power_radial(4), sch.power_radial(6), 1.0, 6.0, 51, False),
+    "h": (sch.harmonic(), sch.harmonic(), 1.1, 6.0, 51, False),
+    "L": (sch.harmonic(), sch.harmonic(), 1.0, 6.5, 51, False),
+    "points": (sch.harmonic(), sch.harmonic(), 1.0, 6.0, 53, False),
+}
+
+
+@pytest.mark.parametrize("case", list(LADDER_CASES))
+def test_ladders_are_keyed_by_what_builds_their_operators(case, monkeypatch):
+    base, W, h, L, points, shared = LADDER_CASES[case]
+    calls = _count_eigsh(monkeypatch)
+    cold = sch._ladder(base, 1.0, 2, 6.0, 51)
+    built = []
+    grid_operator = sch._grid_operator
+    monkeypatch.setattr(sch, "_grid_operator", lambda *args: built.append(args[-1]) or grid_operator(*args))
+    got = sch._ladder(W, h, 2, L, points)
+    if not shared:  # another operator: a new ladder, coarse grid then fine
+        assert built == [points, (points + 1) // 2] and len(calls) == 4
+        return
+    # h' = h, and both grids' operators equal the unmapped ones byte for byte, so one ladder serves both
+    assert sch.transformed_problem(base, 1.0, W.pushforward)[1] == 1.0
+    for p in (51, 26):
+        K, K0 = grid_operator(W, 1.0, 6.0, p), grid_operator(base, 1.0, 6.0, p)
+        for name in ("data", "indices", "indptr"):
+            assert getattr(K, name).tobytes() == getattr(K0, name).tobytes(), (p, name)
+    assert built == [] and len(calls) == 2 and np.array_equal(got, cold)
+
+
 # ---------------------------------------------------------------------------
 # the solve ladder: a minimum-degree symmetric factor handed to eigsh, the
 # coarse grid's eigenvectors starting the fine Lanczos, every pair residual-checked
