@@ -18,30 +18,32 @@ stiffness is then S11 K11 + S12 K12 + S22 K22 with S = T^-1 T^-T, its mass M
 references between calls, and an untransformed domain is the case T = I, so
 every FEM spectrum takes the same path.
 
-A reference of at most DENSE_THRESHOLD unknowns is reduced once when it is
-built: one Cholesky M = U^T U, and Cij = U^-T Kij U^-1 kept as packed upper
-triangles.  Every image of it, Dirichlet, Neumann or Robin, is then the
-standard problem (C(S) + U^-T B U^-1) v = lambda v with C(S) = S11 C11 +
-S12 C12 + S22 C22, one dense eigh and no generalized solve.  B is the
-image's Robin boundary mass (zero unless sigma > 0): the reference boundary
-edges' mass scaled by sigma |T t_e| / |det T|, which S and sigma determine,
-and which lives on the boundary nodes only, so its term costs one
-triangular solve for those nodes' columns of U^-T.  Images of
-larger references are solved as the pencil (A, M) by shift-invert Lanczos.
-The default threshold, 400 unknowns, is the measured crossover of the
-standard dense solve and shift-invert (FemOptions).
+A reference of at most FemOptions.dense_threshold unknowns (default
+DENSE_THRESHOLD = 400, the measured crossover of the standard dense solve
+and shift-invert) is reduced once when it is built: one Cholesky
+M = U^T U, and Cij = U^-T Kij U^-1 kept as packed upper triangles.  Every
+image of it, Dirichlet, Neumann or Robin, is then the standard problem
+(C(S) + U^-T B U^-1) v = lambda v with C(S) = S11 C11 + S12 C12 + S22 C22,
+one dense eigh.  B is the image's Robin boundary mass (zero unless
+sigma > 0): the reference boundary edges' mass scaled by
+sigma |T t_e| / |det T|, which S and sigma determine, and which lives on
+the boundary nodes only, so its term costs one triangular solve for those
+nodes' columns of U^-T.  Images of larger references are solved as the
+pencil (A, M) by shift-invert Lanczos; none is a generalized dense solve.
 
 Each image is solved once, for a block of its BLOCK = 6 smallest
 eigenvalues (or n, if more are asked), and a call for n values reads a
 prefix of that block: partial sums for n = 1..6 cost one solve.  A lone
-n = 1 on the shift-invert path solves for one value only, because Lanczos
+n = 1 on the shift-invert route solves for one value only, because Lanczos
 pays for every value it converges (six values took 1.5 to 1.8 times as long
 as one on a 465-unknown pencil, one BLAS thread on a 2-vCPU virtual
 machine), while a dense solve costs about the same for one value as for
-six.  A small memo remembers each block under what builds the image's
-operator, never its bytes: the reference's cache key, S, sigma, the path
-and the block size.  So a hit forms no pencil, even after the reference is
-evicted and rebuilt; the finite-difference ladders share the memo.
+six.  _block sizes every block, and refuses an n outside 1..dim (1..dim - 1
+for Lanczos) before any solve.  A small memo remembers each block under what
+builds the image's operator, never its bytes: the reference's cache key
+(which records the threshold, so the route), S, sigma and the block size.
+So a hit forms no pencil, even after the reference is evicted and rebuilt;
+the finite-difference ladders share the memo.
 
 scipy is imported by the functions that build sparse matrices or solve,
 when they first run: scipy.linalg by the reductions and dense solves,
@@ -239,6 +241,8 @@ _EDGE_MASS = np.array([2.0, 1.0, 1.0, 2.0]) / 6.0  # entries (a,a), (a,b), (b,a)
 _REFLECT = LinearMap2.diagonal(1.0, -1.0)
 #: Bytes of reference arrays kept between calls; a reference over half of it is rebuilt whenever asked for.
 REFERENCE_CACHE_BYTES = 8 * 2**20
+#: Default FemOptions.dense_threshold, the largest reference reduced: shift-invert wins above ~400 unknowns.
+DENSE_THRESHOLD = 400
 
 
 class _Reference:
@@ -254,15 +258,15 @@ class _Reference:
     boundary nodes are eliminated); only the former keep the boundary edges
     that Robin needs.
 
-    With `reduce` and at most DENSE_THRESHOLD unknowns, the reference also
-    keeps U (M = U^T U) and Cij = U^-T Kij U^-1 as packed upper triangles,
-    U in `U` and the three Cij as the rows of `C`; an image is then a
-    standard problem (`solve`).  Otherwise C and U are None.  Every array is
-    read-only.  `key` is the reference cache's key, which determines the
-    reference (None for one built outside the cache).
+    With at most `dense_threshold` unknowns (none at the default 0), the
+    reference also keeps U (M = U^T U) and Cij = U^-T Kij U^-1 as packed
+    upper triangles, U in `U` and the three Cij as the rows of `C`; an image
+    is then a standard problem (`solve`).  Otherwise C and U are None.
+    Every array is read-only.  `key` is the reference cache's key, which
+    determines the reference (None for one built outside the cache).
     """
 
-    def __init__(self, mesh: Mesh, dirichlet: bool, reduce: bool = False, key=None):
+    def __init__(self, mesh: Mesh, dirichlet: bool, dense_threshold: int = 0, key=None):
         verts, tris = mesh.vertices, mesh.triangles
         keep = np.ones(len(verts), dtype=bool)
         keep[mesh.boundary_edges] = not dirichlet  # Dirichlet eliminates the boundary nodes
@@ -300,7 +304,7 @@ class _Reference:
         self.edge_slots = np.searchsorted(pattern, e[:, [0, 0, 1, 1]] * nk + e[:, [0, 1, 0, 1]])
         self.key = key
         self.C = self.U = None
-        if reduce and nk <= DENSE_THRESHOLD:
+        if nk <= dense_threshold:
             self._reduce(pattern)
         for arr in self._arrays():
             arr.setflags(write=False)
@@ -459,7 +463,8 @@ def _metric(T: LinearMap2) -> np.ndarray:
     return np.array([S[0, 0], S[0, 1], S[1, 1]])
 
 
-def _reference(d: DomainSpec, level: int, T: LinearMap2, dirichlet: bool) -> tuple[_Reference, LinearMap2]:
+def _reference(d: DomainSpec, level: int, T: LinearMap2, dirichlet: bool,
+               dense_threshold: int = DENSE_THRESHOLD) -> tuple[_Reference, LinearMap2]:
     """Cached reference for T(d) at `level` (interior unknowns if `dirichlet`), and the map carrying it onto T(d).
 
     T(d) is meshed as the image of d's mesh, which for a polygon is the mesh
@@ -467,16 +472,17 @@ def _reference(d: DomainSpec, level: int, T: LinearMap2, dirichlet: bool) -> tup
     det T < 0 in reversed vertex order, so its fan starts at another vertex
     (the square's diagonal flips).  The reflection R(d) is reversed alike, so
     for det T < 0 the reference is the mesh of R(d) and T(d) = (T R)(R(d)).
+    It is reduced up to `dense_threshold` unknowns, which its key records.
     """
     flip = isinstance(d, Polygon) and T.det < 0
     if isinstance(d, Polygon):
-        key = ("polygon", d.vertices.tobytes(), level, flip, dirichlet)
+        key = ("polygon", d.vertices.tobytes(), level, flip, dirichlet, dense_threshold)
     else:
-        key = ("ellipse", d.center.tobytes(), d.semi_axes, d.rotation, level, dirichlet)
+        key = ("ellipse", d.center.tobytes(), d.semi_axes, d.rotation, level, dirichlet, dense_threshold)
 
     def build():
         mesh = mesh_domain(Polygon(d.vertices @ _REFLECT.as_array()) if flip else d, level)
-        return _Reference(mesh, dirichlet, reduce=True, key=key)
+        return _Reference(mesh, dirichlet, dense_threshold, key)
 
     return _REFERENCES.get(key, build), (T @ _REFLECT if flip else T)
 
@@ -498,8 +504,6 @@ def assemble(mesh: Mesh, bc: BoundarySpec):
 # eigenvalue extraction
 # ---------------------------------------------------------------------------
 
-#: Largest reference reduced and largest problem solved densely; shift-invert Lanczos wins above ~400 unknowns.
-DENSE_THRESHOLD = 400
 #: Relative (and, near a zero eigenvalue, absolute) residual every eigenpair must meet.
 EIG_TOLERANCE = 1e-8
 #: Residual allowed per unit ||K||_inf |v| on top of EIG_TOLERANCE: the roundoff of a backward-stable solve.
@@ -519,15 +523,13 @@ class FemOptions:
     """Refinement and solver knobs for spectrum_fem.
 
     max_refinement is the finest level (the coarse companion is one below);
-    problems of at most dense_threshold unknowns are solved densely, larger
-    ones by shift-invert Lanczos.  The default 400 is the measured crossover
-    of the standard dense solve of a reduced image against shift-invert, per
-    block of six values with its residual check (one BLAS thread on a 2-vCPU
+    references of at most dense_threshold unknowns are reduced and their
+    images solved by a standard dense eigh, larger ones by shift-invert
+    Lanczos.  The default 400 is the measured crossover of the two, per block
+    of six values with its residual check (one BLAS thread on a 2-vCPU
     virtual machine: 7.2 against 9.1-9.5 ms at 357 unknowns, 8.1-9.2 against
     8.8-9.7 ms at 385, 10.2-10.4 against 8.7-10.5 ms at 405, 13.7-13.9
-    against 11.0-11.3 ms at 465).  References above DENSE_THRESHOLD are not
-    reduced, so a larger dense_threshold solves their images as generalized
-    pencils.
+    against 11.0-11.3 ms at 465).
     """
 
     max_refinement: int = 5
@@ -558,17 +560,16 @@ def solve_eigs(
     modes of symmetric domains.
 
     The solve is for a block of b = _block(n, dim, dense) values: BLOCK or
-    n, whichever is more, except that a lone n = 1 on the shift-invert path
+    n, whichever is more, except that a lone n = 1 on the shift-invert route
     solves for one value, since Lanczos pays for each value it converges and
-    dense eigh hardly does.  The values are the first n of
+    dense eigh hardly does.  An n outside 1..dim (1..dim - 1 for Lanczos)
+    raises ValueError before any solve.  The values are the first n of
     scipy.linalg.eigh(K, M, subset_by_index=[0, b - 1]) or of the sorted
     scipy.sparse.linalg.eigsh(k=b) bit for bit.  Every pair of the block is
     residual-checked.  Nothing is remembered here: the memo keys an image by
     what builds its pencil (spectrum_fem), which arbitrary matrices lack.
     """
     dim = K.shape[0]
-    if n < 1 or n > dim:
-        raise ValueError(f"need 1 <= n <= {dim}, got {n}")
     dense = dim <= dense_threshold
     b = _block(n, dim, dense)
     if dense:
@@ -592,8 +593,11 @@ def solve_eigs(
 
 
 def _block(n: int, dim: int, dense: bool) -> int:
-    """Values solved for a call asking n of dim: a block of BLOCK (or n), one for a lone n = 1 off the dense path."""
-    return 1 if n == 1 and not dense else min(max(n, BLOCK), dim)
+    """Values solved for a call asking n of dim: a block of BLOCK (or n), one for a lone n = 1 off the dense route."""
+    most = dim if dense else dim - 1  # Lanczos converges at most dim - 1 values
+    if not 1 <= n <= most:
+        raise ValueError(f"need 1 <= n <= {most} on {dim} unknowns, got n = {n}")
+    return 1 if n == 1 and not dense else min(max(n, BLOCK), most)
 
 
 def _dense_eigh(b: int, *args, **kwargs):
@@ -610,7 +614,7 @@ def memoized(key, solve) -> np.ndarray:
     """solve()'s eigenvalues, remembered under key in the values memo; the caller owns the copy returned.
 
     The key is what builds the operator solve() solves, never its bytes: a
-    FEM image's reference cache key, S, sigma, path and block size, or a
+    FEM image's reference cache key, S, sigma and block size, or a
     finite-difference ladder's potential, map, h, grid and block size.  Two
     equal keys must build byte-identical operators.  An exception from solve
     is raised and nothing is remembered.
@@ -681,7 +685,7 @@ def spectrum_fem(
 
     T(d) is solved on d's cached reference mesh carried over by T, so every
     map of one domain reuses one meshing, one assembly and, up to
-    DENSE_THRESHOLD unknowns, one reduction per level.  Solves on
+    opts.dense_threshold unknowns, one reduction per level.  Solves on
     levels (max_refinement - 1, max_refinement); assuming the P1 O(h^2) rate,
     the extrapolated value is (4 x fine - coarse)/3 and the reported
     per-eigenvalue error estimate |fine - coarse|/3.
@@ -709,25 +713,23 @@ def _solve_levels(d, T, bc, n, levels, opts) -> list[np.ndarray]:
     """The n smallest eigenvalues of T(d) on each of the levels.
 
     Every level's reference is carried onto T(d) by the same map, so its
-    metric S is formed once.  A memo hit forms no pencil and solves nothing.
+    metric S is formed once.  Two routes: a reduced reference's image is a
+    standard dense eigh, any other a shift-invert solve_eigs.  A memo hit
+    forms no pencil and solves nothing.
     """
     out, s = [], None
     for level in levels:
-        ref, carry = _reference(d, level, T, bc.is_dirichlet)
-        if ref.dim < n:
-            raise ValueError(f"level {level} mesh has only {ref.dim} degrees of freedom, need {n}")
+        ref, carry = _reference(d, level, T, bc.is_dirichlet, opts.dense_threshold)
+        b = _block(n, ref.dim, ref.C is not None)
         s = _metric(carry) if s is None else s
-        dense = ref.dim <= opts.dense_threshold
-        path = "reduced" if dense and ref.C is not None else "dense" if dense else "shift-invert"
-        b = _block(n, ref.dim, dense)
 
         def solve():  # called at once by memoized, on a miss only
-            if path == "reduced":
+            if ref.C is not None:
                 return ref.solve(s, bc.sigma, b)
             return solve_eigs(ref.stiffness(s, bc.sigma), ref.M, b, opts.dense_threshold,
                               neumann_like=bc.is_neumann_like)
 
-        out.append(memoized((ref.key, s.tobytes(), bc.sigma, path, b), solve)[:n])
+        out.append(memoized((ref.key, s.tobytes(), bc.sigma, b), solve)[:n])
     return out
 
 

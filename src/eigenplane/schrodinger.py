@@ -196,7 +196,8 @@ def _grid_eigs(K, b: int, v0: np.ndarray, points: int) -> tuple[np.ndarray, np.n
 def _ladder(W: PotentialSpec, h: float, n: int, L: float, points: int) -> np.ndarray:
     """A block of the smallest eigenvalues on the fine grid (row 0) and on the coarse grid (row 1).
 
-    The block is b = max(n, BLOCK) values, or one for a lone n = 1.  The
+    The block is b = max(n, BLOCK) values, or one for a lone n = 1, and n
+    must be below the coarse grid's unknowns (fem._block).  The
     coarse grid (every other point) is solved first from a fixed random start;
     its eigenvectors, interpolated onto the fine grid and combined with fixed
     random weights, start the fine Lanczos.  The operators are built on a memo miss only.
@@ -236,25 +237,20 @@ def schrodinger_spectrum(W: PotentialSpec, h: float, n: int, grid: GridSpec = Gr
     The coarse companion solve uses every other grid point; the reported
     estimate |fine - coarse| / 3 is the usual O(dx^2) Richardson bound.
     Raises WidenGridError when min W on the box edge fails to dominate the
-    computed top level, since box truncation is then not negligible.
+    computed top level, since box truncation is then not negligible, and
+    ValueError, before any solve, for an n below 1 or not below the coarse
+    grid's ((points + 1) // 2 - 2)^2 unknowns.
     """
     if h <= 0:
         raise ValueError("need h > 0")
-    if n < 1:
-        raise ValueError("need n >= 1")
     L, points = grid.half_width, grid.points_per_side
     fine, coarse = _ladder(W, h, n, L, points)[:, :n]
     err = np.abs(fine - coarse) / 3.0
 
     # truncation check: W on the box edge must dominate the highest level
-    edge = np.linspace(-L, L, points)
-    sides = [
-        W.values(edge, np.full_like(edge, -L)),
-        W.values(edge, np.full_like(edge, L)),
-        W.values(np.full_like(edge, -L), edge),
-        W.values(np.full_like(edge, L), edge),
-    ]
-    wmin = float(min(s.min() for s in sides))
+    edge, side = np.linspace(-L, L, points), np.full(points, L)
+    x1, x2 = np.concatenate((edge, edge, -side, side)), np.concatenate((-side, side, edge, edge))
+    wmin = float(W.values(x1, x2).min())
     top = float(fine[-1])
     if wmin < top:
         # suggest scaling the box so the boundary potential clears 3x the level

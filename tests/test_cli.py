@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -371,6 +372,8 @@ LEVEL_COMMANDS = [
 @example(("conjecture c1 --levels 2 --steps {}", 1))
 @example(("verify theorem1 --shape equilateral --levels 2 --random {}", -3))
 @example(("spectrum --shape disk --engine fem --levels {}", 8))
+@example(("spectrum --shape square --engine fem --levels 6 -n {}", 961))
+@example(("verify schrodinger --points 51 --half-width 30 -n {}", 600))
 @settings(max_examples=50, deadline=None)
 def test_numeric_arguments_never_raise_a_traceback(case):
     template, value = case
@@ -442,6 +445,28 @@ def test_numeric_arguments_never_raise_a_traceback(case):
 )
 def test_bad_counts_exit_2_with_one_line(capsys, argv):
     assert_usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        "spectrum --shape square --engine fem -n -2 --levels 3",
+        "spectrum --shape square --engine fem -n 0 --levels 3",
+        "sweep isosceles --n -2 --steps 2 --levels 3",
+        "sweep isosceles --n 0 --steps 2 --levels 3",
+        # Lanczos converges at most dim - 1 values: the coarse level has 961 unknowns
+        "spectrum --shape square --engine fem --levels 6 -n 961",
+        # the coarse grid has 24^2 = 576 unknowns
+        "verify schrodinger --points 51 --half-width 30 -n 600",
+    ],
+)
+def test_counts_the_solve_cannot_serve_exit_2_naming_n(capsys, args):
+    code = cli.run(args.split())
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    [line] = captured.err.splitlines()
+    n = re.search(r"-n (-?\d+)", args).group(1)
+    assert line.startswith("error: need 1 <= n <= ") and line.endswith(f"got n = {n}"), line
 
 
 def test_fem_options_are_read_when_any_spectrum_comes_from_fem(capsys):

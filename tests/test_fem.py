@@ -186,6 +186,13 @@ def test_solve_eigs_rejects_bad_n():
         fem.solve_eigs(K, K, 6)
 
 
+def test_solve_eigs_refuses_every_value_of_a_lanczos_pencil():
+    # Lanczos converges at most dim - 1 values: asking all 225 is refused before any solve, not by scipy's TypeError
+    K, M = fem.assemble(fem.mesh_domain(g.square(1.0), 4), ex.DIRICHLET)
+    with pytest.raises(ValueError, match="n <= 224 on 225 unknowns"):
+        fem.solve_eigs(K, M, 225, dense_threshold=100)
+
+
 def test_square_dirichlet_upper_bound_within_one_percent():
     mesh = fem.mesh_domain(g.square(1.0), 4)
     K, M = fem.assemble(mesh, ex.DIRICHLET)
@@ -307,6 +314,12 @@ def test_convergence_ratio_is_second_order():
 def test_spectrum_fem_needs_enough_dofs():
     with pytest.raises(ValueError):
         fem.spectrum_fem(g.square(1.0), ex.DIRICHLET, 5, fem.FemOptions(max_refinement=1))
+
+
+@pytest.mark.parametrize("n", [-2, 0])
+def test_spectrum_fem_refuses_counts_below_one(n):
+    with pytest.raises(ValueError, match=f"got n = {n}"):
+        fem.spectrum_fem(g.square(1.0), ex.DIRICHLET, n, fem.FemOptions(max_refinement=3))
 
 
 def test_fem_options_validation():
@@ -480,13 +493,13 @@ PENCIL_DOMAINS = {
 PENCIL_BCS = [ex.DIRICHLET, ex.NEUMANN, ex.robin(1.0)]
 
 
-def _images(d, seed, levels=(1, 2, 3, 4)):
+def _images(d, seed, levels=(1, 2, 3, 4), dense_threshold=fem.DENSE_THRESHOLD):
     """(level, bc, T, reference, map onto the image) of seeded images T(d) at each level and condition."""
     out = []
     for level in levels:
         for bc, T in zip(PENCIL_BCS, _seeded_maps(seed + level, len(PENCIL_BCS))):
             try:
-                out.append((level, bc, T, *fem._reference(d, level, T, bc.is_dirichlet)))
+                out.append((level, bc, T, *fem._reference(d, level, T, bc.is_dirichlet, dense_threshold)))
             except ValueError:  # no interior node at this level
                 continue
     return out
@@ -709,10 +722,10 @@ def test_failed_cholesky_is_a_solver_failure_and_is_not_cached():
                     np.array([[0, 2], [2, 1], [1, 0]]))
     fem._Reference(mesh, False)  # unreduced: nothing to factor
     with pytest.raises(fem.SolverFailure, match="not positive definite"):
-        fem._Reference(mesh, False, reduce=True)
+        fem._Reference(mesh, False, fem.DENSE_THRESHOLD)
     cache = fem._ReferenceCache(fem.REFERENCE_CACHE_BYTES)
     with pytest.raises(fem.SolverFailure):
-        cache.get("clockwise", lambda: fem._Reference(mesh, False, reduce=True))
+        cache.get("clockwise", lambda: fem._Reference(mesh, False, fem.DENSE_THRESHOLD))
     assert cache._bytes == 0 and not cache._entries
 
 
@@ -758,22 +771,33 @@ def test_reduced_image_hits_the_memo_after_its_reference_is_rebuilt(monkeypatch)
     assert solved == []  # no eigh: every image read the entry its evicted reference's solve left
 
 
-def test_no_image_up_to_the_dense_threshold_is_solved_as_a_generalized_pencil(monkeypatch):
+@pytest.mark.parametrize("threshold", [100, fem.DENSE_THRESHOLD, 1000])
+def test_the_dense_threshold_alone_picks_each_images_route(threshold, monkeypatch):
+    # a reference is reduced exactly when its images are solved densely: each image is one standard eigh
+    # up to the threshold, one shift-invert eigsh above it, and never a generalized dense eigh(a, b)
     _fresh_caches(monkeypatch)
     calls = []
-    eigh = scipy.linalg.eigh
+    eigh, eigsh = scipy.linalg.eigh, splinalg.eigsh
 
-    def counting(a, b=None, **kwargs):
-        calls.append(b is not None)
+    def dense(a, b=None, **kwargs):
+        calls.append(("eigh" if b is None else "eigh(a, b)", a.shape[0]))
         return eigh(a, b, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", counting)
-    small = 0
+    def shift_invert(K, **kwargs):
+        calls.append(("eigsh", K.shape[0]))
+        return eigsh(K, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", dense)
+    monkeypatch.setattr(splinalg, "eigsh", shift_invert)
+    opts, want = fem.FemOptions(dense_threshold=threshold), []
     for name, d in PENCIL_DOMAINS.items():
-        for level, bc, T, ref, _ in _images(d, seed=61):  # Dirichlet, Neumann and Robin, levels 1-4
-            fem._solve_level(d, T, bc, min(6, ref.dim), level, fem.FemOptions())
-            small += ref.dim <= fem.DENSE_THRESHOLD
-    assert calls.count(True) == 0 and calls.count(False) == small > 40
+        for level, bc, T, ref, _ in _images(d, seed=61, dense_threshold=threshold):  # levels 1-4, three conditions
+            fem._solve_level(d, T, bc, min(6, ref.dim), level, opts)
+            assert (ref.C is not None) == (ref.dim <= threshold), (name, level, bc.kind)
+            want.append(("eigh" if ref.dim <= threshold else "eigsh", ref.dim))
+    assert calls == want
+    # 58 images of 1 to 8705 unknowns, 11 of them between 101 and 1000
+    assert [route for route, _ in want].count("eigh") == {100: 32, fem.DENSE_THRESHOLD: 47, 1000: 52}[threshold]
 
 
 # ---------------------------------------------------------------------------
