@@ -38,12 +38,13 @@ n = 1 on the shift-invert route solves for one value only, because Lanczos
 pays for every value it converges (six values took 1.5 to 1.8 times as long
 as one on a 465-unknown pencil, one BLAS thread on a 2-vCPU virtual
 machine), while a dense solve costs about the same for one value as for
-six.  _block sizes every block, and refuses an n outside 1..dim (1..dim - 1
-for Lanczos) before any solve.  A small memo remembers each block under what
-builds the image's operator, never its bytes: the reference's cache key
-(which records the threshold, so the route), S, sigma and the block size.
-So a hit forms no pencil, even after the reference is evicted and rebuilt;
-the finite-difference ladders share the memo.
+six.  Before anything is built, Euler's formula counts each level's
+unknowns, which fix its route and block (_block refuses an n outside
+1..dim, 1..dim - 1 for Lanczos), and a small memo is asked for the block
+under what builds the image's operator, never its bytes: the reference's
+cache key (which records the route), S, sigma and the block size.  So a
+hit meshes, assembles and solves nothing, even for a reference too large
+to keep; the finite-difference ladders share the memo.
 
 scipy is imported by the functions that build sparse matrices or solve,
 when they first run: scipy.linalg by the reductions and dense solves,
@@ -53,6 +54,7 @@ An image whose values the memo holds imports nothing.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from collections import OrderedDict
@@ -191,11 +193,22 @@ def _refine(verts, tris, angles, project):
     return np.vstack([verts, mid]), tris.reshape(-1, 3), angles
 
 
-def _check_size(d: DomainSpec, level: int) -> None:
-    """Refuse, before any meshing, a level whose mesh would exceed MAX_TRIANGLES."""
-    base = len(d.vertices) - 2 if isinstance(d, Polygon) else ELLIPSE_BASE_SEGMENTS
+def _unknowns(d: DomainSpec, level: int, dirichlet: bool) -> int:
+    """Unknowns of d's mesh at `level` (its interior nodes if `dirichlet`), counted without meshing.
+
+    Refinement quadruples the f triangles and doubles the b boundary edges;
+    by Euler's formula there are 1 + (f + b)/2 nodes, b on the boundary.
+    ValueError for a mesh over MAX_TRIANGLES triangles or with no unknown.
+    """
+    sides = len(d.vertices) if isinstance(d, Polygon) else ELLIPSE_BASE_SEGMENTS
+    base = sides - 2 if isinstance(d, Polygon) else sides
     if base * 4 ** min(level, 32) > MAX_TRIANGLES:  # capped: a huge level builds no huge integer
         raise ValueError(f"level {level} would mesh {base} x 4^{level} triangles, more than {MAX_TRIANGLES}")
+    f, b = base * 4**level, sides * 2**level
+    dim = 1 + (f - b if dirichlet else f + b) // 2
+    if dim == 0:
+        raise ValueError("no interior degrees of freedom; refine the mesh")
+    return dim
 
 
 def mesh_domain(d: DomainSpec, level: int = 0) -> Mesh:
@@ -210,7 +223,7 @@ def mesh_domain(d: DomainSpec, level: int = 0) -> Mesh:
         raise ValueError("refinement level must be >= 0")
     if not isinstance(d, (Polygon, Ellipse)):
         raise TypeError(f"not a domain: {type(d).__name__}")
-    _check_size(d, level)
+    _unknowns(d, level, False)  # refuses an oversized level
     if isinstance(d, Polygon):
         verts = d.vertices.copy()
         tris = _triangulate_polygon(verts)
@@ -262,11 +275,10 @@ class _Reference:
     reference also keeps U (M = U^T U) and Cij = U^-T Kij U^-1 as packed
     upper triangles, U in `U` and the three Cij as the rows of `C`; an image
     is then a standard problem (`solve`).  Otherwise C and U are None.
-    Every array is read-only.  `key` is the reference cache's key, which
-    determines the reference (None for one built outside the cache).
+    Every array is read-only.
     """
 
-    def __init__(self, mesh: Mesh, dirichlet: bool, dense_threshold: int = 0, key=None):
+    def __init__(self, mesh: Mesh, dirichlet: bool, dense_threshold: int = 0):
         verts, tris = mesh.vertices, mesh.triangles
         keep = np.ones(len(verts), dtype=bool)
         keep[mesh.boundary_edges] = not dirichlet  # Dirichlet eliminates the boundary nodes
@@ -302,7 +314,6 @@ class _Reference:
         e = mesh.boundary_edges[:0] if dirichlet else mesh.boundary_edges
         self.edges = verts[e[:, 1]] - verts[e[:, 0]]
         self.edge_slots = np.searchsorted(pattern, e[:, [0, 0, 1, 1]] * nk + e[:, [0, 1, 0, 1]])
-        self.key = key
         self.C = self.U = None
         if nk <= dense_threshold:
             self._reduce(pattern)
@@ -454,6 +465,8 @@ class _ReferenceCache:
 
 
 _REFERENCES = _ReferenceCache(REFERENCE_CACHE_BYTES)
+#: The first of equal reference keys among the last 64 formed: the memo entries of one reference share its bytes.
+_interned = functools.lru_cache(maxsize=64)(lambda key: key)
 
 
 def _metric(T: LinearMap2) -> np.ndarray:
@@ -463,28 +476,32 @@ def _metric(T: LinearMap2) -> np.ndarray:
     return np.array([S[0, 0], S[0, 1], S[1, 1]])
 
 
-def _reference(d: DomainSpec, level: int, T: LinearMap2, dirichlet: bool,
-               dense_threshold: int = DENSE_THRESHOLD) -> tuple[_Reference, LinearMap2]:
-    """Cached reference for T(d) at `level` (interior unknowns if `dirichlet`), and the map carrying it onto T(d).
+def _reference(d: DomainSpec, level: int, T: LinearMap2, dirichlet: bool, dense_threshold: int = DENSE_THRESHOLD):
+    """T(d)'s reference at `level`, unbuilt: its cache key, its unknowns, the map onto T(d) and its build.
 
     T(d) is meshed as the image of d's mesh, which for a polygon is the mesh
     mesh_domain builds for apply_map(T, d).  Polygon stores an image with
     det T < 0 in reversed vertex order, so its fan starts at another vertex
     (the square's diagonal flips).  The reflection R(d) is reversed alike, so
     for det T < 0 the reference is the mesh of R(d) and T(d) = (T R)(R(d)).
-    It is reduced up to `dense_threshold` unknowns, which its key records.
+    The key records the route (reduced exactly when the unknowns, counted by
+    _unknowns, are at most `dense_threshold`); build() checks the count.
     """
     flip = isinstance(d, Polygon) and T.det < 0
+    dim = _unknowns(d, level, dirichlet)
     if isinstance(d, Polygon):
-        key = ("polygon", d.vertices.tobytes(), level, flip, dirichlet, dense_threshold)
+        key = ("polygon", d.vertices.tobytes(), level, flip, dirichlet, dim <= dense_threshold)
     else:
-        key = ("ellipse", d.center.tobytes(), d.semi_axes, d.rotation, level, dirichlet, dense_threshold)
+        key = ("ellipse", d.center.tobytes(), d.semi_axes, d.rotation, level, dirichlet, dim <= dense_threshold)
 
     def build():
-        mesh = mesh_domain(Polygon(d.vertices @ _REFLECT.as_array()) if flip else d, level)
-        return _Reference(mesh, dirichlet, dense_threshold, key)
+        ref = _Reference(mesh_domain(Polygon(d.vertices @ _REFLECT.as_array()) if flip else d, level), dirichlet,
+                         dense_threshold)
+        if ref.dim != dim:
+            raise AssertionError(f"level {level} meshed {ref.dim} unknowns, not the {dim} Euler's formula counts")
+        return ref
 
-    return _REFERENCES.get(key, build), (T @ _REFLECT if flip else T)
+    return _interned(key), dim, (T @ _REFLECT if flip else T), build
 
 
 def assemble(mesh: Mesh, bc: BoundarySpec):
@@ -572,10 +589,11 @@ def solve_eigs(
     dim = K.shape[0]
     dense = dim <= dense_threshold
     b = _block(n, dim, dense)
-    if dense:
-        vals, vecs = _dense_eigh(b, _dense(K), _dense(M))
+    from scipy import sparse
+
+    if dense:  # on dense copies: the caller's K and M are never overwritten
+        vals, vecs = _dense_eigh(b, *(A.toarray() if sparse.issparse(A) else np.array(A, dtype=float) for A in (K, M)))
     else:
-        from scipy import sparse
         from scipy.sparse import linalg as splinalg
 
         sigma = 1e-8 * float(K.diagonal().sum()) / dim if neumann_like else 0.0
@@ -614,8 +632,8 @@ def memoized(key, solve) -> np.ndarray:
     """solve()'s eigenvalues, remembered under key in the values memo; the caller owns the copy returned.
 
     The key is what builds the operator solve() solves, never its bytes: a
-    FEM image's reference cache key, S, sigma and block size, or a
-    finite-difference ladder's potential, map, h, grid and block size.  Two
+    FEM image's reference cache key (which records the route), S, sigma and
+    block size, or an FD ladder's potential, map, h, grid and block size.  Two
     equal keys must build byte-identical operators.  An exception from solve
     is raised and nothing is remembered.
     """
@@ -625,13 +643,6 @@ def memoized(key, solve) -> np.ndarray:
         return vals
 
     return _VALUES.get(key, build).copy()
-
-
-def _dense(A):
-    """A as a new dense float array, never the caller's own."""
-    from scipy import sparse
-
-    return A.toarray() if sparse.issparse(A) else np.array(A, dtype=float)
 
 
 _VALUES = _ReferenceCache(VALUE_CACHE_BYTES)
@@ -683,17 +694,15 @@ def spectrum_fem(
 ) -> Spectrum:
     """FEM spectrum of d, or of its linear image T(d), with error estimates.
 
-    T(d) is solved on d's cached reference mesh carried over by T, so every
-    map of one domain reuses one meshing, one assembly and, up to
-    opts.dense_threshold unknowns, one reduction per level.  Solves on
-    levels (max_refinement - 1, max_refinement); assuming the P1 O(h^2) rate,
-    the extrapolated value is (4 x fine - coarse)/3 and the reported
-    per-eigenvalue error estimate |fine - coarse|/3.
+    T(d) is solved on d's reference mesh carried over by T: every map of one
+    domain reuses one meshing, one assembly and, up to opts.dense_threshold
+    unknowns, one reduction per cached level, and an image the memo holds
+    builds none.  Levels max_refinement - 1 and max_refinement are solved;
+    assuming the P1 O(h^2) rate, the extrapolated value is (4 x fine -
+    coarse)/3 and the reported per-eigenvalue error estimate |fine - coarse|/3.
     """
     T = LinearMap2.identity() if T is None else T
-    level = opts.max_refinement
-    _check_size(d, level)  # fail before the coarse level is solved
-    coarse, fine = _solve_levels(d, T, bc, n, (level - 1, level), opts)
+    coarse, fine = _solve_levels(d, T, bc, n, (opts.max_refinement - 1, opts.max_refinement), opts)
     err = np.abs(fine - coarse) / 3.0
     vals = (4.0 * fine - coarse) / 3.0 if opts.extrapolate else fine
     order = np.argsort(vals)
@@ -705,31 +714,27 @@ def spectrum_fem(
     return Spectrum(vals, "fem", err)
 
 
-def _solve_level(d, T, bc, n, level, opts):
-    return _solve_levels(d, T, bc, n, (level,), opts)[0]
-
-
 def _solve_levels(d, T, bc, n, levels, opts) -> list[np.ndarray]:
-    """The n smallest eigenvalues of T(d) on each of the levels.
+    """The n smallest eigenvalues of T(d) on each of the ascending levels.
 
-    Every level's reference is carried onto T(d) by the same map, so its
-    metric S is formed once.  Two routes: a reduced reference's image is a
-    standard dense eigh, any other a shift-invert solve_eigs.  A memo hit
-    forms no pencil and solves nothing.
+    Each level is counted, routed, blocked and keyed (_reference, _block),
+    the finest first (an oversized call names it), before anything is built.
+    One map carries every level's reference onto T(d), so S is formed once.
+    Only a memo miss asks the reference cache; it solves a reduced
+    reference's image by a standard dense eigh, any other by solve_eigs.
     """
-    out, s = [], None
-    for level in levels:
-        ref, carry = _reference(d, level, T, bc.is_dirichlet, opts.dense_threshold)
-        b = _block(n, ref.dim, ref.C is not None)
-        s = _metric(carry) if s is None else s
-
+    plans = [_reference(d, level, T, bc.is_dirichlet, opts.dense_threshold) for level in levels[::-1]][::-1]
+    blocks = [_block(n, dim, dim <= opts.dense_threshold) for _, dim, _, _ in plans]
+    s, out = _metric(plans[0][2]), []
+    for (key, _, _, build), b in zip(plans, blocks):
         def solve():  # called at once by memoized, on a miss only
+            ref = _REFERENCES.get(key, build)
             if ref.C is not None:
                 return ref.solve(s, bc.sigma, b)
             return solve_eigs(ref.stiffness(s, bc.sigma), ref.M, b, opts.dense_threshold,
                               neumann_like=bc.is_neumann_like)
 
-        out.append(memoized((ref.key, s.tobytes(), bc.sigma, b), solve)[:n])
+        out.append(memoized((key, s.tobytes(), bc.sigma, b), solve)[:n])
     return out
 
 

@@ -458,6 +458,8 @@ def test_bad_counts_exit_2_with_one_line(capsys, argv):
         "spectrum --shape square --engine fem --levels 6 -n 961",
         # the coarse grid has 24^2 = 576 unknowns
         "verify schrodinger --points 51 --half-width 30 -n 600",
+        # the disk's coarse level 6 has 129025 interior unknowns, counted without meshing
+        "spectrum --shape disk --engine fem --levels 7 -n 200000",
     ],
 )
 def test_counts_the_solve_cannot_serve_exit_2_naming_n(capsys, args):
@@ -467,6 +469,14 @@ def test_counts_the_solve_cannot_serve_exit_2_naming_n(capsys, args):
     [line] = captured.err.splitlines()
     n = re.search(r"-n (-?\d+)", args).group(1)
     assert line.startswith("error: need 1 <= n <= ") and line.endswith(f"got n = {n}"), line
+
+
+def test_an_oversized_fem_level_is_named_by_the_finest_level(capsys):
+    # every level is counted before any meshing, the finest first: the coarse level 11 is too large as well
+    code = cli.run("spectrum --shape square --engine fem --levels 12 -n 2".split())
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: level 12 would mesh 2 x 4^12 triangles, more than 1048576\n"
 
 
 def test_fem_options_are_read_when_any_spectrum_comes_from_fem(capsys):

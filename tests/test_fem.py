@@ -397,10 +397,16 @@ def test_discrete_theorem_holds_on_symmetric_reference_mesh(d, level, bc):
                 assert lhs >= rhs * (1 - 1e-12)
 
 
-def test_reference_mesh_built_once_per_level_and_orientation(monkeypatch):
+def _count_meshes(monkeypatch):
+    """The level of every mesh_domain call from here on."""
     calls = []
     mesh_domain = fem.mesh_domain
     monkeypatch.setattr(fem, "mesh_domain", lambda d, level: calls.append(level) or mesh_domain(d, level))
+    return calls
+
+
+def test_reference_mesh_built_once_per_level_and_orientation(monkeypatch):
+    calls = _count_meshes(monkeypatch)
     monkeypatch.setattr(fem, "_REFERENCES", fem._ReferenceCache(fem.REFERENCE_CACHE_BYTES))
     d = g.regular_polygon(6)
     opts = fem.FemOptions(max_refinement=3)
@@ -414,8 +420,8 @@ def test_reference_mesh_built_once_per_level_and_orientation(monkeypatch):
 
 def test_oversized_meshes_are_refused_before_any_meshing(monkeypatch):
     disk = g.Ellipse((0, 0), (1, 1))
-    fem._check_size(disk, 7)  # 64 x 4^7 = MAX_TRIANGLES
-    fem._check_size(g.square(1.0), 9)  # 2 x 4^9
+    fem._unknowns(disk, 7, False)  # 64 x 4^7 = MAX_TRIANGLES
+    fem._unknowns(g.square(1.0), 9, False)  # 2 x 4^9
     for d, level in ((disk, 8), (g.square(1.0), 10), (disk, 10**9)):
         with pytest.raises(ValueError, match="triangles, more than"):
             fem.mesh_domain(d, level)
@@ -424,6 +430,64 @@ def test_oversized_meshes_are_refused_before_any_meshing(monkeypatch):
     with pytest.raises(ValueError, match="triangles, more than"):
         fem.spectrum_fem(disk, ex.DIRICHLET, 1, fem.FemOptions(max_refinement=8))
     assert calls == []  # not even the coarse level was meshed
+
+
+COUNTED_DOMAINS = {
+    "square": g.square(1.0),
+    "equilateral": g.equilateral_triangle(),
+    "hexagon": g.regular_polygon(6),
+    "heptagon": g.regular_polygon(7),
+    "non-convex": g.Polygon([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [1.0, 0.8], [0.0, 2.0]]),  # ear-clipped
+    "collinear": g.Polygon([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+    "thin": g.Polygon([[0.0, 0.0], [1.0, 0.0], [0.5, 0.05]]),
+    "ellipse": g.Ellipse((0.3, -0.2), (1.5, 0.6), 0.7),
+}
+
+
+@pytest.mark.parametrize("name", list(COUNTED_DOMAINS))
+def test_euler_count_equals_the_mesh_and_the_built_reference(name):
+    d = COUNTED_DOMAINS[name]
+    for T in (g.LinearMap2.identity(), g.LinearMap2(1.3, 0.4, 0.2, -0.8)):  # det T > 0, then det T < 0
+        flip = isinstance(d, g.Polygon) and T.det < 0  # the reference meshes the reflected polygon
+        for level in range(5):
+            mesh = fem.mesh_domain(g.Polygon(d.vertices @ np.diag([1.0, -1.0])) if flip else d, level)
+            for dirichlet in (True, False):
+                nodes = len(mesh.interior_vertices()) if dirichlet else mesh.num_vertices
+                if nodes == 0:  # a polygon's level 0, or a triangle's level 1, under Dirichlet
+                    with pytest.raises(ValueError, match="no interior degrees of freedom"):
+                        fem._reference(d, level, T, dirichlet)
+                    continue
+                _, dim, _, build = fem._reference(d, level, T, dirichlet)
+                assert dim == nodes == build().dim, (level, T.det, dirichlet)
+
+
+@pytest.mark.parametrize("d", [g.square(1.0), g.Ellipse((0, 0), (1, 1))], ids=["square", "disk"])
+def test_a_memo_hit_builds_no_reference_too_large_to_keep(d, monkeypatch):
+    _fresh_caches(monkeypatch)
+    opts, T = fem.FemOptions(max_refinement=3), _seeded_maps(71, 2)[1]  # det T < 0: the square flips
+    big = fem._Reference(fem.mesh_domain(d, 3), True, fem.DENSE_THRESHOLD)
+    cache = fem._ReferenceCache(2 * big.nbytes - 1)  # the level-3 reference is over half of it
+    monkeypatch.setattr(fem, "_REFERENCES", cache)
+    calls = _count_meshes(monkeypatch)
+    cold = fem.spectrum_fem(d, ex.DIRICHLET, 3, opts, T)
+    assert calls == [2, 3] and big.dim not in [ref.dim for ref in cache._entries.values()]  # level 3 is not kept
+    for _ in range(2):
+        hit = fem.spectrum_fem(d, ex.DIRICHLET, 3, opts, T)
+        assert calls == [2, 3]  # neither level meshed again
+        assert np.array_equal(hit.values, cold.values)
+        assert np.array_equal(hit.error_estimates, cold.error_estimates)
+
+
+@pytest.mark.parametrize("n", [0, 50, 10**6])
+def test_counts_no_level_can_serve_are_refused_before_any_meshing(n, monkeypatch):
+    # the square's coarse level 3 has 49 interior unknowns, solved densely: n = 50 is one too many
+    monkeypatch.setattr(fem, "_REFERENCES", fem._ReferenceCache(fem.REFERENCE_CACHE_BYTES))
+    calls = _count_meshes(monkeypatch)
+    with pytest.raises(ValueError, match=f"need 1 <= n <= .* got n = {n}$"):
+        fem.spectrum_fem(g.square(1.0), ex.DIRICHLET, n, fem.FemOptions(max_refinement=4))
+    with pytest.raises(ValueError, match="level 10 would mesh 2 x 4\\^10 triangles"):
+        fem.spectrum_fem(g.square(1.0), ex.DIRICHLET, n, fem.FemOptions(max_refinement=10))
+    assert calls == []
 
 
 def test_reference_cache_stays_within_its_byte_bound():
@@ -493,13 +557,19 @@ PENCIL_DOMAINS = {
 PENCIL_BCS = [ex.DIRICHLET, ex.NEUMANN, ex.robin(1.0)]
 
 
+def _reference(d, level, T, dirichlet, dense_threshold=fem.DENSE_THRESHOLD):
+    """The cached reference that fem solves T(d) on at `level` (built if absent), and the map carrying it onto T(d)."""
+    key, _, carry, build = fem._reference(d, level, T, dirichlet, dense_threshold)
+    return fem._REFERENCES.get(key, build), carry
+
+
 def _images(d, seed, levels=(1, 2, 3, 4), dense_threshold=fem.DENSE_THRESHOLD):
     """(level, bc, T, reference, map onto the image) of seeded images T(d) at each level and condition."""
     out = []
     for level in levels:
         for bc, T in zip(PENCIL_BCS, _seeded_maps(seed + level, len(PENCIL_BCS))):
             try:
-                out.append((level, bc, T, *fem._reference(d, level, T, bc.is_dirichlet, dense_threshold)))
+                out.append((level, bc, T, *_reference(d, level, T, bc.is_dirichlet, dense_threshold)))
             except ValueError:  # no interior node at this level
                 continue
     return out
@@ -542,7 +612,7 @@ def test_cached_solve_equals_plain_eigh_and_eigsh_bit_for_bit(name, monkeypatch)
         dim = ref.dim
         ns = list(range(1, min(6, dim) + 1)) + ([dim] if dim <= 8 else [])  # n == dim: a block of dim
         for n in reversed(ns):  # n = 6 solves the block that n = 5..2 read
-            got = fem._solve_level(d, T0, bc, n, level, opts)
+            got = fem._solve_levels(d, T0, bc, n, (level,), opts)[0]
             assert np.array_equal(got, _plain_image_eigs(ref, T, bc, n)), (name, dim, n)
         # every image of at most DENSE_THRESHOLD unknowns is reduced, whatever its condition; larger ones shift-invert
         assert (ref.C is not None) == (dim <= fem.DENSE_THRESHOLD), (name, level, bc.kind)
@@ -575,14 +645,14 @@ def test_cached_solve_does_not_depend_on_call_order(monkeypatch):
     for d, level, bc, T, _, _ in _level4_images()[:2]:
         opts = fem.FemOptions(max_refinement=level)
         _fresh_caches(monkeypatch)
-        cold = fem._solve_level(d, T, bc, 3, level, opts)
+        cold = fem._solve_levels(d, T, bc, 3, (level,), opts)[0]
         _fresh_caches(monkeypatch)
-        fem._solve_level(d, T, bc, 6, level, opts)
-        warm = fem._solve_level(d, T, bc, 3, level, opts)  # a prefix of n = 6's block
-        again = fem._solve_level(d, T, bc, 3, level, opts)  # from the memo
+        fem._solve_levels(d, T, bc, 6, (level,), opts)[0]
+        warm = fem._solve_levels(d, T, bc, 3, (level,), opts)[0]  # a prefix of n = 6's block
+        again = fem._solve_levels(d, T, bc, 3, (level,), opts)[0]  # from the memo
         assert np.array_equal(warm, cold) and np.array_equal(again, cold)
         again[0] = -1.0  # callers own what they get back
-        assert np.array_equal(fem._solve_level(d, T, bc, 3, level, opts), cold)
+        assert np.array_equal(fem._solve_levels(d, T, bc, 3, (level,), opts)[0], cold)
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +683,7 @@ def test_reduced_solve_matches_generalized_eigh(name):
     for level in (2, 3, 4):
         for bc in (ex.DIRICHLET, ex.NEUMANN, ex.robin(1.0)):
             for T in _seeded_maps(31 + level, 4):  # det > 0 and det < 0, alternating
-                ref, T = fem._reference(d, level, T, bc.is_dirichlet)
+                ref, T = _reference(d, level, T, bc.is_dirichlet)
                 if ref.C is None:
                     assert ref.dim > fem.DENSE_THRESHOLD
                     continue
@@ -626,7 +696,7 @@ def test_reduced_solve_matches_generalized_eigh(name):
 def test_reduced_robin_matches_generalized_eigh_across_sigma(level, monkeypatch):
     _fresh_caches(monkeypatch)
     T0, d = g.LinearMap2(1.2, 0.3, 0.0, 0.9), g.equilateral_triangle()
-    ref, T = fem._reference(d, level, T0, False)
+    ref, T = _reference(d, level, T0, False)
     assert ref.C is not None
     for sigma in (1e-3, 1.0, 1e3, 1e5, 1e7, 1e8):
         _assert_reduced_matches_generalized(ref, T, ex.robin(sigma))
@@ -635,7 +705,7 @@ def test_reduced_robin_matches_generalized_eigh_across_sigma(level, monkeypatch)
     opts = fem.FemOptions(max_refinement=level)
     for _ in range(2):
         with pytest.raises(fem.SolverFailure, match="residual"):
-            fem._solve_level(d, T0, ex.robin(1e12), 3, level, opts)
+            fem._solve_levels(d, T0, ex.robin(1e12), 3, (level,), opts)[0]
         with pytest.raises(fem.SolverFailure, match="residual"):
             fem.solve_eigs(*ref.pencil(T, ex.robin(1e12)), 3)
     assert len(fem._VALUES._entries) == 0
@@ -646,7 +716,7 @@ def test_reduced_robin_matches_generalized_eigh_across_sigma(level, monkeypatch)
 def test_residual_check_refuses_values_moved_by_one_part_in_a_million(sigma, level):
     # the roundoff term of the bound grows like sigma, yet stays below a 1e-6 relative error at sigma = 1e8
     bc = ex.robin(sigma)
-    A, M = fem._reference(g.square(1.0), level, g.LinearMap2.identity(), False)[0].pencil(g.LinearMap2.identity(), bc)
+    A, M = _reference(g.square(1.0), level, g.LinearMap2.identity(), False)[0].pencil(g.LinearMap2.identity(), bc)
     vals, vecs = scipy.linalg.eigh(A.toarray(), M.toarray(), subset_by_index=[0, 5])
     fem._check_residuals(A, M, vecs, vals)
     for i in range(1, 6):  # every value but the Neumann kernel's, whose bound is absolute
@@ -660,18 +730,18 @@ def test_reduced_values_do_not_depend_on_call_order(monkeypatch):
     opts = fem.FemOptions(max_refinement=4)
     for d, bc in ((g.square(1.0), ex.NEUMANN), (g.equilateral_triangle(), ex.DIRICHLET)):
         for T0 in _seeded_maps(41, 2):
-            ref, T = fem._reference(d, 4, T0, bc.is_dirichlet)
+            ref, T = _reference(d, 4, T0, bc.is_dirichlet)
             assert ref.C is not None
             want = scipy.linalg.eigh(ref.reduced(fem._metric(T)), lower=False, subset_by_index=[0, 5])[0][:3]
             _fresh_caches(monkeypatch)
-            cold = fem._solve_level(d, T0, bc, 3, 4, opts)
+            cold = fem._solve_levels(d, T0, bc, 3, (4,), opts)[0]
             _fresh_caches(monkeypatch)
-            fem._solve_level(d, T0, bc, 6, 4, opts)
-            warm = fem._solve_level(d, T0, bc, 3, 4, opts)  # a prefix of n = 6's block
-            again = fem._solve_level(d, T0, bc, 3, 4, opts)  # from the memo
+            fem._solve_levels(d, T0, bc, 6, (4,), opts)[0]
+            warm = fem._solve_levels(d, T0, bc, 3, (4,), opts)[0]  # a prefix of n = 6's block
+            again = fem._solve_levels(d, T0, bc, 3, (4,), opts)[0]  # from the memo
             assert np.array_equal(cold, want) and np.array_equal(warm, want) and np.array_equal(again, want)
             again[0] = -1.0  # callers own what they get back
-            assert np.array_equal(fem._solve_level(d, T0, bc, 3, 4, opts), want)
+            assert np.array_equal(fem._solve_levels(d, T0, bc, 3, (4,), opts)[0], want)
 
 
 def test_reduced_image_is_solved_once_per_block(monkeypatch):
@@ -702,18 +772,18 @@ def test_corrupted_reduction_fails_typed_and_is_not_memoized(monkeypatch):
     _fresh_caches(monkeypatch)
     monkeypatch.setattr(fem, "_REFERENCES", fem._ReferenceCache(fem.REFERENCE_CACHE_BYTES))
     d, T, opts = g.square(1.0), _seeded_maps(47, 1)[0], fem.FemOptions(max_refinement=3)
-    good = fem._solve_level(d, T, ex.DIRICHLET, 6, 3, opts)
+    good = fem._solve_levels(d, T, ex.DIRICHLET, 6, (3,), opts)[0]
     _fresh_caches(monkeypatch)
-    ref, _ = fem._reference(d, 3, T, True)
+    ref, _ = _reference(d, 3, T, True)
     C, j = ref.C.copy(), ref.dim // 2
     C[0, j * (j + 3) // 2] *= 1.0 + 1e-6  # the packed diagonal entry of C11 at the middle unknown
     ref.C = C
     for _ in range(2):
         with pytest.raises(fem.SolverFailure, match="residual"):
-            fem._solve_level(d, T, ex.DIRICHLET, 6, 3, opts)
+            fem._solve_levels(d, T, ex.DIRICHLET, 6, (3,), opts)[0]
     assert len(fem._VALUES._entries) == 0
     monkeypatch.setattr(fem, "_REFERENCES", fem._ReferenceCache(fem.REFERENCE_CACHE_BYTES))
-    assert np.array_equal(fem._solve_level(d, T, ex.DIRICHLET, 6, 3, opts), good)  # a rebuilt reference
+    assert np.array_equal(fem._solve_levels(d, T, ex.DIRICHLET, 6, (3,), opts)[0], good)  # a rebuilt reference
 
 
 def test_failed_cholesky_is_a_solver_failure_and_is_not_cached():
@@ -739,8 +809,8 @@ def test_dense_eigensolver_failures_are_typed_and_not_memoized(monkeypatch):
     d, T, opts = g.square(1.0), _seeded_maps(59, 1)[0], fem.FemOptions(max_refinement=3)
     for bc in (ex.DIRICHLET, ex.robin(1.0)):  # reduced images
         with pytest.raises(fem.SolverFailure, match="dense eigensolve failed"):
-            fem._solve_level(d, T, bc, 2, 3, opts)
-    ref, T = fem._reference(d, 3, T, False)
+            fem._solve_levels(d, T, bc, 2, (3,), opts)[0]
+    ref, T = _reference(d, 3, T, False)
     with pytest.raises(fem.SolverFailure, match="dense eigensolve failed"):  # a generalized dense pencil
         fem.solve_eigs(*ref.pencil(T, ex.robin(1.0)), 2)
     assert len(fem._VALUES._entries) == 0
@@ -759,16 +829,28 @@ def test_reduced_image_hits_the_memo_after_its_reference_is_rebuilt(monkeypatch)
     monkeypatch.setattr(fem, "_REFERENCES", fem._ReferenceCache(fem.REFERENCE_CACHE_BYTES))
     d, T, opts = g.equilateral_triangle(), _seeded_maps(67, 1)[0], fem.FemOptions(max_refinement=4)
     bcs = (ex.DIRICHLET, ex.NEUMANN, ex.robin(1.0))
-    cold = [fem._solve_level(d, T, bc, 6, 4, opts) for bc in bcs]
-    evicted = [fem._reference(d, 4, T, bc.is_dirichlet)[0] for bc in bcs]
+    cold = [fem._solve_levels(d, T, bc, 6, (4,), opts)[0] for bc in bcs]
+    evicted = [_reference(d, 4, T, bc.is_dirichlet)[0] for bc in bcs]
     monkeypatch.setattr(fem, "_REFERENCES", fem._ReferenceCache(fem.REFERENCE_CACHE_BYTES))  # every reference gone
     solved = _count_solves(monkeypatch)
     for bc, ref, want in zip(bcs, evicted, cold):
         assert ref.C is not None
-        assert np.array_equal(fem._solve_level(d, T, bc, 6, 4, opts), want), bc.kind
-        rebuilt = fem._reference(d, 4, T, bc.is_dirichlet)[0]
-        assert rebuilt is not ref and rebuilt.key == ref.key
+        assert np.array_equal(fem._solve_levels(d, T, bc, 6, (4,), opts)[0], want), bc.kind
+        rebuilt = _reference(d, 4, T, bc.is_dirichlet)[0]
+        assert rebuilt is not ref
     assert solved == []  # no eigh: every image read the entry its evicted reference's solve left
+
+
+def test_the_memo_entries_of_one_reference_share_its_key(monkeypatch):
+    # the memo keeps every entry's key, outside its byte bound: equal reference keys must be one object,
+    # or each entry would hold its own copy of the domain's vertex bytes
+    _fresh_caches(monkeypatch)
+    opts = fem.FemOptions(max_refinement=2)
+    for T in _seeded_maps(71, 8):
+        fem._solve_levels(g.regular_polygon(40), T, ex.DIRICHLET, 6, (2,), opts)  # a new equal domain each call
+    keys = [key[0] for key in fem._VALUES._entries]
+    assert len(keys) == 8 and len(set(keys)) == 2  # one reference key per sign of det T
+    assert len({id(k) for k in keys}) == 2
 
 
 @pytest.mark.parametrize("threshold", [100, fem.DENSE_THRESHOLD, 1000])
@@ -792,7 +874,7 @@ def test_the_dense_threshold_alone_picks_each_images_route(threshold, monkeypatc
     opts, want = fem.FemOptions(dense_threshold=threshold), []
     for name, d in PENCIL_DOMAINS.items():
         for level, bc, T, ref, _ in _images(d, seed=61, dense_threshold=threshold):  # levels 1-4, three conditions
-            fem._solve_level(d, T, bc, min(6, ref.dim), level, opts)
+            fem._solve_levels(d, T, bc, min(6, ref.dim), (level,), opts)[0]
             assert (ref.C is not None) == (ref.dim <= threshold), (name, level, bc.kind)
             want.append(("eigh" if ref.dim <= threshold else "eigsh", ref.dim))
     assert calls == want
@@ -849,22 +931,22 @@ def test_memo_hit_equals_cold_solve_bit_for_bit(monkeypatch):
         _fresh_caches(monkeypatch)
         want = _plain_image_eigs(ref, T, bc, 4)
         solved = _count_solves(monkeypatch)
-        cold = fem._solve_level(d, T0, bc, 4, level, opts)
+        cold = fem._solve_levels(d, T0, bc, 4, (level,), opts)[0]
         assert np.array_equal(cold, want) and solved == [(_solve_key(ref, T, bc), 6)]
         # an equal domain and map in new objects hit the memo: no second solve
         same = g.LinearMap2(T0.a11, T0.a12, T0.a21, T0.a22)
-        hit = fem._solve_level(g.Polygon(d.vertices.copy()), same, bc, 4, level, opts)
+        hit = fem._solve_levels(g.Polygon(d.vertices.copy()), same, bc, 4, (level,), opts)[0]
         assert np.array_equal(hit, cold) and len(solved) == 1
         hit[0] = -1.0  # callers own what they get back
-        assert np.array_equal(fem._solve_level(d, T0, bc, 4, level, opts), cold)
+        assert np.array_equal(fem._solve_levels(d, T0, bc, 4, (level,), opts)[0], cold)
         # n = 3 reads the same block: still one solve
-        assert np.array_equal(fem._solve_level(d, T0, bc, 3, level, opts), cold[:3])
+        assert np.array_equal(fem._solve_levels(d, T0, bc, 3, (level,), opts)[0], cold[:3])
         assert len(solved) == 1
         # another map or the other path is another entry
         T2 = g.LinearMap2(T0.a11 * (1.0 + 2.0**-40), T0.a12, T0.a21, T0.a22)
         other_path = 100 if ref.dim <= fem.DENSE_THRESHOLD else 1000
-        fem._solve_level(d, T2, bc, 4, level, opts)
-        fem._solve_level(d, T0, bc, 4, level, fem.FemOptions(max_refinement=level, dense_threshold=other_path))
+        fem._solve_levels(d, T2, bc, 4, (level,), opts)[0]
+        fem._solve_levels(d, T0, bc, 4, (level,), fem.FemOptions(max_refinement=level, dense_threshold=other_path))[0]
         assert len(solved) == 3
 
 
@@ -875,12 +957,12 @@ def test_lone_shift_invert_fundamental_is_its_own_entry(monkeypatch):
         _fresh_caches(monkeypatch)
         want = [_plain_image_eigs(ref, T, bc, n) for n in range(1, 7)]
         solved = _count_solves(monkeypatch)
-        one = fem._solve_level(d, T0, bc, 1, level, opts)
+        one = fem._solve_levels(d, T0, bc, 1, (level,), opts)[0]
         assert np.array_equal(one, want[0]) and solved == [(_solve_key(ref, T, bc), 1)]  # eigsh(k=1)
         for n in range(2, 7):  # one more solve, of six values, serves n = 2..6
-            assert np.array_equal(fem._solve_level(d, T0, bc, n, level, opts), want[n - 1]), n
+            assert np.array_equal(fem._solve_levels(d, T0, bc, n, (level,), opts)[0], want[n - 1]), n
         assert [b for _, b in solved] == [1, 6] and len(fem._VALUES._entries) == 2
-        assert np.array_equal(fem._solve_level(d, T0, bc, 1, level, opts), one) and len(solved) == 2
+        assert np.array_equal(fem._solve_levels(d, T0, bc, 1, (level,), opts)[0], one) and len(solved) == 2
 
 
 def test_hexagon_right_hand_side_is_solved_once_per_bc_and_n(monkeypatch):
@@ -900,7 +982,7 @@ def test_hexagon_right_hand_side_is_solved_once_per_bc_and_n(monkeypatch):
     solved = _count_solves(monkeypatch)
     maps = _seeded_maps(11, 5)
     for bc in (ex.DIRICHLET, ex.NEUMANN):
-        ref, _ = fem._reference(hexagon, 4, identity, bc.is_dirichlet)
+        ref, _ = _reference(hexagon, 4, identity, bc.is_dirichlet)
         assert ref.dim > fem.DENSE_THRESHOLD  # shift-invert
         for n in (2, 3):
             for T in maps:
@@ -933,7 +1015,7 @@ def test_solver_failures_are_not_memoized(monkeypatch):
     assert ref.dim > fem.DENSE_THRESHOLD
     for _ in range(2):
         with pytest.raises(fem.SolverFailure, match="shift-invert iteration failed"):
-            fem._solve_level(d, T, bc, 2, level, fem.FemOptions(max_refinement=level))
+            fem._solve_levels(d, T, bc, 2, (level,), fem.FemOptions(max_refinement=level))[0]
     assert len(calls) == 2 and len(fem._VALUES._entries) == 0
 
 
@@ -954,7 +1036,7 @@ def test_value_memo_stays_within_its_byte_bound_under_threads(monkeypatch):
         for _ in range(200):
             i, n = int(rng.integers(0, len(images))), int(rng.integers(1, 7))
             level, bc, T, _, _ = images[i]
-            if not np.array_equal(fem._solve_level(d, T, bc, n, level, opts), want[i][n - 1]):
+            if not np.array_equal(fem._solve_levels(d, T, bc, n, (level,), opts)[0], want[i][n - 1]):
                 wrong.append((i, n))
             with memo._lock:  # a consistent view, between two updates
                 sizes.append(memo._bytes)
