@@ -54,6 +54,10 @@ COMMANDS = [
     ("spectrum --shape rectangle --l1 2 --l2 1 --bc robin --sigma 0.5 -n 4", True),
     ("spectrum --shape disk --engine exact -n 200 --bc dirichlet", True),
     ("spectrum --shape disk --engine exact -n 200 --bc neumann", True),
+    # a non-disk ellipse by FEM under each boundary condition
+    ("spectrum --shape ellipse --s1 2 --s2 0.5 --theta 0.3 --engine fem -n 4 --levels 4 --bc dirichlet", False),
+    ("spectrum --shape ellipse --s1 2 --s2 0.5 --theta 0.3 --engine fem -n 4 --levels 4 --bc neumann", False),
+    ("spectrum --shape ellipse --s1 2 --s2 0.5 --theta 0.3 --engine fem -n 4 --levels 4 --bc robin --sigma 1", False),
     # usage errors: nothing on stdout, exit 2
     ("verify theorem1 --shape rectangle --l1 2 --map 1,0,0,1", True),
     ("verify robin --shape ellipse --s1 2 --map 1,0,0,1", True),
