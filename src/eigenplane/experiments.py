@@ -119,14 +119,22 @@ def classify_model_shape(d: DomainSpec):
     """("equilateral", side) / ("rectangle", (l1, l2)) / ("disk", r) or None.
 
     Detection is rotation and translation invariant, so rigid images of model
-    shapes still get exact spectra.
+    shapes still get exact spectra.  A polygon's class is found on the first
+    call and kept on the polygon, as its symmetry order is: its vertices are
+    read-only, so the class cannot go stale.
     """
     if isinstance(d, Ellipse):
         s1, s2 = d.semi_axes
         if abs(s1 - s2) <= 1e-12 * max(s1, s2):
             return ("disk", 0.5 * (s1 + s2))
         return None
-    v = d.vertices
+    if d._model_shape is None:
+        d._model_shape = (_classify_polygon(d.vertices),)
+    return d._model_shape[0]
+
+
+def _classify_polygon(v: np.ndarray):
+    """classify_model_shape of the polygon with vertices v, found afresh."""
     sides = np.linalg.norm(_next(v) - v, axis=1)
     scale = sides.max()
     if len(v) == 3:

@@ -16,7 +16,9 @@ into reference matrices K11, K12, K22 and M on one sparse pattern; the image's
 stiffness is then S11 K11 + S12 K12 + S22 K22 with S = T^-1 T^-T, its mass M
 (the factor |det T| common to both cancels).  A bounded cache keeps these
 references between calls, and an untransformed domain is the case T = I, so
-every FEM spectrum takes the same path.
+every FEM spectrum takes the same path.  An ellipse is meshed centred at the
+origin, whatever its centre, since a translation moves no eigenvalue: its
+reference depends on its shape alone, and a re-centred copy reuses it.
 
 A reference of at most FemOptions.dense_threshold unknowns (default
 DENSE_THRESHOLD = 400, the measured crossover of the standard dense solve
@@ -484,19 +486,27 @@ def _reference(d: DomainSpec, level: int, T: LinearMap2, dirichlet: bool, dense_
     det T < 0 in reversed vertex order, so its fan starts at another vertex
     (the square's diagonal flips).  The reflection R(d) is reversed alike, so
     for det T < 0 the reference is the mesh of R(d) and T(d) = (T R)(R(d)).
-    The key records the route (reduced exactly when the unknowns, counted by
-    _unknowns, are at most `dense_threshold`); build() checks the count.
+    An ellipse's reference is the mesh of its copy centred at the origin, and
+    its key holds the semi-axes and rotation but no centre: a translation
+    moves no eigenvalue, so every re-centred copy shares one reference and
+    one set of memo entries (its values move in the last bits from those of
+    a mesh built where the ellipse lies).  The key records the route (reduced
+    exactly when the unknowns, counted by _unknowns, are at most
+    `dense_threshold`); build() checks the count.
     """
     flip = isinstance(d, Polygon) and T.det < 0
     dim = _unknowns(d, level, dirichlet)
     if isinstance(d, Polygon):
         key = ("polygon", d.vertices.tobytes(), level, flip, dirichlet, dim <= dense_threshold)
     else:
-        key = ("ellipse", d.center.tobytes(), d.semi_axes, d.rotation, level, dirichlet, dim <= dense_threshold)
+        key = ("ellipse", d.semi_axes, d.rotation, level, dirichlet, dim <= dense_threshold)
 
     def build():
-        ref = _Reference(mesh_domain(Polygon(d.vertices @ _REFLECT.as_array()) if flip else d, level), dirichlet,
-                         dense_threshold)
+        if isinstance(d, Ellipse):
+            base = Ellipse((0.0, 0.0), d.semi_axes, d.rotation)
+        else:
+            base = Polygon(d.vertices @ _REFLECT.as_array()) if flip else d
+        ref = _Reference(mesh_domain(base, level), dirichlet, dense_threshold)
         if ref.dim != dim:
             raise AssertionError(f"level {level} meshed {ref.dim} unknowns, not the {dim} Euler's formula counts")
         return ref

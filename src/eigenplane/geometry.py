@@ -146,6 +146,7 @@ class Polygon:
         arr.setflags(write=False)
         self.vertices = arr
         self._symmetry_order: int | None = None  # see symmetry_order
+        self._model_shape: tuple | None = None  # (class,) once experiments.classify_model_shape has found it
 
     def __repr__(self):
         return f"Polygon({self.vertices.tolist()})"

@@ -89,6 +89,19 @@ def test_symmetry_order_is_computed_once_per_polygon(monkeypatch):
     assert g.symmetry_order(g.apply_map(T, sq)) == 2 and calls == [4, 3, 4, 4]
 
 
+def test_a_reference_polygon_is_classified_once(monkeypatch):
+    calls = []
+    classify = xp._classify_polygon
+    monkeypatch.setattr(xp, "_classify_polygon", lambda v: calls.append(v) or classify(v))
+    sq, T = g.square(1.0), g.LinearMap2(1.3, 0.4, -0.2, 0.8)
+    first = xp.verify_linear_map_bound(sq, T, ex.DIRICHLET, 2, FAST)
+    assert len(calls) == 2 and sum(v is sq.vertices for v in calls) == 1  # the image, then the reference
+    second = xp.verify_linear_map_bound(sq, T, ex.DIRICHLET, 2, FAST)
+    assert len(calls) == 3 and calls[-1] is not sq.vertices  # only the new image is classified
+    assert second.to_json() == first.to_json()
+    assert xp.classify_model_shape(sq) == ("rectangle", (1.0, 1.0)) and len(calls) == 3
+
+
 def test_normalized_sum_equilateral_dirichlet():
     val = xp.normalized_sum(g.equilateral_triangle(), ex.DIRICHLET, 1, "exact")
     assert val == pytest.approx(12 * PI2, rel=1e-12)

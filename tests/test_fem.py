@@ -478,6 +478,65 @@ def test_a_memo_hit_builds_no_reference_too_large_to_keep(d, monkeypatch):
         assert np.array_equal(hit.error_estimates, cold.error_estimates)
 
 
+ELLIPSES = {"disk": ((1.0, 1.0), 0.0), "ellipse": ((1.5, 0.6), 0.3)}  # semi-axes and rotation
+OFF_CENTRE = (0.7, -0.4)
+ELLIPSE_BCS = [ex.DIRICHLET, ex.NEUMANN, ex.robin(1.0)]
+
+
+@pytest.mark.parametrize("bc", ELLIPSE_BCS, ids=["dirichlet", "neumann", "robin"])
+@pytest.mark.parametrize("name", list(ELLIPSES))
+def test_a_recentred_ellipse_reuses_the_origin_copys_solve(name, bc, monkeypatch):
+    _fresh_caches(monkeypatch)
+    monkeypatch.setattr(fem, "_REFERENCES", fem._ReferenceCache(fem.REFERENCE_CACHE_BYTES))
+    calls = _count_meshes(monkeypatch)
+    axes, theta = ELLIPSES[name]
+    opts = fem.FemOptions(max_refinement=3)
+    origin = fem.spectrum_fem(g.Ellipse((0.0, 0.0), axes, theta), bc, 6, opts)
+    assert calls == [2, 3]
+    moved = fem.spectrum_fem(g.Ellipse(OFF_CENTRE, axes, theta), bc, 6, opts)
+    assert calls == [2, 3]  # a translation keys no new reference and meshes nothing
+    assert np.array_equal(moved.values, origin.values)
+    assert np.array_equal(moved.error_estimates, origin.error_estimates)
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("bc", ELLIPSE_BCS, ids=["dirichlet", "neumann", "robin"])
+@pytest.mark.parametrize("name", list(ELLIPSES))
+def test_an_off_centre_ellipse_matches_the_solve_of_its_own_mesh(name, bc, level):
+    axes, theta = ELLIPSES[name]
+    d = g.Ellipse(OFF_CENTRE, axes, theta)
+    K, M = fem.assemble(fem.mesh_domain(d, level), bc)
+    own = fem.solve_eigs(K, M, 6, neumann_like=bc.is_neumann_like)
+    got = fem.spectrum_fem(d, bc, 6, fem.FemOptions(max_refinement=level, extrapolate=False)).values
+    skip = 1 if bc.is_neumann_like else 0  # the Neumann kernel value is solver noise on either mesh
+    np.testing.assert_allclose(got[skip:], own[skip:], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("name", list(ELLIPSES))
+def test_an_ellipses_reference_mesh_is_its_origin_copys_own_mesh(name, level, monkeypatch):
+    meshes = []
+    mesh_domain = fem.mesh_domain
+    monkeypatch.setattr(fem, "mesh_domain", lambda d, level: meshes.append(mesh_domain(d, level)) or meshes[-1])
+    axes, theta = ELLIPSES[name]
+    d = g.Ellipse((0.0, 0.0), axes, theta)
+    for centre in ((0.0, 0.0), OFF_CENTRE):  # the off-centre copy's reference is the origin copy's mesh too
+        fem._reference(g.Ellipse(centre, axes, theta), level, g.LinearMap2.identity(), False)[3]()
+    want = mesh_domain(d, level)
+    for mesh in meshes:
+        for got, ref in ((mesh.vertices, want.vertices), (mesh.triangles, want.triangles),
+                         (mesh.boundary_edges, want.boundary_edges)):
+            assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("level", [3, 4])
+@pytest.mark.parametrize("s1", [1e2, 1e3, 1e4, 1e5])
+def test_thin_neumann_ellipses_keep_their_first_nonzero_value(s1, level):
+    # the thin-domain limit: lambda_2 s1^2 -> 4 for the semi-axes (s1, 1)
+    spec = fem.spectrum_fem(g.Ellipse((0.0, 0.0), (s1, 1.0)), ex.NEUMANN, 2, fem.FemOptions(max_refinement=level))
+    assert spec.values[1] * s1**2 == pytest.approx(4.0, rel=0.02)
+
+
 @pytest.mark.parametrize("n", [0, 50, 10**6])
 def test_counts_no_level_can_serve_are_refused_before_any_meshing(n, monkeypatch):
     # the square's coarse level 3 has 49 interior unknowns, solved densely: n = 50 is one too many
