@@ -480,10 +480,10 @@ def test_a_memo_hit_builds_no_reference_too_large_to_keep(d, monkeypatch):
 
 ELLIPSES = {"disk": ((1.0, 1.0), 0.0), "ellipse": ((1.5, 0.6), 0.3)}  # semi-axes and rotation
 OFF_CENTRE = (0.7, -0.4)
-ELLIPSE_BCS = [ex.DIRICHLET, ex.NEUMANN, ex.robin(1.0)]
+PENCIL_BCS = [ex.DIRICHLET, ex.NEUMANN, ex.robin(1.0)]
 
 
-@pytest.mark.parametrize("bc", ELLIPSE_BCS, ids=["dirichlet", "neumann", "robin"])
+@pytest.mark.parametrize("bc", PENCIL_BCS, ids=lambda bc: bc.kind)
 @pytest.mark.parametrize("name", list(ELLIPSES))
 def test_a_recentred_ellipse_reuses_the_origin_copys_solve(name, bc, monkeypatch):
     _fresh_caches(monkeypatch)
@@ -500,7 +500,7 @@ def test_a_recentred_ellipse_reuses_the_origin_copys_solve(name, bc, monkeypatch
 
 
 @pytest.mark.parametrize("level", [2, 3])
-@pytest.mark.parametrize("bc", ELLIPSE_BCS, ids=["dirichlet", "neumann", "robin"])
+@pytest.mark.parametrize("bc", PENCIL_BCS, ids=lambda bc: bc.kind)
 @pytest.mark.parametrize("name", list(ELLIPSES))
 def test_an_off_centre_ellipse_matches_the_solve_of_its_own_mesh(name, bc, level):
     axes, theta = ELLIPSES[name]
@@ -613,7 +613,6 @@ PENCIL_DOMAINS = {
     "disk": g.Ellipse((0, 0), (1, 1)),
     "isosceles": g.Polygon([[0.0, 0.0], [1.0, 0.0], [0.3, 1.7]]),
 }
-PENCIL_BCS = [ex.DIRICHLET, ex.NEUMANN, ex.robin(1.0)]
 
 
 def _reference(d, level, T, dirichlet, dense_threshold=fem.DENSE_THRESHOLD):
