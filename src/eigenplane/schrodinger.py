@@ -7,30 +7,41 @@ families, optionally pushed forward through a linear map (W composed with
 the inverse map).
 
 Each spectrum is one solve ladder: the coarse grid (every other point, so
-coarse point j is fine point 2j) first, then the fine grid, each for a block
-of b = max(n, BLOCK) values (one for a lone n = 1, by fem's block rule), so
-partial sums n = 1..6 read a prefix of one block.  A grid operator
-K = h*Lap + diag(W) is symmetric, so SuperLU factors it with a
-minimum-degree ordering of K + K^T and diagonal pivots (about half the fill
-of its default COLAMD column ordering; threshold pivoting stays on should a
-tiny h make K indefinite).  The factor is handed as OPinv to a shift-invert
-eigsh (sigma = 0) run to the relative tolerance FD_TOLERANCE.  The coarse
-Lanczos starts from a fixed pseudo-random vector; the fine one starts from
-the coarse eigenvectors, interpolated bilinearly onto the fine grid and
-combined with fixed pseudo-random weights, so it converges in about one
-sweep and reruns stay bit-identical.  Every pair of both blocks then passes
-fem's residual check (identity mass), the contract FEM's solves meet; the
-values agree with a plain eigsh(K, sigma=0) to about 1e-14 relative.
+coarse point j is fine point 2j) and the fine grid, each for a block of
+b = max(n, BLOCK) values (one for a lone n = 1, by fem's block rule), so
+partial sums n = 1..6 read a prefix of one block.  A grid operator is
+K = h*Lap + diag(W), solved by one of two routes chosen from W alone:
+
+- Axis-aligned quadratic potentials: where W's grid values are exactly
+  (c1 x1)^2 + (c2 x2)^2, as for the harmonic potential (or power q = 2)
+  unmapped or pushed through a map whose inverse is diagonal or
+  anti-diagonal, K is the Kronecker sum A1 (+) A2 of two tridiagonal 1-D
+  operators A_k = h*T1 + diag((c_k x)^2).  Each is solved by numpy's dense
+  eigh, every 1-D pair is residual-checked, and the block is the b smallest
+  sums a_i + b_j, enumerated by exact._smallest.  Degenerate levels come
+  out with the operator's exact multiplicity, and this route loads no scipy.
+- Every other potential (power q >= 4, trisym, a harmonic pushed through a
+  shear or a rotation): SuperLU factors K with a minimum-degree ordering of
+  K + K^T and diagonal pivots (about half the fill of its default COLAMD
+  column ordering; threshold pivoting stays on should a tiny h make K
+  indefinite).  The factor is handed as OPinv to a shift-invert eigsh
+  (sigma = 0) run to the relative tolerance FD_TOLERANCE.  The coarse
+  Lanczos starts from a fixed pseudo-random vector; the fine one starts from
+  the coarse eigenvectors, interpolated bilinearly onto the fine grid and
+  combined with fixed pseudo-random weights, so it converges in about one
+  sweep and reruns stay bit-identical.  Every pair of both blocks then
+  passes fem's residual check (identity mass), the contract FEM's solves
+  meet; the values agree with a plain eigsh(K, sigma=0) to about 1e-14
+  relative.  scipy.sparse is imported by this route, when it first runs.
 
 Each ladder's two blocks are remembered as one entry of fem's eigenvalue
 memo, keyed by what builds both grid operators (potential, inverse map, h,
 grid and b), so a hit builds neither: the fixed right-hand side -h Lap + W
 of the Schrodinger bound is solved once for all maps and all n <= BLOCK,
 and a quarter turn of a radial potential, keyed as unmapped, reuses it.
-No eigenvector outlives the call.  The solve is deterministic, so a
+No eigenvector outlives the call.  Both routes are deterministic, so a
 remembered block equals a cold ladder bit for bit.  Grids above
-MAX_GRID_POINTS per side are refused before any work.  scipy.sparse is
-imported by the grid solve, when one first runs.
+MAX_GRID_POINTS per side are refused before any work.
 """
 
 from __future__ import annotations
@@ -39,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import NumericalFailure, Spectrum
+from .exact import NumericalFailure, Spectrum, _smallest
 from .fem import SolverFailure, _block, _check_residuals, memoized
 from .geometry import INFINITE_ORDER, LinearMap2
 
@@ -197,7 +208,9 @@ def _ladder(W: PotentialSpec, h: float, n: int, L: float, points: int) -> np.nda
     """A block of the smallest eigenvalues on the fine grid (row 0) and on the coarse grid (row 1).
 
     The block is b = max(n, BLOCK) values, or one for a lone n = 1, and n
-    must be below the coarse grid's unknowns (fem._block).  The
+    must be below the coarse grid's unknowns (fem._block).  Where W's grid
+    values are (c1 x1)^2 + (c2 x2)^2 (_axes), both grids are solved as
+    Kronecker sums of 1-D operators (_kronecker_sum_eigs).  Otherwise the
     coarse grid (every other point) is solved first from a fixed random start;
     its eigenvectors, interpolated onto the fine grid and combined with fixed
     random weights, start the fine Lanczos.  The operators are built on a memo miss only.
@@ -207,6 +220,9 @@ def _ladder(W: PotentialSpec, h: float, n: int, L: float, points: int) -> np.nda
     b = _block(n, m * m, False)
 
     def solve():
+        axes = _axes(W)
+        if axes is not None:
+            return np.stack([_kronecker_sum_eigs(*axes, h, L, p, b) for p in (points, coarse_points)])
         K, Kc = _grid_operator(W, h, L, points), _grid_operator(W, h, L, coarse_points)
         coarse, vecs = _grid_eigs(Kc, b, np.random.default_rng(0).standard_normal(m * m), coarse_points)
         modes = _interpolate(vecs.T.reshape(b, m, m)).reshape(b, -1)
@@ -214,6 +230,57 @@ def _ladder(W: PotentialSpec, h: float, n: int, L: float, points: int) -> np.nda
         return np.stack((fine, coarse))
 
     return memoized(("fd", W.kind, W.q, W.beta, _inverse_key(W), h, L, points, b), solve)
+
+
+def _axes(W: PotentialSpec) -> tuple[float, float] | None:
+    """(c1, c2) where W's grid values are (c1 x1)^2 + (c2 x2)^2 bit for bit, or None.
+
+    That holds for a quadratic W (harmonic, or power with q = 2), unmapped
+    or pushed through a map whose inverse is diagonal or anti-diagonal with
+    exact zeros (the pattern _inverse_key reads): W o T^-1 then squares
+    (a x1 + 0 x2) and (0 x1 + d x2), or (0 x1 + b x2) and (c x1 + 0 x2).
+    """
+    if not (W.kind == "harmonic" or W.kind == "power" and W.q == 2):
+        return None
+    if W.pushforward is None:
+        return 1.0, 1.0
+    (a, b), (c, d) = W.pushforward.inverse().as_array()
+    if b == 0.0 and c == 0.0:
+        return abs(a), abs(d)
+    if a == 0.0 and d == 0.0:
+        return abs(c), abs(b)
+    return None
+
+
+def _kronecker_sum_eigs(c1: float, c2: float, h: float, L: float, points: int, b: int) -> np.ndarray:
+    """The b smallest eigenvalues of the grid operator of -h*Lap + (c1 x1)^2 + (c2 x2)^2, ascending.
+
+    That operator is the Kronecker sum A1 (+) A2 of the tridiagonal
+    A_k = h*T1 + diag((c_k x)^2) on the box's m interior points per side, so
+    its eigenvalues are the sums a_i + b_j of theirs.  Each distinct A_k is
+    solved by numpy's dense eigh and all its pairs are residual-checked; the
+    one heap of exact._smallest enumerates the sums, an index past m reading
+    +inf, so any b up to m^2 is served.
+    """
+    x = np.linspace(-L, L, points)
+    dx = x[1] - x[0]
+    xi = x[1:-1]
+    m = points - 2
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # an h or a box out of range fails below
+        hT1 = h * ((2.0 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)) / dx**2)
+        operators = {c: hT1 + np.diag((c * xi) ** 2) for c in {c1, c2}}
+    spectra = {}
+    for c, A in operators.items():
+        if not np.isfinite(A).all():
+            raise SolverFailure(f"1-D grid eigensolve failed ({points} points): the operator is not finite")
+        try:
+            vals, vecs = np.linalg.eigh(A)
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailure(f"1-D grid eigensolve failed ({points} points): {exc}") from exc
+        _check_residuals(A, np.eye(m), vecs, vals)
+        spectra[c] = np.append(vals, np.inf)
+    a1, a2 = spectra[c1], spectra[c2]
+    return _smallest(lambda i, j: a1[min(i, m)] + a2[min(j, m)], b)
 
 
 def _inverse_key(W: PotentialSpec) -> bytes | None:

@@ -5,9 +5,12 @@ byte for byte.  FEM and finite-difference outputs must match in every key and
 every piece of text, with each number within 1e-9 of the largest magnitude on
 its line, which leaves room for LAPACK builds that differ in the last bits.
 
-Regenerate the recording (only when an output is meant to change) with
+Re-record the command lines whose output is meant to change, each quoted
+whole, with
 
-    PYTHONPATH=src python tests/test_cli_outputs.py
+    PYTHONPATH=src python tests/test_cli_outputs.py "moments --shape isosceles --aperture 1.2"
+
+which leaves every other entry byte for byte.
 """
 
 import contextlib
@@ -107,10 +110,34 @@ def test_recording_covers_exactly_the_commands(recording):
     assert sorted(recording) == sorted(c for c, _ in COMMANDS)
 
 
-if __name__ == "__main__":
-    rec = {}
-    for command, _ in COMMANDS:
+def record(commands, path=RECORDING):
+    """Re-record the given command lines of COMMANDS in the recording at path, leaving every other entry as it is."""
+    unknown = sorted(set(commands) - {c for c, _ in COMMANDS})
+    if unknown:
+        raise ValueError(f"not a recorded command line: {unknown}")
+    rec = json.loads(path.read_text())
+    for command in commands:
         code, out = _run(command)
         rec[command] = {"exit": code, "stdout": out}
         print(code, command, file=sys.stderr)
-    RECORDING.write_text(json.dumps(rec, indent=1, sort_keys=True) + "\n")
+    path.write_text(json.dumps(rec, indent=1, sort_keys=True) + "\n")
+
+
+def test_the_recorder_rewrites_only_the_command_lines_it_is_given(recording, tmp_path):
+    path = tmp_path / RECORDING.name
+    target, other = "moments --shape isosceles --aperture 1.2", "sweep kroger --shape disk --n-max 100"
+    stale = {**recording, target: {"exit": 1, "stdout": "stale\n"}, other: {"exit": 1, "stdout": "stale\n"}}
+    path.write_text(json.dumps(stale, indent=1, sort_keys=True) + "\n")
+    record([target], path)
+    assert json.loads(path.read_text()) == {**stale, target: recording[target]}
+    path.write_text(RECORDING.read_text())
+    record([target], path)
+    assert path.read_bytes() == RECORDING.read_bytes()  # every other entry byte for byte
+    with pytest.raises(ValueError, match="not a recorded command line"):
+        record(["moments --shape pentagon"], path)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) < 2:
+        sys.exit(__doc__)
+    record(sys.argv[1:])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -178,23 +179,35 @@ def test_composed_pushforward():
 # ---------------------------------------------------------------------------
 
 MEMO_GRID = sch.GridSpec(6.0, 51)
+#: The harmonic potential pushed through a fifth of a turn: |x|^2 up to roundoff, with the near-clusters
+#: 4, 4 and 6, 6, 6, but not axis-aligned, so its grids are solved by the Lanczos ladder.
+TURNED_HARMONIC = sch.PotentialSpec("harmonic", pushforward=g.rotation(5, 1))
 
 
 def _count_eigsh(monkeypatch, memo_bytes=fem.VALUE_CACHE_BYTES):
-    """A fresh memo of memo_bytes, and the list of unknowns of every eigsh call made from here on."""
+    """A fresh memo of memo_bytes, and a record of every grid solved from here on.
+
+    The record holds the unknowns of each eigsh call, the Lanczos ladder's solve of a grid, and
+    ("kronecker sum", unknowns) for each grid of an axis-aligned quadratic potential.
+    """
     monkeypatch.setattr(fem, "_VALUES", fem._ReferenceCache(memo_bytes))
     calls = []
-    eigsh = splinalg.eigsh
+    eigsh, kronecker_sum_eigs = splinalg.eigsh, sch._kronecker_sum_eigs
 
     def counted(A, *args, **kwargs):
         calls.append(A.shape[0])
         return eigsh(A, *args, **kwargs)
 
+    def counted_sum(c1, c2, h, L, points, b):
+        calls.append(("kronecker sum", (points - 2) ** 2))
+        return kronecker_sum_eigs(c1, c2, h, L, points, b)
+
     monkeypatch.setattr(splinalg, "eigsh", counted)
+    monkeypatch.setattr(sch, "_kronecker_sum_eigs", counted_sum)
     return calls
 
 
-@pytest.mark.parametrize("W", [sch.harmonic(), sch.power_radial(4), sch.trisym(0.2)], ids=lambda W: W.kind)
+@pytest.mark.parametrize("W", [TURNED_HARMONIC, sch.power_radial(4), sch.trisym(0.2)], ids=lambda W: W.kind)
 def test_fd_memo_hit_equals_cold_solve_bit_for_bit(W, monkeypatch):
     calls = _count_eigsh(monkeypatch)
     cold = sch._ladder(W, 1.3, 3, 6.0, 51)
@@ -214,17 +227,17 @@ def test_fd_memo_hit_equals_cold_solve_bit_for_bit(W, monkeypatch):
 def test_schrodinger_right_hand_side_is_solved_once_over_three_maps(monkeypatch):
     maps = [g.LinearMap2.diagonal(1.2, 0.9), g.LinearMap2(1.1, 0.3, 0.0, 0.95), g.rotation(5, 1)]
     calls = _count_eigsh(monkeypatch)
-    reports = [xp.verify_schrodinger_bound(sch.harmonic(), 1.0, T, 2, MEMO_GRID) for T in maps]
+    reports = [xp.verify_schrodinger_bound(sch.power_radial(4), 1.0, T, 2, MEMO_GRID) for T in maps]
     assert len(calls) == 2 + 2 * len(maps)  # the right-hand side's two grids, once
     calls = _count_eigsh(monkeypatch, memo_bytes=0)  # a memo that keeps nothing
-    cold = [xp.verify_schrodinger_bound(sch.harmonic(), 1.0, T, 2, MEMO_GRID) for T in maps]
+    cold = [xp.verify_schrodinger_bound(sch.power_radial(4), 1.0, T, 2, MEMO_GRID) for T in maps]
     assert len(calls) == 4 * len(maps)
     assert [r.to_json() for r in reports] == [r.to_json() for r in cold]
 
 
 def test_quarter_turn_reuses_the_right_hand_side(monkeypatch):
     calls = _count_eigsh(monkeypatch)
-    rep = xp.verify_schrodinger_bound(sch.harmonic(), 1.0, g.LinearMap2(0.0, -1.0, 1.0, 0.0), 2, MEMO_GRID)
+    rep = xp.verify_schrodinger_bound(sch.power_radial(4), 1.0, g.LinearMap2(0.0, -1.0, 1.0, 0.0), 2, MEMO_GRID)
     # W o T^-1 = W on the grid bit for bit and h' = h, so both sides are one operator
     assert len(calls) == 2
     assert rep.lhs == rep.rhs and rep.holds
@@ -240,7 +253,7 @@ def test_fd_failures_are_not_memoized(monkeypatch):
     monkeypatch.setattr(splinalg, "eigsh", fail)
     for _ in range(2):
         with pytest.raises(sch.SolverFailure, match="grid eigensolve failed"):
-            sch._ladder(sch.harmonic(), 1.0, 2, 6.0, 51)
+            sch._ladder(sch.power_radial(4), 1.0, 2, 6.0, 51)
     assert len(calls) == 2 and len(fem._VALUES._entries) == 0
 
 
@@ -260,6 +273,7 @@ def test_a_memo_hit_builds_no_grid_operator(monkeypatch):
 SIGNED_PERMUTATIONS = [g.LinearMap2(*m) for m in ((-1, 0, 0, 1), (1, 0, 0, -1), (-1, 0, 0, -1),
                                                   (0, 1, 1, 0), (0, -1, 1, 0), (0, 1, -1, 0), (0, -1, -1, 0))]
 QUARTER_TURN = g.LinearMap2(0.0, -1.0, 1.0, 0.0)
+# the harmonic permutations share the unmapped harmonic's Kronecker-sum solve, the power ones its Lanczos ladder
 LADDER_CASES = {  # (base potential, potential, h, L, points, whether it shares the base's ladder)
     **{f"{W.kind}-permutation-{i}": (W, sch.transformed_problem(W, 1.0, P)[0], 1.0, 6.0, 51, True)
        for W in (sch.harmonic(), sch.power_radial(4)) for i, P in enumerate(SIGNED_PERMUTATIONS)},
@@ -267,9 +281,9 @@ LADDER_CASES = {  # (base potential, potential, h, L, points, whether it shares 
                             1.0, 6.0, 51, False),
     "beta": (sch.trisym(0.2), sch.trisym(0.3), 1.0, 6.0, 51, False),
     "q": (sch.power_radial(4), sch.power_radial(6), 1.0, 6.0, 51, False),
-    "h": (sch.harmonic(), sch.harmonic(), 1.1, 6.0, 51, False),
-    "L": (sch.harmonic(), sch.harmonic(), 1.0, 6.5, 51, False),
-    "points": (sch.harmonic(), sch.harmonic(), 1.0, 6.0, 53, False),
+    "h": (sch.power_radial(4), sch.power_radial(4), 1.1, 6.0, 51, False),
+    "L": (sch.power_radial(4), sch.power_radial(4), 1.0, 6.5, 51, False),
+    "points": (sch.power_radial(4), sch.power_radial(4), 1.0, 6.0, 53, False),
 }
 
 
@@ -304,11 +318,11 @@ MAPPED_TRISYM = sch.transformed_problem(sch.trisym(0.2), 1.0, g.LinearMap2(2.0, 
 
 @pytest.mark.parametrize("points", [51, 101, 201])
 @pytest.mark.parametrize(
-    "W, h", [(sch.harmonic(), 1.0), (sch.power_radial(4), 1.0), MAPPED_TRISYM],
+    "W, h", [(TURNED_HARMONIC, 1.0), (sch.power_radial(4), 1.0), MAPPED_TRISYM],
     ids=["harmonic", "power", "mapped-trisym"],
 )
 def test_fd_values_match_a_plain_shift_invert_eigsh(W, h, points, monkeypatch):
-    # the unmapped harmonic's clusters 4, 4 and 6, 6, 6 would show a value the warm start missed
+    # the turned harmonic's near-clusters 4, 4 and 6, 6, 6 would show a value the warm start missed
     operators = []
     eigsh = splinalg.eigsh
 
@@ -340,7 +354,7 @@ def test_fd_factor_keeps_its_fill_small(monkeypatch):
 
     monkeypatch.setattr(fem, "_VALUES", fem._ReferenceCache(fem.VALUE_CACHE_BYTES))
     monkeypatch.setattr(splinalg, "splu", keep)
-    sch._ladder(sch.harmonic(), 1.0, 1, 8.0, 101)
+    sch._ladder(sch.power_radial(4), 1.0, 1, 8.0, 101)
     # 364 676 stored entries with the minimum-degree ordering, 666 448 with COLAMD
     assert [f.shape[0] for f in factors] == [49 * 49, 99 * 99]
     assert factors[-1].L.nnz + factors[-1].U.nnz < 450_000
@@ -411,5 +425,105 @@ def test_a_wrong_grid_eigenvalue_fails_the_residual_check(unknowns, monkeypatch)
     monkeypatch.setattr(fem, "_VALUES", fem._ReferenceCache(fem.VALUE_CACHE_BYTES))
     monkeypatch.setattr(splinalg, "eigsh", perturbed)
     with pytest.raises(sch.SolverFailure, match="residual .* exceeds"):
+        sch.schrodinger_spectrum(sch.power_radial(4), 1.0, 2, MEMO_GRID)
+    assert len(fem._VALUES._entries) == 0
+
+
+# ---------------------------------------------------------------------------
+# axis-aligned quadratic potentials: each grid operator is a Kronecker sum of
+# two tridiagonal 1-D operators, solved by dense eigh and the exact heap
+# ---------------------------------------------------------------------------
+
+AXIS_ALIGNED_MAPS = {
+    "unmapped": None,
+    "diag(1.3,0.8)": g.LinearMap2.diagonal(1.3, 0.8),
+    "diag(-2,1)": g.LinearMap2.diagonal(-2.0, 1.0),
+    "anti-diagonal": g.LinearMap2(0.0, 2.0, 1.0, 0.0),
+}
+
+
+def _harmonic_image(T):
+    return (sch.harmonic(), 1.0) if T is None else sch.transformed_problem(sch.harmonic(), 1.0, T)
+
+
+def test_only_axis_aligned_quadratic_potentials_are_solved_as_kronecker_sums():
+    x = np.linspace(-8.0, 8.0, 51)
+    X1, X2 = np.meshgrid(x, x, indexing="ij")
+    separable = [sch.power_radial(2)] + [_harmonic_image(T)[0] for T in AXIS_ALIGNED_MAPS.values()]
+    separable += [sch.transformed_problem(sch.harmonic(), 1.0, P)[0] for P in SIGNED_PERMUTATIONS]
+    for W in separable:  # W's grid values are (c1 x1)^2 + (c2 x2)^2 bit for bit
+        c1, c2 = sch._axes(W)
+        assert np.array_equal(W.values(X1, X2), (c1 * X1) ** 2 + (c2 * X2) ** 2)
+    assert sch._axes(_harmonic_image(AXIS_ALIGNED_MAPS["anti-diagonal"])[0]) == (0.5, 1.0)
+    shear = sch.transformed_problem(sch.harmonic(), 1.0, g.LinearMap2(1.1, 0.3, 0.0, 0.95))[0]
+    for W in (sch.power_radial(4), sch.trisym(0.2), sch.trisym(0.0), shear, TURNED_HARMONIC,
+              sch.transformed_problem(sch.power_radial(4), 1.0, g.LinearMap2.diagonal(2.0, 1.0))[0]):
+        assert sch._axes(W) is None
+
+
+@pytest.mark.parametrize("points", [51, 101, 201])
+@pytest.mark.parametrize("T", list(AXIS_ALIGNED_MAPS.values()), ids=list(AXIS_ALIGNED_MAPS))
+def test_kronecker_sum_blocks_match_a_plain_shift_invert_eigsh(T, points, monkeypatch):
+    W, h = _harmonic_image(T)
+    calls = _count_eigsh(monkeypatch)
+    got = sch._ladder(W, h, 3, 8.0, points)
+    coarse_points = (points + 1) // 2
+    # both grids as Kronecker sums: no sparse factor, no Lanczos
+    assert calls == [("kronecker sum", (points - 2) ** 2), ("kronecker sum", (coarse_points - 2) ** 2)]
+    for row, p in enumerate((points, coarse_points)):
+        K = sch._grid_operator(W, h, 8.0, p)
+        v0 = np.random.default_rng(1).standard_normal(K.shape[0])
+        plain = np.sort(splinalg.eigsh(K, k=fem.BLOCK, sigma=0.0, v0=v0, return_eigenvectors=False))
+        np.testing.assert_allclose(got[row], plain, rtol=1e-12, atol=0.0)
+
+
+def test_the_unmapped_harmonic_block_has_exact_multiplicities(monkeypatch):
+    _count_eigsh(monkeypatch)
+    for row in sch._ladder(sch.harmonic(), 1.0, fem.BLOCK, 8.0, 201):
+        # 2 a0, then a0 + a1 = a1 + a0 and a0 + a2 = a2 + a0 to the bit; the five-point operator splits 2 a1 off
+        _, counts = np.unique(row, return_counts=True)
+        assert counts.tolist() == [1, 2, 2, 1]
+
+
+def test_the_largest_n_the_block_rule_admits_is_served_and_the_next_is_refused(monkeypatch):
+    calls = _count_eigsh(monkeypatch)
+    most = 24 * 24 - 1  # below the coarse grid's unknowns
+    fine, coarse = sch._ladder(sch.harmonic(), 1.0, most, 6.0, 51)
+    assert len(calls) == 2 and fine.shape == coarse.shape == (most,)
+    xi = np.linspace(-6.0, 6.0, 26)[1:-1]
+    dx = xi[1] - xi[0]
+    A = (2.0 * np.eye(24) - np.eye(24, k=1) - np.eye(24, k=-1)) / dx**2 + np.diag(xi**2)
+    a = np.linalg.eigvalsh(A)
+    np.testing.assert_allclose(coarse, np.sort(np.add.outer(a, a).ravel())[:most], rtol=1e-13)
+    assert np.all(np.diff(fine) >= 0) and np.all(np.isfinite(fine))
+    with pytest.raises(ValueError, match=f"need 1 <= n <= {most}"):
+        sch._ladder(sch.harmonic(), 1.0, most + 1, 6.0, 51)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("side", [24, 49], ids=["coarse", "fine"])
+def test_a_wrong_1d_eigenvalue_fails_the_residual_check(side, monkeypatch):
+    eigh = np.linalg.eigh
+
+    def perturbed(A):
+        vals, vecs = eigh(A)
+        if A.shape[0] == side:
+            vals = vals.copy()
+            vals[-1] *= 1.0 + 1e-6  # a pair no block of n = 2 reads: every pair is checked
+        return vals, vecs
+
+    monkeypatch.setattr(fem, "_VALUES", fem._ReferenceCache(fem.VALUE_CACHE_BYTES))
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    with pytest.raises(sch.SolverFailure, match="residual .* exceeds"):
         sch.schrodinger_spectrum(sch.harmonic(), 1.0, 2, MEMO_GRID)
     assert len(fem._VALUES._entries) == 0
+
+
+@pytest.mark.parametrize("h, L", [(1e308, 6.0), (1.0, 1e200), (1.0, 1e-200)], ids=["h", "wide-box", "narrow-box"])
+def test_a_1d_operator_out_of_range_is_refused_before_its_eigensolve(h, L, monkeypatch):
+    calls = _count_eigsh(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # one typed failure, no numpy warning on the way
+        with pytest.raises(sch.SolverFailure, match="operator is not finite"):
+            sch._ladder(sch.harmonic(), h, 2, L, 51)
+    assert len(calls) == 1 and len(fem._VALUES._entries) == 0  # the fine grid failed, the coarse was never tried
