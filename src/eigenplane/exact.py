@@ -106,9 +106,10 @@ class Spectrum:
             self.error_estimates = np.asarray(self.error_estimates, dtype=float)
         if self.values.shape != self.error_estimates.shape:
             raise ValueError("values and error_estimates must have equal length")
-        if (self.values[1:] < self.values[:-1]).any():
+        # count_nonzero, not .any(): a fraction of the cost on the few values of a bound's partial sum
+        if np.count_nonzero(self.values[1:] < self.values[:-1]):
             raise ValueError("eigenvalues must be sorted nondecreasing")
-        if (self.error_estimates < 0).any():
+        if np.count_nonzero(self.error_estimates < 0):
             raise ValueError("error estimates must be nonnegative")
         if self.method not in ("exact", "fem", "fd"):
             raise ValueError(f"unknown method tag {self.method!r}")
@@ -120,10 +121,10 @@ class Spectrum:
     def sum_first(self, k: int) -> float:
         if k > self.n:
             raise ValueError(f"spectrum holds {self.n} values, asked for {k}")
-        return float(np.sum(self.values[:k]))
+        return float(self.values[:k].sum())
 
     def error_sum(self, k: int) -> float:
-        return float(np.sum(self.error_estimates[:k]))
+        return float(self.error_estimates[:k].sum())
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ from .geometry import (
     require_rotational_symmetry,
     square,
     symmetry_order,
-    _next,
+    _counterclockwise,
 )
 from .schrodinger import GridSpec, PotentialSpec, schrodinger_spectrum, transformed_problem
 
@@ -134,19 +134,62 @@ def classify_model_shape(d: DomainSpec):
 
 
 def _classify_polygon(v: np.ndarray):
-    """classify_model_shape of the polygon with vertices v, found afresh."""
-    sides = np.linalg.norm(_next(v) - v, axis=1)
-    scale = sides.max()
-    if len(v) == 3:
-        if (np.abs(sides - sides[0]) <= 1e-12 * scale).all():
-            return ("equilateral", float(sides[0]))
+    """classify_model_shape of the polygon with vertices v, found afresh.
+
+    Each edge's length is sqrt(dx * dx + dy * dy) and each turn's dot product
+    ex * fx + ey * fy, in Python floats: the operations, in the order, of
+    np.linalg.norm and np.einsum over the edge array, without numpy's per-call
+    cost on three or four rows.
+    """
+    if len(v) not in (3, 4):
         return None
-    if len(v) == 4:
-        edges = _next(v) - v
-        dots = np.abs(np.einsum("ij,ij->i", edges, _next(edges)))
-        if (dots <= 1e-12 * scale * scale).all():
-            return ("rectangle", (float(sides[0]), float(sides[1])))
+    p = v.tolist()
+    edges = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(p, p[1:] + p[:1])]
+    sides = [math.sqrt(x * x + y * y) for x, y in edges]
+    scale = max(sides)
+    if len(p) == 3:
+        if all(abs(s - sides[0]) <= 1e-12 * scale for s in sides):
+            return ("equilateral", sides[0])
+        return None
+    turns = zip(edges, edges[1:] + edges[:1])
+    if all(abs(ex * fx + ey * fy) <= 1e-12 * scale * scale for (ex, ey), (fx, fy) in turns):
+        return ("rectangle", (sides[0], sides[1]))
     return None
+
+
+def _image_class(d: DomainSpec, T: LinearMap2):
+    """classify_model_shape(apply_map(T, d)), for a polygon without building the image.
+
+    T(d)'s vertex array is formed and oriented as Polygon stores it, and
+    classified by _classify_polygon, so every decision and datum is the
+    image polygon's bit for bit.  Polygon's zero-area refusal is kept; its
+    self-intersection test is not needed, since an invertible linear image
+    of a simple polygon is simple.
+    """
+    if isinstance(d, Ellipse):
+        return classify_model_shape(apply_map(T, d))
+    if T.is_singular():
+        raise ValueError("map is singular")
+    return _classify_polygon(_counterclockwise(d.vertices @ T.as_array().T))
+
+
+def _closed_form(kind: str, data, bc: BoundarySpec, n: int) -> Spectrum:
+    """The closed-form spectrum of a model shape, kept in fem's values memo as values then error estimates.
+
+    Keyed by family, dimensions, bc kind, sigma and n; a hit enumerates
+    nothing, and the Spectrum returned owns its arrays.
+    """
+    def solve():
+        if kind == "equilateral":
+            spec = equilateral_spectrum(data, bc, n)
+        elif kind == "rectangle":
+            spec = rectangle_spectrum(data[0], data[1], bc, n)
+        else:
+            spec = disk_spectrum(data, bc, n)
+        return np.concatenate((spec.values, spec.error_estimates))
+
+    both = fem.memoized(("exact", kind, data, bc.kind, bc.sigma, n), solve)
+    return Spectrum(both[:n], "exact", both[n:])
 
 
 def spectrum_of(
@@ -159,21 +202,18 @@ def spectrum_of(
 ) -> Spectrum:
     """Spectrum of d, or of its linear image T(d): exact for model shapes, FEM otherwise.
 
-    FEM solves T(d) on d's cached reference mesh (fem.spectrum_fem); the image
-    itself is built only to recognize model shapes.
+    A polygon's image is classified from its mapped vertices, with no
+    Polygon built (_image_class); FEM solves T(d) on d's cached reference
+    mesh (fem.spectrum_fem).  Closed forms are served from fem's values memo
+    (_closed_form), so a repeated request enumerates nothing.
     """
     if engine not in ("auto", "exact", "fem"):
         raise ValueError(f"unknown engine {engine!r}")
-    model = None if engine == "fem" else classify_model_shape(d if T is None else apply_map(T, d))
+    model = None if engine == "fem" else classify_model_shape(d) if T is None else _image_class(d, T)
     if model is not None and bc.kind == "robin" and bc.sigma > 0 and model[0] != "rectangle":
         model = None  # Robin closed form only exists for rectangles
     if model is not None:
-        kind, data = model
-        if kind == "equilateral":
-            return equilateral_spectrum(data, bc, n)
-        if kind == "rectangle":
-            return rectangle_spectrum(data[0], data[1], bc, n)
-        return disk_spectrum(data, bc, n)
+        return _closed_form(*model, bc, n)
     if engine == "exact":
         raise ValueError("exact engine is only available for model shapes")
     return fem.spectrum_fem(d, bc, n, opts, T)

@@ -135,12 +135,7 @@ class Polygon:
             raise ValueError("polygon needs at least 3 planar vertices")
         if not np.isfinite(arr).all():
             raise ValueError("polygon vertices must be finite")
-        area2 = _signed_area2(arr)
-        scale = float(np.abs(arr).max()) or 1.0
-        if abs(area2) <= 1e-14 * scale * scale:
-            raise ValueError("degenerate polygon (zero area)")
-        if area2 < 0:
-            arr = arr[::-1].copy()
+        arr = _counterclockwise(arr)
         if _self_intersects(arr):
             raise ValueError("polygon is self-intersecting")
         arr.setflags(write=False)
@@ -285,8 +280,29 @@ def _next(a: np.ndarray) -> np.ndarray:
 
 
 def _signed_area2(v: np.ndarray) -> float:
-    x, y = v[:, 0], v[:, 1]
-    return float((x * _next(y) - _next(x) * y).sum())
+    """Twice the signed area of the polygon with vertices v: the sum of x_i y_(i+1) - x_(i+1) y_i.
+
+    numpy's sum adds fewer than eight terms one by one, from -0.0, so below
+    eight vertices plain floats in that order give its bits without its
+    per-call cost.
+    """
+    if len(v) >= 8:
+        w = _next(v)
+        return float((v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]).sum())
+    p = v.tolist()
+    area2 = -0.0
+    for (x, y), (xn, yn) in zip(p, p[1:] + p[:1]):
+        area2 += x * yn - xn * y
+    return area2
+
+
+def _counterclockwise(v: np.ndarray) -> np.ndarray:
+    """The vertex array v as Polygon stores it: reversed where its signed area is negative; ValueError for zero area."""
+    area2 = _signed_area2(v)
+    scale = float(np.abs(v).max()) or 1.0
+    if abs(area2) <= 1e-14 * scale * scale:
+        raise ValueError("degenerate polygon (zero area)")
+    return v[::-1].copy() if area2 < 0 else v
 
 
 def orient(a, b, c) -> float:

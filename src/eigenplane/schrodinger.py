@@ -38,7 +38,8 @@ Each ladder's two blocks are remembered as one entry of fem's eigenvalue
 memo, keyed by what builds both grid operators (potential, inverse map, h,
 grid and b), so a hit builds neither: the fixed right-hand side -h Lap + W
 of the Schrodinger bound is solved once for all maps and all n <= BLOCK,
-and a quarter turn of a radial potential, keyed as unmapped, reuses it.
+and a quarter turn of a radial potential, or trisym's reflection
+diag(1, -1), keyed as unmapped, reuses it.
 No eigenvector outlives the call.  Both routes are deterministic, so a
 remembered block equals a cold ladder bit for bit.  Grids above
 MAX_GRID_POINTS per side are refused before any work.
@@ -287,15 +288,19 @@ def _inverse_key(W: PotentialSpec) -> bytes | None:
     """The inverse pushforward entries W.values reads, or None where W's grid values are the unmapped ones.
 
     A signed permutation only swaps and negates (x1, x2), which leaves the
-    harmonic and power values bit for bit, and h' = h; trisym's
-    x1^3 - 3 x1 x2^2 changes under most of them, so trisym keeps its map.
+    harmonic and power values bit for bit, and h' = h.  trisym's
+    x1^3 - 3 x1 x2^2 is even in x2 alone, so of the signed permutations only
+    the reflection diag(1, -1) leaves it bit for bit; under the others trisym
+    keeps its map.
     """
     if W.pushforward is None:
         return None
     inv = W.pushforward.inverse().as_array()
-    if W.kind != "trisym" and any(np.array_equal(np.abs(inv), P) for P in (np.eye(2), np.eye(2)[::-1])):
-        return None
-    return inv.tobytes()
+    if W.kind == "trisym":
+        unmapped = np.array_equal(inv, np.diag([1.0, -1.0]))
+    else:
+        unmapped = any(np.array_equal(np.abs(inv), P) for P in (np.eye(2), np.eye(2)[::-1]))
+    return None if unmapped else inv.tobytes()
 
 
 def schrodinger_spectrum(W: PotentialSpec, h: float, n: int, grid: GridSpec = GridSpec()) -> Spectrum:

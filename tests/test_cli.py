@@ -447,6 +447,13 @@ def test_bad_counts_exit_2_with_one_line(capsys, argv):
     assert_usage_error(capsys, argv)
 
 
+@pytest.mark.parametrize("m", ["1,2,2,4", "1e-8,0,0,1e-7"])
+def test_singular_maps_exit_2_naming_the_map(capsys, m):
+    code = cli.run(["verify", "theorem1", "--map", m])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and captured.err == "error: map is singular, cannot invert\n"
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -102,6 +102,41 @@ def test_a_reference_polygon_is_classified_once(monkeypatch):
     assert xp.classify_model_shape(sq) == ("rectangle", (1.0, 1.0)) and len(calls) == 3
 
 
+def _near_similarities(rng, count):
+    """c R(theta) diag(1, +-1), each entry then moved by up to 1e-13 to 1e-11 of c: both sides of the 1e-12 tolerance."""
+    out = []
+    for _ in range(count):
+        theta, c = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.4, 2.5)
+        m = c * np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+        m = m @ np.diag([1.0, rng.choice([1.0, -1.0])])
+        out.append(g.LinearMap2.from_array(m + c * 10.0 ** rng.uniform(-13, -11) * rng.uniform(-1.0, 1.0, (2, 2))))
+    return out
+
+
+def test_an_image_is_classified_as_its_polygon_bit_for_bit():
+    rng = np.random.default_rng(31)
+    shapes = [g.square(1.0), g.equilateral_triangle(), g.regular_polygon(6), g.rectangle(2.0, 0.7),
+              g.Polygon([[0.0, 0.0], [2.0, 0.1], [1.7, 1.3], [-0.2, 0.9]])]
+    maps = xp.random_invertible_maps(20, seed=7)  # criterion 7's distribution
+    for theta, c in ((0.7, 1.9), (2.3, 0.45), (4.0, 1.0)):
+        rot = c * np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+        maps += [g.LinearMap2.from_array(rot), g.LinearMap2.from_array(rot @ np.diag([1.0, -1.0]))]
+    near = _near_similarities(rng, 300)
+    assert any(T.det < 0 for T in maps) and any(T.det > 0 for T in maps)
+    near_classes = []
+    for T, is_near in [(T, False) for T in maps] + [(T, True) for T in near]:
+        for d in shapes:
+            image = g.apply_map(T, d)
+            want = xp.classify_model_shape(image)
+            # repr tells every float apart that differs in a bit, the sign of zero included
+            assert repr(xp._image_class(d, T)) == repr(want) == repr(_classify_by_roll(image))
+            if is_near and len(d.vertices) < 6:
+                near_classes.append(want is None)
+    assert near_classes.count(True) > 50 and near_classes.count(False) > 50  # on both sides of the tolerance
+    with pytest.raises(ValueError, match="map is singular"):
+        xp.spectrum_of(g.square(1.0), ex.DIRICHLET, 1, T=g.LinearMap2(1.0, 2.0, 2.0, 4.0))
+
+
 def test_normalized_sum_equilateral_dirichlet():
     val = xp.normalized_sum(g.equilateral_triangle(), ex.DIRICHLET, 1, "exact")
     assert val == pytest.approx(12 * PI2, rel=1e-12)
@@ -131,6 +166,57 @@ def test_normalized_sum_scale_invariant_fem():
     a = xp.normalized_sum(tri, ex.DIRICHLET, 2, opts=FAST)
     b = xp.normalized_sum(tri3, ex.DIRICHLET, 2, opts=FAST)
     assert b == pytest.approx(a, rel=1e-9)
+
+
+CLOSED_FORMS = {
+    "equilateral-dirichlet": (g.equilateral_triangle(1.3), ex.DIRICHLET),
+    "equilateral-neumann": (g.equilateral_triangle(1.3), ex.NEUMANN),
+    "rectangle-dirichlet": (g.rectangle(2.0, 0.7), ex.DIRICHLET),
+    "rectangle-neumann": (g.rectangle(2.0, 0.7), ex.NEUMANN),
+    "rectangle-robin": (g.rectangle(2.0, 0.7), ex.robin(3.0)),
+    "disk-dirichlet": (g.Ellipse((0.5, -0.2), (0.8, 0.8)), ex.DIRICHLET),
+    "disk-neumann": (g.Ellipse((0.5, -0.2), (0.8, 0.8)), ex.NEUMANN),
+}
+
+
+def _direct_closed_form(kind, data, bc, n):
+    if kind == "equilateral":
+        return ex.equilateral_spectrum(data, bc, n)
+    if kind == "rectangle":
+        return ex.rectangle_spectrum(data[0], data[1], bc, n)
+    return ex.disk_spectrum(data, bc, n)
+
+
+@pytest.mark.parametrize("case", list(CLOSED_FORMS))
+def test_closed_forms_are_served_from_the_values_memo(case, monkeypatch):
+    d, bc = CLOSED_FORMS[case]
+    monkeypatch.setattr(fem, "_VALUES", fem._ReferenceCache(fem.VALUE_CACHE_BYTES))
+    enumerations = []
+    smallest = ex._smallest
+    monkeypatch.setattr(ex, "_smallest", lambda *args: enumerations.append(args[1]) or smallest(*args))
+    kind, data = xp.classify_model_shape(d)
+
+    def same(got, want):
+        return (got.method == "exact" and got.values.tobytes() == want.values.tobytes()
+                and got.error_estimates.tobytes() == want.error_estimates.tobytes())
+
+    others = [ex.DIRICHLET, ex.NEUMANN, ex.robin(0.0)] + [ex.robin(1.0)] * (kind == "rectangle")
+    for n in (1, 5, 40):
+        want = _direct_closed_form(kind, data, bc, n)
+        for other in others:  # each condition (kind and sigma) has entries of its own
+            if other != bc:
+                xp.spectrum_of(d, other, n)
+        enumerations.clear()
+        first = xp.spectrum_of(d, bc, n)
+        second = xp.spectrum_of(d, bc, n)
+        assert enumerations == [n] and same(first, want) and same(second, want)
+        second.values[:] = -1.0  # callers own what they get back
+        second.error_estimates[:] = 7.0
+        assert same(xp.spectrum_of(d, bc, n), want) and enumerations == [n]
+    # an entry over half the memo's bound is enumerated on every call and never kept
+    n = fem.VALUE_CACHE_BYTES // 16 + 1
+    enumerations.clear()
+    assert same(xp.spectrum_of(d, bc, n), xp.spectrum_of(d, bc, n)) and enumerations == [n, n]
 
 
 def test_exact_engine_rejects_generic_shapes():
@@ -175,6 +261,26 @@ def test_linear_map_bound_on_disk_domain():
     assert rep.holds
     assert rep.inputs["lhs_method"] == "fem"
     assert rep.inputs["rhs_method"] == "exact"
+
+
+def test_a_memo_hit_report_builds_no_polygon_and_enumerates_nothing(monkeypatch):
+    monkeypatch.setattr(fem, "_VALUES", fem._ReferenceCache(fem.VALUE_CACHE_BYTES))
+    T, sq = g.LinearMap2(1.3, 0.4, -0.2, 0.8), g.square(1.0)
+    cases = [(d, bc, n) for d in (sq, g.equilateral_triangle()) for bc in (ex.DIRICHLET, ex.NEUMANN)
+             for n in range(1, 7)]
+    cold = [xp.verify_linear_map_bound(d, T, bc, n).to_json() for d, bc, n in cases]
+    calls = []
+    init, intersects, smallest = g.Polygon.__init__, g._self_intersects, ex._smallest
+    monkeypatch.setattr(g.Polygon, "__init__", lambda self, v: calls.append("Polygon") or init(self, v))
+    monkeypatch.setattr(g, "_self_intersects", lambda v: calls.append("_self_intersects") or intersects(v))
+    monkeypatch.setattr(ex, "_smallest", lambda *args: calls.append("_smallest") or smallest(*args))
+    assert [xp.verify_linear_map_bound(d, T, bc, n).to_json() for d, bc, n in cases] == cold
+    assert calls == []
+    # the counters count: a new closed-form image is enumerated, still with no polygon built
+    rep = xp.verify_linear_map_bound(sq, g.LinearMap2.diagonal(2.0, 1.0), ex.DIRICHLET, 2)
+    assert rep.inputs["lhs_method"] == "exact" and calls == ["_smallest"]
+    g.apply_map(T, sq)
+    assert calls == ["_smallest", "Polygon", "_self_intersects"]
 
 
 def test_linear_map_bound_rejects_low_symmetry():

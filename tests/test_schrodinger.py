@@ -243,6 +243,28 @@ def test_quarter_turn_reuses_the_right_hand_side(monkeypatch):
     assert rep.lhs == rep.rhs and rep.holds
 
 
+def test_trisym_reflection_reuses_the_right_hand_side(monkeypatch):
+    # x1^3 - 3 x1 x2^2 is even in x2: under diag(1, -1) trisym's grid operators are the unmapped ones
+    W = sch.trisym(0.2)
+    WR, hR = sch.transformed_problem(W, 1.0, REFLECTION)
+    assert hR == 1.0 and sch._inverse_key(WR) is None
+    for p in (51, 101, 201):
+        K, K0 = sch._grid_operator(WR, 1.0, 6.0, p), sch._grid_operator(W, 1.0, 6.0, p)
+        for name in ("data", "indices", "indptr"):
+            assert getattr(K, name).tobytes() == getattr(K0, name).tobytes(), (p, name)
+    # every other signed permutation moves trisym's values, and keeps its map in the key
+    others = [P for P in SIGNED_PERMUTATIONS if P != REFLECTION]
+    assert all(sch._inverse_key(sch.transformed_problem(W, 1.0, P)[0]) is not None for P in others)
+    calls = _count_eigsh(monkeypatch)
+    rep = xp.verify_schrodinger_bound(W, 1.0, REFLECTION, 2, MEMO_GRID)
+    assert len(calls) == 2  # one ladder, coarse grid then fine, serves both sides
+    assert rep.lhs == rep.rhs and rep.holds
+    _count_eigsh(monkeypatch, memo_bytes=0)  # a memo that keeps nothing: the reflected operator solved cold
+    cold, unmapped = sch.schrodinger_spectrum(WR, 1.0, 2, MEMO_GRID), sch.schrodinger_spectrum(W, 1.0, 2, MEMO_GRID)
+    assert cold.values.tobytes() == unmapped.values.tobytes()
+    assert cold.error_estimates.tobytes() == unmapped.error_estimates.tobytes()
+
+
 def test_fd_failures_are_not_memoized(monkeypatch):
     calls = _count_eigsh(monkeypatch)
 
@@ -273,6 +295,7 @@ def test_a_memo_hit_builds_no_grid_operator(monkeypatch):
 SIGNED_PERMUTATIONS = [g.LinearMap2(*m) for m in ((-1, 0, 0, 1), (1, 0, 0, -1), (-1, 0, 0, -1),
                                                   (0, 1, 1, 0), (0, -1, 1, 0), (0, 1, -1, 0), (0, -1, -1, 0))]
 QUARTER_TURN = g.LinearMap2(0.0, -1.0, 1.0, 0.0)
+REFLECTION = g.LinearMap2(1.0, 0.0, 0.0, -1.0)
 # the harmonic permutations share the unmapped harmonic's Kronecker-sum solve, the power ones its Lanczos ladder
 LADDER_CASES = {  # (base potential, potential, h, L, points, whether it shares the base's ladder)
     **{f"{W.kind}-permutation-{i}": (W, sch.transformed_problem(W, 1.0, P)[0], 1.0, 6.0, 51, True)
