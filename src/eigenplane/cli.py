@@ -1,10 +1,11 @@
 """Command-line front end: spectra, bound verification, sweeps, conjecture scans.
 
 Exit codes: 0 success (all checked inequalities hold), 1 a verified bound was
-violated, 2 usage or configuration error, 3 numerical failure (an eigensolver
-did not converge, the Schrodinger box is too small, or a comparison's margin
-is too small to decide).  Every output records the seed, and identical
-invocations are byte-identical.
+violated, 2 usage or configuration error (including a size, angle or
+coefficient whose area, moments, spectrum or bound leaves double precision),
+3 numerical failure (an eigensolver did not converge, the Schrodinger box is
+too small, or a comparison's margin is too small to decide).  Every output
+records the seed, and identical invocations are byte-identical.
 
 Each leaf command (`spectrum`, `moments`, `verify theorem1`, `sweep kroger`,
 ...) accepts only the options its handler reads, so `eigenplane verify robin
@@ -167,7 +168,7 @@ def _cmd_moments(args) -> int:
         "inertia_origin": m.inertia_origin,
         "perimeter": m.perimeter,
     }
-    _emit(args, json.dumps(rec, sort_keys=True) + "\n")
+    _emit(args, json.dumps(rec, sort_keys=True, allow_nan=False) + "\n")  # NaN and Infinity are not JSON
     return 0
 
 
@@ -177,7 +178,7 @@ def _report_block(args, reports: list[xp.BoundReport]) -> int:
     for r in reports:
         rec = json.loads(r.to_json())
         rec["seed"] = args.seed
-        recs.append(json.dumps(rec, sort_keys=True))
+        recs.append(json.dumps(rec, sort_keys=True, allow_nan=False))
     _emit(args, "\n".join(recs) + "\n")
     return 0 if all(r.holds for r in reports) else 1
 
@@ -464,6 +465,9 @@ def run(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:  # an option whose size leaves double precision, where no check names it
+        print(f"error: arithmetic beyond double precision: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:
         print(f"error: {exc}", file=sys.stderr)

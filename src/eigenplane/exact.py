@@ -29,6 +29,7 @@ from __future__ import annotations
 import heapq
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass, field
 
@@ -111,6 +112,9 @@ class Spectrum:
             raise ValueError("eigenvalues must be sorted nondecreasing")
         if np.count_nonzero(self.error_estimates < 0):
             raise ValueError("error estimates must be nonnegative")
+        finite = np.count_nonzero(np.isfinite(self.values)) + np.count_nonzero(np.isfinite(self.error_estimates))
+        if finite < 2 * self.n:
+            raise ValueError(f"{self.method} eigenvalues or error estimates beyond double precision")
         if self.method not in ("exact", "fem", "fd"):
             raise ValueError(f"unknown method tag {self.method!r}")
 
@@ -381,8 +385,15 @@ def disk_spectrum(radius: float, bc: BoundarySpec, n: int) -> Spectrum:
         z = _zero(m, p + 1, neumann)
         return z * z
 
-    out = _smallest(value, n) / radius**2
-    err = 2.0 * np.sqrt(np.maximum(out, 0.0)) * 1e-12 / radius
+    try:
+        square = radius**2
+    except OverflowError:
+        square = math.inf
+    if not sys.float_info.min <= square < math.inf:
+        raise ValueError(f"a disk of radius {radius:g} has eigenvalues beyond double precision")
+    with np.errstate(over="ignore"):  # a value beyond double precision is refused by Spectrum
+        out = _smallest(value, n) / square
+        err = 2.0 * np.sqrt(np.maximum(out, 0.0)) * 1e-12 / radius
     return Spectrum(out, "exact", err)
 
 

@@ -256,6 +256,8 @@ def _compare(lhs: tuple[float, float], rhs: tuple[float, float], inputs: dict | 
     (lv, lerr), (rv, rerr) = lhs, rhs
     tolerance = lerr + rerr + EXACT_REL_FLOOR * max(abs(lv), abs(rv))
     slack = rv - lv
+    if not (math.isfinite(tolerance) and math.isfinite(slack)):  # so lv and rv are finite too
+        raise ValueError("the bound's sides or their error budgets are beyond double precision")
     return BoundReport(lv, rv, slack, tolerance, bool(slack >= -tolerance), inputs or {})
 
 

@@ -13,11 +13,11 @@ A linear image T(D) is solved on D's mesh carried over by T.  Each domain is
 meshed and assembled once per level, per set of unknowns (the interior nodes
 under Dirichlet, every node otherwise) and, for polygons, per sign of det T
 into reference matrices K11, K12, K22 and M on one sparse pattern; the image's
-stiffness is then S11 K11 + S12 K12 + S22 K22 with S = T^-1 T^-T, its mass M
-(the factor |det T| common to both cancels).  A bounded cache keeps these
-references between calls, and an untransformed domain is the case T = I, so
-every FEM spectrum takes the same path.  An ellipse is meshed centred at the
-origin, whatever its centre, since a translation moves no eigenvalue: its
+stiffness is then S11 K11 + S12 K12 + S22 K22 with S = T^-1 T^-T (S12 negated
+on the reflected polygon), its mass M (|det T| cancels).  A bounded cache
+keeps these references between calls, and an untransformed domain is the
+case T = I, so every FEM spectrum takes the same path.  An ellipse is meshed
+centred at the origin, since a translation moves no eigenvalue: its
 reference depends on its shape alone, and a re-centred copy reuses it.
 
 A reference of at most FemOptions.dense_threshold unknowns (default
@@ -253,7 +253,6 @@ def mesh_domain(d: DomainSpec, level: int = 0) -> Mesh:
 
 _LOCAL_MASS = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
 _EDGE_MASS = np.array([2.0, 1.0, 1.0, 2.0]) / 6.0  # entries (a,a), (a,b), (b,a), (b,b) of edge (a, b)
-_REFLECT = LinearMap2.diagonal(1.0, -1.0)
 #: Bytes of reference arrays kept between calls; a reference over half of it is rebuilt whenever asked for.
 REFERENCE_CACHE_BYTES = 8 * 2**20
 #: Default FemOptions.dense_threshold, the largest reference reduced: shift-invert wins above ~400 unknowns.
@@ -477,8 +476,8 @@ def _metric(T: LinearMap2) -> np.ndarray:
     return (Ti @ Ti.T).take((0, 1, 3))
 
 
-def _reference(d: DomainSpec, level: int, T: LinearMap2, dirichlet: bool, dense_threshold: int = DENSE_THRESHOLD):
-    """T(d)'s reference at `level`, unbuilt: its cache key, its unknowns, the map onto T(d) and its build.
+def _reference(d: DomainSpec, level: int, flip: bool, dirichlet: bool, dense_threshold: int = DENSE_THRESHOLD):
+    """The reference at `level` of d, or of R(d) if `flip`, unbuilt: its cache key, its unknowns and its build.
 
     T(d) is meshed as the image of d's mesh, which for a polygon is the mesh
     mesh_domain builds for apply_map(T, d).  Polygon stores an image with
@@ -493,7 +492,6 @@ def _reference(d: DomainSpec, level: int, T: LinearMap2, dirichlet: bool, dense_
     exactly when the unknowns, counted by _unknowns, are at most
     `dense_threshold`); build() checks the count.
     """
-    flip = isinstance(d, Polygon) and T.det < 0
     dim = _unknowns(d, level, dirichlet)
     if isinstance(d, Polygon):
         key = ("polygon", d.vertices.tobytes(), level, flip, dirichlet, dim <= dense_threshold)
@@ -504,13 +502,13 @@ def _reference(d: DomainSpec, level: int, T: LinearMap2, dirichlet: bool, dense_
         if isinstance(d, Ellipse):
             base = Ellipse((0.0, 0.0), d.semi_axes, d.rotation)
         else:
-            base = Polygon(d.vertices @ _REFLECT.as_array()) if flip else d
+            base = Polygon(d.vertices @ np.diag([1.0, -1.0])) if flip else d
         ref = _Reference(mesh_domain(base, level), dirichlet, dense_threshold)
         if ref.dim != dim:
             raise AssertionError(f"level {level} meshed {ref.dim} unknowns, not the {dim} Euler's formula counts")
         return ref
 
-    return _interned(key), dim, (T @ _REFLECT if flip else T), build
+    return _interned(key), dim, build
 
 
 def assemble(mesh: Mesh, bc: BoundarySpec):
@@ -729,15 +727,20 @@ def _solve_levels(d, T, bc, n, levels, opts) -> list[np.ndarray]:
 
     Each level is counted, routed, blocked and keyed (_reference, _block),
     the finest first (an oversized call names it), before anything is built.
-    One map carries every level's reference onto T(d), so S is formed once.
-    Only a memo miss asks the reference cache; it solves a reduced
-    reference's image by a standard dense eigh, any other by solve_eigs.
+    T is read once: a polygon under det T < 0 is solved on R(d) at every
+    level (decided here alone), whose metric, that of T R, is S with S12
+    negated bit for bit, as (T R)^-1 = R T^-1: no map is composed.  Only a
+    memo miss asks the reference cache; it solves a reduced reference's
+    image by a standard dense eigh, any other by solve_eigs.
     """
-    plans = [_reference(d, level, T, bc.is_dirichlet, opts.dense_threshold) for level in levels[::-1]][::-1]
-    blocks = [_block(n, dim, dim <= opts.dense_threshold) for _, dim, _, _ in plans]
-    s, out = _metric(plans[0][2]), []
+    flip = isinstance(d, Polygon) and T.det < 0
+    plans = [_reference(d, level, flip, bc.is_dirichlet, opts.dense_threshold) for level in levels[::-1]][::-1]
+    blocks = [_block(n, dim, dim <= opts.dense_threshold) for _, dim, _ in plans]
+    s, out = _metric(T), []
+    if flip:
+        s[1] = -s[1]
     metric = s.tobytes()
-    for (key, _, _, build), b in zip(plans, blocks):
+    for (key, _, build), b in zip(plans, blocks):
         def solve():  # called at once by memoized, on a miss only
             ref = _REFERENCES.get(key, build)
             if ref.C is not None:

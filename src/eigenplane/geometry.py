@@ -8,6 +8,7 @@ moment identities used elsewhere hold to near machine precision.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -155,6 +156,8 @@ class Ellipse:
         s1, s2 = float(semi_axes[0]), float(semi_axes[1])
         if not (s1 > 0 and s2 > 0 and math.isfinite(s1) and math.isfinite(s2)):
             raise ValueError("semi-axes must be positive and finite")
+        if not math.isfinite(rotation):
+            raise ValueError("ellipse rotation must be finite")
         c.setflags(write=False)
         self.center = c
         self.semi_axes = (s1, s2)
@@ -370,19 +373,29 @@ def _polygon_raw_moments(v: np.ndarray):
 
 
 def _centered_moments(d: DomainSpec):
-    """Area, centroid and centroid-centered second moment matrix of a domain, exactly."""
-    if isinstance(d, Polygon):
-        area, c, m0 = _polygon_raw_moments(d.vertices)
-    elif isinstance(d, Ellipse):
-        s1, s2 = d.semi_axes
-        area = math.pi * s1 * s2
-        c = d.center.copy()
-        R = _rot_array(d.rotation)
-        mc = R @ np.diag([math.pi * s1**3 * s2 / 4.0, math.pi * s1 * s2**3 / 4.0]) @ R.T
-        m0 = mc + area * np.outer(c, c)
-    else:
-        raise TypeError(f"not a domain: {type(d).__name__}")
-    return area, c, m0 - area * np.outer(c, c)
+    """Area, centroid and centroid-centered second moment matrix of a domain, exactly.
+
+    ValueError where the area or a moment leaves double precision.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        if isinstance(d, Polygon):
+            area, c, m0 = _polygon_raw_moments(d.vertices)
+        elif isinstance(d, Ellipse):
+            s1, s2 = d.semi_axes
+            area = math.pi * s1 * s2
+            c = d.center.copy()
+            R = _rot_array(d.rotation)
+            try:
+                mc = R @ np.diag([math.pi * s1**3 * s2 / 4.0, math.pi * s1 * s2**3 / 4.0]) @ R.T
+            except OverflowError:  # the cube of a huge semi-axis
+                mc = np.full((2, 2), math.inf)
+            m0 = mc + area * np.outer(c, c)
+        else:
+            raise TypeError(f"not a domain: {type(d).__name__}")
+        mc = m0 - area * np.outer(c, c)
+    if not (0.0 < area < math.inf and np.isfinite(mc).all()):
+        raise ValueError("the domain's area or second moments are beyond double precision; rescale it")
+    return area, c, mc
 
 
 def moments(d: DomainSpec) -> GeometricMoments:
@@ -419,11 +432,17 @@ def functional_factor(d: DomainSpec, about: str = "centroid") -> float:
     """
     area, c, mc = _centered_moments(d)
     inertia = float(np.trace(mc))
-    if about == "centroid":
-        return area**3 / inertia
     if about == "origin":
-        return area**3 / (inertia + area * float(c @ c))
-    raise ValueError(f"about must be 'centroid' or 'origin', got {about!r}")
+        inertia += area * float(c @ c)
+    elif about != "centroid":
+        raise ValueError(f"about must be 'centroid' or 'origin', got {about!r}")
+    try:
+        factor = area**3 / inertia
+    except (OverflowError, ZeroDivisionError):
+        factor = math.nan
+    if not sys.float_info.min <= factor < math.inf:  # a NaN fails too
+        raise ValueError("the domain's A^3 / I is beyond double precision; rescale it")
+    return factor
 
 
 def triangle_inertia_from_sides(l1: float, l2: float, l3: float, area: float) -> float:
@@ -462,11 +481,17 @@ def apply_map(T: LinearMap2, d: DomainSpec) -> DomainSpec:
         # T^-T Q T^-1 centered at Tc; recover axes from its eigendecomposition.
         s1, s2 = d.semi_axes
         R = _rot_array(d.rotation)
-        Q = R @ np.diag([s1**-2, s2**-2]) @ R.T
         Tinv = T.inverse().as_array()
-        Qp = Tinv.T @ Q @ Tinv
-        Qp = (Qp + Qp.T) / 2
-        w, V = np.linalg.eigh(Qp)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            try:
+                Q = R @ np.diag([s1**-2, s2**-2]) @ R.T
+            except OverflowError:  # 1 / s^2 of a tiny semi-axis
+                Q = np.full((2, 2), math.inf)
+            Qp = Tinv.T @ Q @ Tinv
+            Qp = (Qp + Qp.T) / 2
+        w, V = np.linalg.eigh(Qp) if np.isfinite(Qp).all() else ((0.0, 0.0), None)
+        if not w[0] > 0.0:  # 1 / s^2 overflowed, or underflowed for a huge semi-axis
+            raise ValueError("the image ellipse's semi-axes are beyond double precision")
         axes = (1.0 / math.sqrt(w[0]), 1.0 / math.sqrt(w[1]))
         theta = math.atan2(V[1, 0], V[0, 0])
         return Ellipse(T.apply(d.center), axes, theta)

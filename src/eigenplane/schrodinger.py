@@ -36,9 +36,10 @@ K = h*Lap + diag(W), solved by one of two routes chosen from W alone:
 
 Each ladder's two blocks are remembered as one entry of fem's eigenvalue
 memo, keyed by what builds both grid operators (potential, inverse map, h,
-grid and b), so a hit builds neither: the fixed right-hand side -h Lap + W
-of the Schrodinger bound is solved once for all maps and all n <= BLOCK,
-and a quarter turn of a radial potential, or trisym's reflection
+grid and b), so a hit builds neither.  One reading of the inverse map
+(_pullback) gives both the key and the route.  The fixed right-hand side
+-h Lap + W of the Schrodinger bound is solved once for all maps and all
+n <= BLOCK, and a quarter turn of a radial potential, or trisym's reflection
 diag(1, -1), keyed as unmapped, reuses it.
 No eigenvector outlives the call.  Both routes are deterministic, so a
 remembered block equals a cold ladder bit for bit.  Grids above
@@ -47,6 +48,7 @@ MAX_GRID_POINTS per side are refused before any work.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +102,7 @@ class PotentialSpec:
             raise ValueError(f"unknown potential kind {self.kind!r}")
         if self.kind == "power" and (self.q < 2 or self.q % 2 != 0):
             raise ValueError("power potential needs an even exponent >= 2")
-        if self.kind == "trisym" and abs(self.beta) >= 1.0:
+        if self.kind == "trisym" and not abs(self.beta) < 1.0:  # a NaN beta too
             raise ValueError("trisym envelope needs |beta| < 1 to stay coercive")
 
     def symmetry_order(self) -> int:
@@ -146,6 +148,8 @@ class GridSpec:
     def __post_init__(self):
         if self.half_width <= 0:
             raise ValueError("half width must be positive")
+        if not math.isfinite(self.half_width):
+            raise ValueError("half width must be finite")
         if self.points_per_side < 51 or self.points_per_side % 2 == 0:
             raise ValueError("points_per_side must be an odd integer >= 51")
         if self.points_per_side > MAX_GRID_POINTS:
@@ -161,11 +165,12 @@ def _grid_operator(W: PotentialSpec, h: float, L: float, points: int):
     xi = x[1:-1]
     m = points - 2
     one = np.ones(m)
-    T1 = sparse.diags([-one[:-1], 2.0 * one, -one[:-1]], [-1, 0, 1]) / dx**2
-    eye = sparse.identity(m)
-    lap = sparse.kron(T1, eye) + sparse.kron(eye, T1)
-    X1, X2 = np.meshgrid(xi, xi, indexing="ij")
-    return (h * lap + sparse.diags(W.values(X1, X2).ravel())).tocsc()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # _grid_eigs refuses what overflowed
+        T1 = sparse.diags([-one[:-1], 2.0 * one, -one[:-1]], [-1, 0, 1]) / dx**2
+        eye = sparse.identity(m)
+        lap = sparse.kron(T1, eye) + sparse.kron(eye, T1)
+        X1, X2 = np.meshgrid(xi, xi, indexing="ij")
+        return (h * lap + sparse.diags(W.values(X1, X2).ravel())).tocsc()
 
 
 def _interpolate(U: np.ndarray) -> np.ndarray:
@@ -192,6 +197,8 @@ def _grid_eigs(K, b: int, v0: np.ndarray, points: int) -> tuple[np.ndarray, np.n
     from scipy import sparse
     from scipy.sparse import linalg as splinalg
 
+    if not np.isfinite(K.data).all():
+        raise SolverFailure(f"grid eigensolve failed ({points} points): the operator is not finite")
     try:
         # the symmetric ordering of the module docstring, not eigsh's own COLAMD factor
         lu = splinalg.splu(K, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
@@ -209,8 +216,9 @@ def _ladder(W: PotentialSpec, h: float, n: int, L: float, points: int) -> np.nda
     """A block of the smallest eigenvalues on the fine grid (row 0) and on the coarse grid (row 1).
 
     The block is b = max(n, BLOCK) values, or one for a lone n = 1, and n
-    must be below the coarse grid's unknowns (fem._block).  Where W's grid
-    values are (c1 x1)^2 + (c2 x2)^2 (_axes), both grids are solved as
+    must be below the coarse grid's unknowns (fem._block).  One reading of
+    W's map (_pullback) gives the memo key and the route: where W's grid
+    values are (c1 x1)^2 + (c2 x2)^2, both grids are solved as
     Kronecker sums of 1-D operators (_kronecker_sum_eigs).  Otherwise the
     coarse grid (every other point) is solved first from a fixed random start;
     its eigenvectors, interpolated onto the fine grid and combined with fixed
@@ -219,9 +227,9 @@ def _ladder(W: PotentialSpec, h: float, n: int, L: float, points: int) -> np.nda
     coarse_points = (points + 1) // 2
     m = coarse_points - 2
     b = _block(n, m * m, False)
+    key, axes = _pullback(W)
 
     def solve():
-        axes = _axes(W)
         if axes is not None:
             return np.stack([_kronecker_sum_eigs(*axes, h, L, p, b) for p in (points, coarse_points)])
         K, Kc = _grid_operator(W, h, L, points), _grid_operator(W, h, L, coarse_points)
@@ -230,27 +238,31 @@ def _ladder(W: PotentialSpec, h: float, n: int, L: float, points: int) -> np.nda
         fine, _ = _grid_eigs(K, b, np.random.default_rng(0).standard_normal(b) @ modes, points)
         return np.stack((fine, coarse))
 
-    return memoized(("fd", W.kind, W.q, W.beta, _inverse_key(W), h, L, points, b), solve)
+    return memoized(("fd", W.kind, W.q, W.beta, key, h, L, points, b), solve)
 
 
-def _axes(W: PotentialSpec) -> tuple[float, float] | None:
-    """(c1, c2) where W's grid values are (c1 x1)^2 + (c2 x2)^2 bit for bit, or None.
+def _pullback(W: PotentialSpec) -> tuple[bytes | None, tuple[float, float] | None]:
+    """W's inverse pushforward, read once: the ladder's memo-key part and its route.
 
-    That holds for a quadratic W (harmonic, or power with q = 2), unmapped
-    or pushed through a map whose inverse is diagonal or anti-diagonal with
-    exact zeros (the pattern _inverse_key reads): W o T^-1 then squares
-    (a x1 + 0 x2) and (0 x1 + d x2), or (0 x1 + b x2) and (c x1 + 0 x2).
+    The route is (c1, c2) where W's grid values are (c1 x1)^2 + (c2 x2)^2 bit
+    for bit, else None: for a quadratic W (harmonic, or power with q = 2)
+    unmapped, or pushed through a map whose inverse is diagonal or
+    anti-diagonal with exact zeros, as W o T^-1 then squares (a x1 + 0 x2)
+    and (0 x1 + d x2), or (0 x1 + b x2) and (c x1 + 0 x2).  The key part is
+    the inverse's entries, or None where W's grid values are the unmapped
+    ones.  A signed permutation (c1 = c2 = 1 above) only swaps and negates
+    (x1, x2), which leaves the harmonic and power values bit for bit, and
+    h' = h.  trisym's x1^3 - 3 x1 x2^2 is even in x2 alone, so of the signed
+    permutations only the reflection diag(1, -1) leaves it bit for bit.
     """
-    if not (W.kind == "harmonic" or W.kind == "power" and W.q == 2):
-        return None
+    quadratic = W.kind == "harmonic" or W.kind == "power" and W.q == 2
     if W.pushforward is None:
-        return 1.0, 1.0
-    (a, b), (c, d) = W.pushforward.inverse().as_array()
-    if b == 0.0 and c == 0.0:
-        return abs(a), abs(d)
-    if a == 0.0 and d == 0.0:
-        return abs(c), abs(b)
-    return None
+        return None, ((1.0, 1.0) if quadratic else None)
+    inv = W.pushforward.inverse().as_array()
+    (a, b), (c, d) = inv
+    axes = (abs(a), abs(d)) if b == c == 0.0 else (abs(c), abs(b)) if a == d == 0.0 else None
+    unmapped = (a, b, c, d) == (1.0, 0.0, 0.0, -1.0) if W.kind == "trisym" else axes == (1.0, 1.0)
+    return (None if unmapped else inv.tobytes()), (axes if quadratic else None)
 
 
 def _kronecker_sum_eigs(c1: float, c2: float, h: float, L: float, points: int, b: int) -> np.ndarray:
@@ -284,25 +296,6 @@ def _kronecker_sum_eigs(c1: float, c2: float, h: float, L: float, points: int, b
     return _smallest(lambda i, j: a1[min(i, m)] + a2[min(j, m)], b)
 
 
-def _inverse_key(W: PotentialSpec) -> bytes | None:
-    """The inverse pushforward entries W.values reads, or None where W's grid values are the unmapped ones.
-
-    A signed permutation only swaps and negates (x1, x2), which leaves the
-    harmonic and power values bit for bit, and h' = h.  trisym's
-    x1^3 - 3 x1 x2^2 is even in x2 alone, so of the signed permutations only
-    the reflection diag(1, -1) leaves it bit for bit; under the others trisym
-    keeps its map.
-    """
-    if W.pushforward is None:
-        return None
-    inv = W.pushforward.inverse().as_array()
-    if W.kind == "trisym":
-        unmapped = np.array_equal(inv, np.diag([1.0, -1.0]))
-    else:
-        unmapped = any(np.array_equal(np.abs(inv), P) for P in (np.eye(2), np.eye(2)[::-1]))
-    return None if unmapped else inv.tobytes()
-
-
 def schrodinger_spectrum(W: PotentialSpec, h: float, n: int, grid: GridSpec = GridSpec()) -> Spectrum:
     """First n eigenvalues of -h*Lap + W, with a grid-doubling error estimate.
 
@@ -315,6 +308,8 @@ def schrodinger_spectrum(W: PotentialSpec, h: float, n: int, grid: GridSpec = Gr
     """
     if h <= 0:
         raise ValueError("need h > 0")
+    if not math.isfinite(h):
+        raise ValueError("need a finite h")
     L, points = grid.half_width, grid.points_per_side
     fine, coarse = _ladder(W, h, n, L, points)[:, :n]
     err = np.abs(fine - coarse) / 3.0
@@ -322,7 +317,8 @@ def schrodinger_spectrum(W: PotentialSpec, h: float, n: int, grid: GridSpec = Gr
     # truncation check: W on the box edge must dominate the highest level
     edge, side = np.linspace(-L, L, points), np.full(points, L)
     x1, x2 = np.concatenate((edge, edge, -side, side)), np.concatenate((-side, side, edge, edge))
-    wmin = float(W.values(x1, x2).min())
+    with np.errstate(over="ignore"):  # an edge value beyond double precision is +inf, which dominates
+        wmin = float(W.values(x1, x2).min())
     top = float(fine[-1])
     if wmin < top:
         # suggest scaling the box so the boundary potential clears 3x the level

@@ -384,6 +384,105 @@ def test_numeric_arguments_never_raise_a_traceback(case):
     assert "Traceback" not in err.getvalue()
 
 
+# float options: sizes, the ellipse's angle, and the Schrodinger coefficients, each on a command cheap enough to run
+# at every value drawn (exact engines, FEM at level 2, 51 grid points)
+FLOAT_COMMANDS = [
+    "moments --shape disk --radius {}",
+    "moments --shape square --side {}",
+    "moments --shape ellipse --s1 {} --s2 1",
+    "moments --shape ellipse --s1 1 --s2 {}",
+    "moments --shape ellipse --s1 2 --theta {}",
+    "spectrum --shape disk --radius {} -n 2",
+    "spectrum --shape square --side {} -n 2",
+    "spectrum --shape ellipse --s1 2 --theta {} --levels 2 -n 2",
+    "verify theorem1 --shape disk --radius {} --map 2,0,0,1",
+    "verify theorem1 --shape square --side {} --map 2,0,0,1 -n 2",
+    "verify robin --shape disk --radius {} --map 2,0,0,1 --levels 2",
+    "verify robin --shape square --side {} --map 2,0,0,1 --levels 2",
+    "verify schrodinger --points 51 -n 1 --h {}",
+    "verify schrodinger --points 51 -n 1 --half-width {}",
+    "verify schrodinger --points 51 -n 1 --map 1.2,0.3,0,0.9 --half-width {}",
+    "verify schrodinger --points 51 -n 1 --potential trisym --beta {}",
+]
+# each exited 1 with a traceback, exited 3 only after building its grids, or printed inf or NaN with exit 0
+OUT_OF_RANGE = [
+    ("moments --shape disk --radius {}", "1e200"),
+    ("moments --shape ellipse --s1 {} --s2 1", "1e120"),
+    ("verify theorem1 --shape disk --radius {} --map 2,0,0,1", "1e200"),
+    ("verify robin --shape disk --radius {} --map 2,0,0,1 --levels 2", "1e200"),
+    ("verify theorem1 --shape disk --radius {} --map 2,0,0,1", "1e-200"),
+    ("spectrum --shape disk --radius {} -n 2", "1e-170"),
+    ("moments --shape ellipse --theta {}", "nan"),
+    ("moments --shape ellipse --theta {}", "inf"),
+    ("verify schrodinger --points 51 -n 1 --potential trisym --beta {}", "nan"),
+    ("verify schrodinger --points 51 -n 1 --h {}", "nan"),
+    ("verify schrodinger --points 51 -n 1 --h {}", "inf"),
+    ("verify schrodinger --points 51 -n 1 --half-width {}", "nan"),
+    ("verify schrodinger --points 51 -n 1 --half-width {}", "inf"),
+]
+
+
+def _strict_json(line):
+    """json.loads that refuses NaN, Infinity and -Infinity, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(line, parse_constant=refuse)
+
+
+@given(
+    st.sampled_from(FLOAT_COMMANDS),
+    st.one_of(
+        st.floats(1e-300, 1e300).map(repr),
+        st.integers(-300, 300).map(lambda e: f"1e{e}"),
+        st.sampled_from(["inf", "nan", "0", "-1"]),
+    ),
+)
+@example(*OUT_OF_RANGE[0])
+@example(*OUT_OF_RANGE[1])
+@example(*OUT_OF_RANGE[2])
+@example(*OUT_OF_RANGE[3])
+@example(*OUT_OF_RANGE[4])
+@example(*OUT_OF_RANGE[5])
+@example(*OUT_OF_RANGE[6])
+@example(*OUT_OF_RANGE[7])
+@example(*OUT_OF_RANGE[8])
+@example(*OUT_OF_RANGE[9])
+@example(*OUT_OF_RANGE[10])
+@example(*OUT_OF_RANGE[11])
+@example(*OUT_OF_RANGE[12])
+@settings(max_examples=60, deadline=None)
+def test_float_arguments_never_raise_a_traceback(template, value):
+    out, err = io.StringIO(), io.StringIO()
+    argv = template.format(value).split()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert code in (0, 2, 3) if argv[0] == "verify" else code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0 and argv[0] != "spectrum":
+        for line in out.getvalue().splitlines():
+            _strict_json(line)
+    if code == 0 and argv[0] == "spectrum":
+        assert not re.search(r"inf|nan", out.getvalue()), out.getvalue()
+
+
+@pytest.mark.parametrize("template, value", OUT_OF_RANGE,
+                         ids=[re.sub(r"[^\w.+-]+", "-", template.format(value)) for template, value in OUT_OF_RANGE])
+def test_out_of_range_floats_exit_2_with_one_line(capsys, monkeypatch, template, value):
+    # the input alone decides each: refused before any meshing or grid, with no warning on stderr
+    monkeypatch.setattr(fem, "_VALUES", fem._ReferenceCache(fem.VALUE_CACHE_BYTES))
+    grids = []
+    from eigenplane import schrodinger as sch
+
+    monkeypatch.setattr(fem, "mesh_domain", lambda *a, **k: grids.append(a) or pytest.fail("meshed"))
+    monkeypatch.setattr(sch, "_kronecker_sum_eigs", lambda *a, **k: grids.append(a) or pytest.fail("grid built"))
+    monkeypatch.setattr(sch, "_grid_operator", lambda *a, **k: grids.append(a) or pytest.fail("grid built"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_usage_error(capsys, template.format(value).split())
+    assert grids == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -461,9 +461,9 @@ def test_euler_count_equals_the_mesh_and_the_built_reference(name):
                 nodes = len(mesh.interior_vertices()) if dirichlet else mesh.num_vertices
                 if nodes == 0:  # a polygon's level 0, or a triangle's level 1, under Dirichlet
                     with pytest.raises(ValueError, match="no interior degrees of freedom"):
-                        fem._reference(d, level, T, dirichlet)
+                        fem._reference(d, level, flip, dirichlet)
                     continue
-                _, dim, _, build = fem._reference(d, level, T, dirichlet)
+                _, dim, build = fem._reference(d, level, flip, dirichlet)
                 assert dim == nodes == build().dim, (level, T.det, dirichlet)
 
 
@@ -527,7 +527,7 @@ def test_an_ellipses_reference_mesh_is_its_origin_copys_own_mesh(name, level, mo
     axes, theta = ELLIPSES[name]
     d = g.Ellipse((0.0, 0.0), axes, theta)
     for centre in ((0.0, 0.0), OFF_CENTRE):  # the off-centre copy's reference is the origin copy's mesh too
-        fem._reference(g.Ellipse(centre, axes, theta), level, g.LinearMap2.identity(), False)[3]()
+        fem._reference(g.Ellipse(centre, axes, theta), level, False, False)[2]()
     want = mesh_domain(d, level)
     for mesh in meshes:
         for got, ref in ((mesh.vertices, want.vertices), (mesh.triangles, want.triangles),
@@ -622,9 +622,43 @@ PENCIL_DOMAINS = {
 
 
 def _reference(d, level, T, dirichlet, dense_threshold=fem.DENSE_THRESHOLD):
-    """The cached reference that fem solves T(d) on at `level` (built if absent), and the map carrying it onto T(d)."""
-    key, _, carry, build = fem._reference(d, level, T, dirichlet, dense_threshold)
-    return fem._REFERENCES.get(key, build), carry
+    """The cached reference that fem solves T(d) on at `level` (built if absent), and the map carrying it onto T(d).
+
+    A polygon under det T < 0 is solved on its reflection R(d), R = diag(1, -1), which T R carries onto T(d).
+    """
+    flip = isinstance(d, g.Polygon) and T.det < 0
+    key, _, build = fem._reference(d, level, flip, dirichlet, dense_threshold)
+    return fem._REFERENCES.get(key, build), (T @ g.LinearMap2.diagonal(1.0, -1.0) if flip else T)
+
+
+def test_the_reflections_metric_is_s_with_s12_negated_bit_for_bit():
+    # _solve_levels solves a polygon under det T < 0 on its reflection R(d) with T's metric, S12 negated, in place of
+    # the metric of T R: (T R)^-1 = R T^-1 negates T^-1's second row, which negates S12 and nothing else exactly
+    rng, R, checked = np.random.default_rng(79), g.LinearMap2.diagonal(1.0, -1.0), 0
+    for m in rng.uniform(-2.0, 2.0, size=(20000, 2, 2)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(20000, 1, 1)):
+        T = g.LinearMap2.from_array(m)
+        if T.is_singular():
+            continue
+        want, got = fem._metric(T @ R), fem._metric(T)
+        got[1] = -got[1]
+        assert got.tobytes() == want.tobytes(), m
+        checked += 1
+    assert checked > 19000
+
+
+def test_a_report_composes_no_map(monkeypatch):
+    # T is read once per report: its orientation and its metric, with no product T R on either sign of det T
+    _fresh_caches(monkeypatch)
+    products = []
+    matmul = g.LinearMap2.__matmul__
+    monkeypatch.setattr(g.LinearMap2, "__matmul__", lambda T, other: products.append(other) or matmul(T, other))
+    opts = fem.FemOptions(max_refinement=3)
+    for d in (g.square(1.0), g.equilateral_triangle(), g.Ellipse((0, 0), (1, 1))):
+        for T in _seeded_maps(83, 4):  # det > 0 and det < 0, alternating
+            for bc in PENCIL_BCS:
+                fem.spectrum_fem(d, bc, 3, opts, T)
+    g.LinearMap2.identity() @ g.LinearMap2.identity()  # the counter counts
+    assert len(products) == 1
 
 
 def _images(d, seed, levels=(1, 2, 3, 4), dense_threshold=fem.DENSE_THRESHOLD):

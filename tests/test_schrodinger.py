@@ -247,14 +247,14 @@ def test_trisym_reflection_reuses_the_right_hand_side(monkeypatch):
     # x1^3 - 3 x1 x2^2 is even in x2: under diag(1, -1) trisym's grid operators are the unmapped ones
     W = sch.trisym(0.2)
     WR, hR = sch.transformed_problem(W, 1.0, REFLECTION)
-    assert hR == 1.0 and sch._inverse_key(WR) is None
+    assert hR == 1.0 and sch._pullback(WR)[0] is None
     for p in (51, 101, 201):
         K, K0 = sch._grid_operator(WR, 1.0, 6.0, p), sch._grid_operator(W, 1.0, 6.0, p)
         for name in ("data", "indices", "indptr"):
             assert getattr(K, name).tobytes() == getattr(K0, name).tobytes(), (p, name)
     # every other signed permutation moves trisym's values, and keeps its map in the key
     others = [P for P in SIGNED_PERMUTATIONS if P != REFLECTION]
-    assert all(sch._inverse_key(sch.transformed_problem(W, 1.0, P)[0]) is not None for P in others)
+    assert all(sch._pullback(sch.transformed_problem(W, 1.0, P)[0])[0] is not None for P in others)
     calls = _count_eigsh(monkeypatch)
     rep = xp.verify_schrodinger_bound(W, 1.0, REFLECTION, 2, MEMO_GRID)
     assert len(calls) == 2  # one ladder, coarse grid then fine, serves both sides
@@ -475,13 +475,73 @@ def test_only_axis_aligned_quadratic_potentials_are_solved_as_kronecker_sums():
     separable = [sch.power_radial(2)] + [_harmonic_image(T)[0] for T in AXIS_ALIGNED_MAPS.values()]
     separable += [sch.transformed_problem(sch.harmonic(), 1.0, P)[0] for P in SIGNED_PERMUTATIONS]
     for W in separable:  # W's grid values are (c1 x1)^2 + (c2 x2)^2 bit for bit
-        c1, c2 = sch._axes(W)
+        c1, c2 = sch._pullback(W)[1]
         assert np.array_equal(W.values(X1, X2), (c1 * X1) ** 2 + (c2 * X2) ** 2)
-    assert sch._axes(_harmonic_image(AXIS_ALIGNED_MAPS["anti-diagonal"])[0]) == (0.5, 1.0)
+    assert sch._pullback(_harmonic_image(AXIS_ALIGNED_MAPS["anti-diagonal"])[0])[1] == (0.5, 1.0)
     shear = sch.transformed_problem(sch.harmonic(), 1.0, g.LinearMap2(1.1, 0.3, 0.0, 0.95))[0]
     for W in (sch.power_radial(4), sch.trisym(0.2), sch.trisym(0.0), shear, TURNED_HARMONIC,
               sch.transformed_problem(sch.power_radial(4), 1.0, g.LinearMap2.diagonal(2.0, 1.0))[0]):
-        assert sch._axes(W) is None
+        assert sch._pullback(W)[1] is None
+
+
+def _separate_axes(W):
+    """The route rule as two readings of W's map had it: (c1, c2) for W's grid values (c1 x1)^2 + (c2 x2)^2, or None."""
+    if not (W.kind == "harmonic" or W.kind == "power" and W.q == 2):
+        return None
+    if W.pushforward is None:
+        return 1.0, 1.0
+    (a, b), (c, d) = W.pushforward.inverse().as_array()
+    if b == 0.0 and c == 0.0:
+        return abs(a), abs(d)
+    if a == 0.0 and d == 0.0:
+        return abs(c), abs(b)
+    return None
+
+
+def _separate_inverse_key(W):
+    """The memo-key rule as two readings of W's map had it: the inverse's bytes, or None for the unmapped values."""
+    if W.pushforward is None:
+        return None
+    inv = W.pushforward.inverse().as_array()
+    if W.kind == "trisym":
+        unmapped = np.array_equal(inv, np.diag([1.0, -1.0]))
+    else:
+        unmapped = any(np.array_equal(np.abs(inv), P) for P in (np.eye(2), np.eye(2)[::-1]))
+    return None if unmapped else inv.tobytes()
+
+
+def _pullback_maps():
+    """Seeded maps, and the maps whose zeros decide route and key: signed permutations, diagonal and anti-diagonal
+    maps with every sign of every zero, diag(1, -1) and maps with one zero entry."""
+    rng = np.random.default_rng(89)
+    maps = [None, REFLECTION, *SIGNED_PERMUTATIONS]
+    maps += [g.LinearMap2.from_array(m) for m in rng.uniform(-3.0, 3.0, size=(200, 2, 2))]
+    for zeros in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)):
+        for a, b in rng.uniform(0.2, 3.0, size=(8, 2)) * rng.choice([-1.0, 1.0], size=(8, 2)):
+            maps += [g.LinearMap2(a, zeros[0], zeros[1], b), g.LinearMap2(zeros[0], a, b, zeros[1])]
+        maps += [g.LinearMap2(1.0, zeros[0], zeros[1], -1.0), g.LinearMap2(zeros[0], 1.0, -1.0, zeros[1])]
+    for i in range(4):  # one zero entry: neither diagonal nor anti-diagonal
+        for m in rng.uniform(0.5, 2.0, size=(8, 4)):
+            m[i] = (0.0, -0.0)[i % 2]
+            maps.append(g.LinearMap2(*m))
+    return [T for T in maps if T is None or not T.is_singular()]
+
+
+def test_one_reading_of_the_map_gives_the_separate_readings_key_and_route():
+    potentials = [sch.harmonic(), sch.power_radial(2), sch.power_radial(4), sch.trisym(0.2), sch.trisym(0.0)]
+    maps, pairs = _pullback_maps(), 0
+    for base in potentials:
+        for T in maps:
+            for W in ([base] if T is None else [sch.PotentialSpec(base.kind, base.q, base.beta, T),
+                                                sch.transformed_problem(base, 1.0, T)[0]]):
+                key, axes = sch._pullback(W)
+                assert key == _separate_inverse_key(W) and axes == _separate_axes(W), (W, T)
+                assert axes is None or all(type(c) is type(w) for c, w in zip(axes, _separate_axes(W)))
+                pairs += 1
+    assert pairs > 2500
+    routes = {sch._pullback(sch.PotentialSpec("harmonic", pushforward=T))[1] is not None for T in maps}
+    keys = {sch._pullback(sch.PotentialSpec("trisym", beta=0.2, pushforward=T))[0] is None for T in maps}
+    assert routes == keys == {True, False}  # both rules take both branches over these maps
 
 
 @pytest.mark.parametrize("points", [51, 101, 201])
