@@ -372,6 +372,13 @@ def _polygon_raw_moments(v: np.ndarray):
     return area, np.array([cx, cy]), m0
 
 
+def _sized(d: DomainSpec) -> str:
+    """d named by its size, for a message: an ellipse's semi-axes, or how far a polygon's vertices reach."""
+    if isinstance(d, Ellipse):
+        return f"an ellipse with semi-axes {d.semi_axes[0]:g} and {d.semi_axes[1]:g}"
+    return f"a polygon whose vertices reach {float(np.abs(d.vertices).max()):g}"
+
+
 def _centered_moments(d: DomainSpec):
     """Area, centroid and centroid-centered second moment matrix of a domain, exactly.
 
@@ -394,7 +401,7 @@ def _centered_moments(d: DomainSpec):
             raise TypeError(f"not a domain: {type(d).__name__}")
         mc = m0 - area * np.outer(c, c)
     if not (0.0 < area < math.inf and np.isfinite(mc).all()):
-        raise ValueError("the domain's area or second moments are beyond double precision; rescale it")
+        raise ValueError(f"the area or second moments of {_sized(d)} are beyond double precision; rescale it")
     return area, c, mc
 
 
@@ -441,7 +448,7 @@ def functional_factor(d: DomainSpec, about: str = "centroid") -> float:
     except (OverflowError, ZeroDivisionError):
         factor = math.nan
     if not sys.float_info.min <= factor < math.inf:  # a NaN fails too
-        raise ValueError("the domain's A^3 / I is beyond double precision; rescale it")
+        raise ValueError(f"A^3 / I of {_sized(d)} is beyond double precision; rescale it")
     return factor
 
 
@@ -491,7 +498,7 @@ def apply_map(T: LinearMap2, d: DomainSpec) -> DomainSpec:
             Qp = (Qp + Qp.T) / 2
         w, V = np.linalg.eigh(Qp) if np.isfinite(Qp).all() else ((0.0, 0.0), None)
         if not w[0] > 0.0:  # 1 / s^2 overflowed, or underflowed for a huge semi-axis
-            raise ValueError("the image ellipse's semi-axes are beyond double precision")
+            raise ValueError(f"the image of {_sized(d)} has semi-axes beyond double precision")
         axes = (1.0 / math.sqrt(w[0]), 1.0 / math.sqrt(w[1]))
         theta = math.atan2(V[1, 0], V[0, 0])
         return Ellipse(T.apply(d.center), axes, theta)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from eigenplane import cli
 from eigenplane import experiments as xp
 from eigenplane import fem
+from eigenplane import schrodinger as sch
 from eigenplane.exact import Spectrum
 
 PI2 = math.pi**2
@@ -471,16 +472,12 @@ def test_float_arguments_never_raise_a_traceback(template, value):
 def test_out_of_range_floats_exit_2_with_one_line(capsys, monkeypatch, template, value):
     # the input alone decides each: refused before any meshing or grid, with no warning on stderr
     monkeypatch.setattr(fem, "_VALUES", fem._ReferenceCache(fem.VALUE_CACHE_BYTES))
-    grids = []
-    from eigenplane import schrodinger as sch
-
-    monkeypatch.setattr(fem, "mesh_domain", lambda *a, **k: grids.append(a) or pytest.fail("meshed"))
-    monkeypatch.setattr(sch, "_kronecker_sum_eigs", lambda *a, **k: grids.append(a) or pytest.fail("grid built"))
-    monkeypatch.setattr(sch, "_grid_operator", lambda *a, **k: grids.append(a) or pytest.fail("grid built"))
+    monkeypatch.setattr(fem, "mesh_domain", lambda *args: pytest.fail("meshed"))
+    for builder in ("_kronecker_sum_eigs", "_grid_operator"):
+        monkeypatch.setattr(sch, builder, lambda *args: pytest.fail("grid built"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert_usage_error(capsys, template.format(value).split())
-    assert grids == []
 
 
 @pytest.mark.parametrize(
