@@ -231,8 +231,8 @@ def _normalized(
     param: float = 0.0,
 ) -> SweepRow:
     """Sum of the first n eigenvalues of d, or of T(d), and its error budget, times that domain's A^3 / I."""
+    c = functional_factor(d if T is None else apply_map(T, d), about)  # refuses a size beyond doubles before any solve
     spec = spectrum_of(d, bc, n, engine, opts, T)
-    c = functional_factor(d if T is None else apply_map(T, d), about)
     return SweepRow(float(param), spec.sum_first(n) * c, spec.method, spec.error_sum(n) * c)
 
 

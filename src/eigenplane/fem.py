@@ -32,6 +32,8 @@ sigma |T t_e| / |det T|, which S and sigma determine, and which lives on
 the boundary nodes only, so its term costs one triangular solve for those
 nodes' columns of U^-T.  Images of larger references are solved as the
 pencil (A, M) by shift-invert Lanczos; none is a generalized dense solve.
+On either route a Neumann-like image's kernel is exact (_checked), and
+shift-invert shifts its pencil by -1e-6 tr(A)/tr(M), in eigenvalue units.
 
 Each image is solved once, for a block of its BLOCK = 6 smallest
 eigenvalues (or n, if more are asked), and a call for n values reads a
@@ -415,13 +417,13 @@ class _Reference:
                 a += L @ (B @ L.T)
         return a
 
-    def solve(self, s, sigma: float, b: int) -> np.ndarray:
+    def solve(self, s, sigma: float, b: int, neumann_like: bool) -> np.ndarray:
         """The b smallest eigenvalues of the image with metric s = (S11, S12, S22) and Robin parameter sigma.
 
         One standard eigh of the upper triangle of `reduced(s, sigma)`; each
         pair (lambda, v) is residual-checked as the pair (lambda, U^-1 v) of
-        the image's pencil (A(S) + B, M), so a wrong reduction fails as a
-        wrong solve would.
+        the image's pencil (A(S) + B, M) (_checked), so a wrong reduction
+        fails as a wrong solve would.
         """
         from scipy.linalg import blas, lapack
 
@@ -430,8 +432,7 @@ class _Reference:
             raise SolverFailure(f"reduced matrix of the image is not finite at dim={self.dim} (sigma={sigma:g})")
         vals, vecs = _dense_eigh(b, a, lower=False, overwrite_a=True, check_finite=False)
         u = blas.dtrsm(1.0, lapack.dtpttr(self.dim, self.U)[0], vecs)
-        _check_residuals(self.stiffness(s, sigma), self.M, u, vals)
-        return vals
+        return _checked(self.stiffness(s, sigma), self.M, vals, u, neumann_like)
 
 
 class _ReferenceCache:
@@ -574,24 +575,23 @@ def solve_eigs(
     dense_threshold: int = DENSE_THRESHOLD,
     neumann_like: bool = False,
 ) -> np.ndarray:
-    """n smallest eigenvalues of K u = lambda M u, residual-checked.
+    """n smallest eigenvalues of K u = lambda M u, checked (_checked): a neumann_like pencil's kernel is exact.
 
     Dense eigh up to `dense_threshold` unknowns, shift-invert Lanczos above
-    it: shift 0 for positive-definite K, a small positive shift when a zero
-    mode is expected (neumann_like) so the kernel is resolved cleanly.
-    Lanczos starts from a fixed pseudo-random vector, so reruns are
-    bit-identical; a constant start would be orthogonal to the antisymmetric
-    modes of symmetric domains.
+    it on (K, M / 4^j), 4^j near M's mean diagonal, at the shift 0, or for a
+    neumann_like pencil -1e-6 tr(K) / tr(M / 4^j), below its kernel in
+    eigenvalue units at any size (1e-10 left a thin ellipse's LU too near
+    singular, 1e-4 slowed the level-5 disk 1.7x).  Lanczos starts from a
+    fixed pseudo-random vector, so reruns are bit-identical; a constant start
+    would be orthogonal to the antisymmetric modes of symmetric domains.
 
     The solve is for a block of b = _block(n, dim, dense) values: BLOCK or
     n, whichever is more, except that a lone n = 1 on the shift-invert route
     solves for one value, since Lanczos pays for each value it converges and
     dense eigh hardly does.  An n outside 1..dim (1..dim - 1 for Lanczos)
-    raises ValueError before any solve.  The values are the first n of
-    scipy.linalg.eigh(K, M, subset_by_index=[0, b - 1]) or of the sorted
-    scipy.sparse.linalg.eigsh(k=b) bit for bit.  Every pair of the block is
-    residual-checked.  Nothing is remembered here: the memo keys an image by
-    what builds its pencil (spectrum_fem), which arbitrary matrices lack.
+    raises ValueError before any solve.  Nothing is remembered here: the
+    memo keys an image by what builds its pencil (spectrum_fem), which
+    arbitrary matrices lack.
     """
     dim = K.shape[0]
     dense = dim <= dense_threshold
@@ -603,21 +603,20 @@ def solve_eigs(
     else:
         from scipy.sparse import linalg as splinalg
 
-        sigma = 1e-8 * float(K.diagonal().sum()) / dim if neumann_like else 0.0
+        scale = 4.0 ** -(math.frexp(float(M.diagonal().mean()))[1] // 2)
+        sigma = -1e-6 * float(K.diagonal().sum() / (M.diagonal().sum() * scale)) if neumann_like else 0.0
         try:
             # keep eigsh's default tolerance (machine precision): at tol=1e-10 it skipped a double eigenvalue of a
             # similarity image of the level-2 Neumann disk (lambda_5 = 37.71 for 23.33), and the residual check,
             # which tests only the pairs returned, cannot see a missing one
             vals, vecs = splinalg.eigsh(
-                sparse.csc_matrix(K), k=b, M=sparse.csc_matrix(M), sigma=sigma, which="LM",
+                sparse.csc_matrix(K), k=b, M=sparse.csc_matrix(M) * scale, sigma=sigma, which="LM",
                 v0=np.random.default_rng(0).standard_normal(dim),
             )
         except (splinalg.ArpackNoConvergence, RuntimeError) as exc:  # RuntimeError: a singular LU
             raise SolverFailure(f"shift-invert iteration failed at dim={dim}, n={b}: {exc}") from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-    _check_residuals(K, M, vecs, vals)
-    return vals[:n]
+        vals = vals * scale
+    return _checked(K, M, vals, vecs, neumann_like)[:n]
 
 
 def _block(n: int, dim: int, dense: bool) -> int:
@@ -683,14 +682,27 @@ def _check_residuals(K, M, vecs, vals):
         res = np.linalg.norm(KV - MV * vals, axis=0)
         r = np.linalg.norm(MV, axis=0) * (1.0 + np.abs(vals))
         roundoff = ROUNDOFF * _inf_norm(K) * np.linalg.norm(vecs, axis=0)
-        # the absolute floor guards tiny Neumann kernel values, where |lam| ~ 0
-        bound = np.maximum(np.minimum(EIG_TOLERANCE * r + roundoff, MAX_TOLERANCE * r), EIG_TOLERANCE)
+        cap = np.where(vals == 0.0, np.inf, MAX_TOLERANCE * r)  # roundoff moves no exact kernel value (_checked)
+        bound = np.maximum(np.minimum(EIG_TOLERANCE * r + roundoff, cap), EIG_TOLERANCE)
     bad = np.nonzero(~(res <= bound))[0]  # a NaN residual fails too
     if len(bad):
         i = bad[0]
         raise SolverFailure(
             f"residual {res[i]:.3e} exceeds {bound[i]:.3e} for eigenvalue {vals[i]:.6e}"
         )
+
+
+def _checked(K, M, vals, vecs, neumann_like: bool) -> np.ndarray:
+    """Ascending values of the pairs (vals, vecs) of K u = lambda M u: residual-checked, all > 0 but a kernel's."""
+    if neumann_like:  # the constants span the kernel: the pair nearest them (largest |v^T M 1|) is 0 and constant
+        one = np.full(len(vecs), 1.0 / math.sqrt(M.sum()))
+        i = int(np.abs(vecs.T @ (M @ one)).argmax())
+        vals[i], vecs[:, i] = 0.0, one
+    _check_residuals(K, M, vecs, vals)
+    vals = np.sort(vals)
+    if (vals[int(neumann_like):] <= 0).any():  # two values <= 0, or one without a kernel
+        raise SolverFailure(f"eigenvalue {vals.min():.6e} is not positive")
+    return vals
 
 
 def spectrum_fem(
@@ -708,18 +720,16 @@ def spectrum_fem(
     builds none.  Levels max_refinement - 1 and max_refinement are solved;
     assuming the P1 O(h^2) rate, the extrapolated value is (4 x fine -
     coarse)/3 and the reported per-eigenvalue error estimate |fine - coarse|/3.
+    A Neumann-like first value is the exact kernel 0, error 0; a value that
+    would extrapolate to <= 0 is the fine one, its error estimate above it.
     """
     T = LinearMap2.identity() if T is None else T
     coarse, fine = _solve_levels(d, T, bc, n, (opts.max_refinement - 1, opts.max_refinement), opts)
     err = np.abs(fine - coarse) / 3.0
     vals = (4.0 * fine - coarse) / 3.0 if opts.extrapolate else fine
+    vals = np.where(vals > 0, vals, fine)  # coarse >= 4 fine: the levels are too coarse to extrapolate, and err >= fine
     order = vals.argsort()
-    vals, err = vals[order], err[order]
-    if bc.is_neumann_like:
-        # the discrete kernel value is pure solver noise; its honest error
-        # estimate is its own magnitude
-        err[0] = max(err[0], abs(vals[0]))
-    return Spectrum(vals, "fem", err)
+    return Spectrum(vals[order], "fem", err[order])
 
 
 def _solve_levels(d, T, bc, n, levels, opts) -> list[np.ndarray]:
@@ -744,9 +754,8 @@ def _solve_levels(d, T, bc, n, levels, opts) -> list[np.ndarray]:
         def solve():  # called at once by memoized, on a miss only
             ref = _REFERENCES.get(key, build)
             if ref.C is not None:
-                return ref.solve(s, bc.sigma, b)
-            return solve_eigs(ref.stiffness(s, bc.sigma), ref.M, b, opts.dense_threshold,
-                              neumann_like=bc.is_neumann_like)
+                return ref.solve(s, bc.sigma, b, bc.is_neumann_like)
+            return solve_eigs(ref.stiffness(s, bc.sigma), ref.M, b, opts.dense_threshold, bc.is_neumann_like)
 
         out.append(memoized((key, metric, bc.sigma, b), solve)[:n])
     return out

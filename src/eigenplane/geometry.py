@@ -137,7 +137,7 @@ class Polygon:
         if not np.isfinite(arr).all():
             raise ValueError("polygon vertices must be finite")
         arr = _counterclockwise(arr)
-        if _self_intersects(arr):
+        if _self_intersects(_unit_scaled(arr)):
             raise ValueError("polygon is self-intersecting")
         arr.setflags(write=False)
         self.vertices = arr
@@ -357,6 +357,11 @@ def _self_intersects(v: np.ndarray) -> bool:
     return False
 
 
+def _unit_scaled(v: np.ndarray) -> np.ndarray:
+    """v scaled exactly by the power of two putting its largest magnitude in [1/2, 1): no overflow, v's own verdicts."""
+    return np.ldexp(v, -math.frexp(float(np.abs(v).max()))[1])
+
+
 def _polygon_raw_moments(v: np.ndarray):
     """Area, centroid and origin-centered second moment matrix via Green's theorem."""
     x, y = v[:, 0], v[:, 1]
@@ -550,7 +555,7 @@ def symmetry_order(d: DomainSpec) -> int:
         s1, s2 = d.semi_axes
         return INFINITE_ORDER if abs(s1 - s2) <= 1e-12 * max(s1, s2) else 2
     if d._symmetry_order is None:
-        d._symmetry_order = _polygon_symmetry_order(d.vertices)
+        d._symmetry_order = _polygon_symmetry_order(_unit_scaled(d.vertices))
     return d._symmetry_order
 
 

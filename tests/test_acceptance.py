@@ -249,11 +249,11 @@ def test_criterion_11_property_suites():
             robin_ok = robin_ok and bool(np.all(vals >= prev - 1e-11))
         prev = vals
 
-    # Neumann kernel mode vanishes
+    # the Neumann kernel value is exactly 0
     neumann_ok = True
     for d in (g.square(1.0), g.equilateral_triangle(), g.regular_polygon(6)):
         spec = fem.spectrum_fem(d, ex.NEUMANN, 2, fem.FemOptions(max_refinement=3))
-        neumann_ok = neumann_ok and abs(spec.values[0]) <= 1e-9 * spec.values[1]
+        neumann_ok = neumann_ok and spec.values[0] == spec.error_estimates[0] == 0.0 < spec.values[1]
 
     # Kroeger bound up to n = 100
     kroger_ok = True

@@ -300,11 +300,101 @@ def test_large_robin_sigma_fem_spectrum_passes_its_residual_check(capsys, monkey
 
 
 def test_strongly_stretched_neumann_image_passes_its_residual_check(capsys, monkeypatch):
-    # ||K|| grows like ||S|| ~ 1e5, and the roundoff of the kernel value's pair with it
+    # ||K|| grows like ||S|| ~ 1e5, and the roundoff of every pair's residual with it
     _fresh_caches(monkeypatch)
     assert cli.run("verify theorem1 --shape equilateral --map 1,0.3,0,0.002 --bc neumann -n 2".split()) == 0
     captured = capsys.readouterr()
     assert captured.err == "" and json.loads(captured.out.splitlines()[-1])["holds"]
+
+
+@pytest.mark.parametrize("levels", ["3", "4", "5"])
+@pytest.mark.parametrize("shape", ["square", "equilateral"])
+def test_the_neumann_kernel_is_exact_under_a_strongly_stretching_map(capsys, monkeypatch, shape, levels):
+    # det T = 1e-3: the kernel value was roundoff of ||S|| ~ 1e6, and its residual failed at levels 4 and 5
+    _fresh_caches(monkeypatch)
+    argv = f"verify theorem1 --shape {shape} --map 1,0.3,0,0.001 --bc neumann -n 2 --levels {levels}".split()
+    assert cli.run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and json.loads(captured.out)["holds"]
+
+
+def test_a_map_of_det_1e_4_is_refused_on_its_second_value(capsys, monkeypatch):
+    # the kernel is exact; the first nonzero value of the image is what roundoff spoils at det 1e-4
+    _fresh_caches(monkeypatch)
+    assert cli.run("verify theorem1 --map 1,0.3,0,0.0001 --bc neumann -n 2 --levels 4".split()) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    named = float(re.fullmatch(r"error: residual \S+ exceeds \S+ for eigenvalue (\S+)\n", captured.err).group(1))
+    assert named == pytest.approx(11.009, rel=1e-3)  # lambda_2 of the image, not its kernel
+
+
+def test_a_neumann_linear_map_report_is_scale_covariant(capsys, monkeypatch):
+    # at side 1e5 the old positive shift, ~4e-8, lay above lambda_2 ~ 1e-9, and the report exited 1
+    _fresh_caches(monkeypatch)
+    lhs = {}
+    for side in ("1", "1e5"):
+        argv = f"verify theorem1 --shape square --side {side} --map 1.5,0.3,-0.2,0.9 --bc neumann -n 3".split()
+        assert cli.run(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["holds"]
+        lhs[side] = report["lhs"]
+    assert lhs["1e5"] * 1e10 == pytest.approx(lhs["1"], rel=1e-10)
+
+
+@pytest.mark.parametrize("levels", ["4", "5"])
+@pytest.mark.parametrize("shape, size", [("square", "--side 1e-6"), ("square", "--side 1e5"), ("disk", "--radius 1e6")])
+def test_neumann_fem_spectra_print_an_exact_kernel_at_every_size(capsys, monkeypatch, shape, size, levels):
+    _fresh_caches(monkeypatch)
+    rows = {}
+    for given in (size.split()[0] + " 1", size):
+        argv = f"spectrum --shape {shape} {given} --bc neumann --engine fem -n 4 --levels {levels}".split()
+        code, out = run_capture(capsys, argv)
+        assert code == 0
+        rows[given] = parse_csv(out)
+        assert rows[given][0][1:] == (0.0, "fem", 0.0)
+    scale = float(size.split()[1]) ** 2
+    for (_, v, _, _), (_, w, _, _) in zip(rows[size.split()[0] + " 1"][1:], rows[size][1:]):
+        assert w * scale == pytest.approx(v, rel=1e-10)
+
+
+def test_no_neumann_fem_spectrum_prints_a_negative_value(capsys, monkeypatch):
+    # a semi-axis ratio of 1e7: lambda_2 ~ 4e-14 is below what the solve resolves; it printed lambda_1 = 0.0646
+    _fresh_caches(monkeypatch)
+    argv = "spectrum --shape ellipse --s1 1e7 --s2 1 --bc neumann --engine fem -n 2 --levels 4".split()
+    assert cli.run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_huge_disks_write_nothing_to_stdout_below_python(capfd, monkeypatch):
+    # ARPACK and LAPACK write to the process's stdout directly: capfd sees what capsys cannot.  A disk of
+    # radius 1e100 under Robin sigma = 1 is refused; at sigma = 1e-100 its values are the unit disk's at 1e-200
+    _fresh_caches(monkeypatch)
+    big = "spectrum --shape disk --radius 1e100 --bc robin --sigma {} --engine fem -n 2 --levels 2"
+    assert cli.run(big.format("1").split()) == 3
+    captured = capfd.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert cli.run(big.format("1e-100").split()) == 0
+    scaled = parse_csv(capfd.readouterr().out)
+    assert cli.run("spectrum --shape disk --radius 1 --bc robin --sigma 1 --engine fem -n 2 --levels 2".split()) == 0
+    for (_, v, _, e), (_, w, _, f) in zip(parse_csv(capfd.readouterr().out), scaled):
+        assert w * 1e200 == pytest.approx(v, rel=1e-10) and f * 1e200 == pytest.approx(e, rel=1e-6)
+
+
+@pytest.mark.parametrize("levels, code", [("2", 2), ("3", 0)])
+def test_a_huge_square_is_classified_without_overflow(capsys, monkeypatch, levels, code):
+    # side 1e120: the centroid of the symmetry test overflowed, so the square had order 1 and was refused
+    _fresh_caches(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cli.run(f"verify theorem1 --shape square --side 1e120 --map 1.2,0.3,0.1,-0.9 -n 2 --levels {levels}"
+                      .split())
+    captured = capsys.readouterr()
+    assert got == code and "has 1" not in captured.err
+    if code == 2:  # the coarse level has one interior node, at any size
+        assert captured.out == "" and captured.err == "error: need 1 <= n <= 1 on 1 unknowns, got n = 2\n"
+    else:
+        assert captured.err == "" and json.loads(captured.out)["holds"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -420,6 +510,7 @@ OUT_OF_RANGE = [
     ("verify schrodinger --points 51 -n 1 --h {}", "inf"),
     ("verify schrodinger --points 51 -n 1 --half-width {}", "nan"),
     ("verify schrodinger --points 51 -n 1 --half-width {}", "inf"),
+    ("verify robin --shape disk --radius {} --map 2,0,0,1 --levels 2", "1e140"),  # meshed and solved, then refused
 ]
 
 
@@ -452,6 +543,7 @@ def _strict_json(line):
 @example(*OUT_OF_RANGE[10])
 @example(*OUT_OF_RANGE[11])
 @example(*OUT_OF_RANGE[12])
+@example(*OUT_OF_RANGE[13])
 @settings(max_examples=60, deadline=None)
 def test_float_arguments_never_raise_a_traceback(template, value):
     out, err = io.StringIO(), io.StringIO()

@@ -204,8 +204,7 @@ def test_square_neumann_kernel_mode():
     mesh = fem.mesh_domain(g.square(1.0), 4)
     K, M = fem.assemble(mesh, ex.NEUMANN)
     mu = fem.solve_eigs(K, M, 2, neumann_like=True)
-    assert abs(mu[0]) <= 1e-9
-    assert abs(mu[0]) <= 1e-9 * mu[1]
+    assert mu[0] == 0.0 < mu[1]
 
 
 def test_sparse_path_matches_dense_path():
@@ -220,9 +219,9 @@ def test_sparse_path_neumann_zero_mode():
     mesh = fem.mesh_domain(g.square(1.0), 4)
     K, M = fem.assemble(mesh, ex.NEUMANN)
     mu = fem.solve_eigs(K, M, 3, dense_threshold=100, neumann_like=True)
-    dense = fem.solve_eigs(K, M, 3, dense_threshold=5000)
-    assert abs(mu[0]) <= 1e-9
-    np.testing.assert_allclose(mu[1:], dense[1:], rtol=1e-9)
+    dense = fem.solve_eigs(K, M, 3, dense_threshold=5000, neumann_like=True)
+    assert mu[0] == dense[0] == 0.0
+    np.testing.assert_allclose(mu, dense, rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +237,7 @@ def test_equilateral_dirichlet_extrapolated():
 def test_disk_neumann_two_modes():
     spec = fem.spectrum_fem(g.Ellipse((0, 0), (1, 1)), ex.NEUMANN, 2, fem.FemOptions(max_refinement=2))
     mu2 = ex.bessel_zero(ex.BesselZeroRequest(1, 1, derivative=True)) ** 2
-    assert abs(spec.values[0]) < 1e-9
+    assert spec.values[0] == spec.error_estimates[0] == 0.0
     assert spec.values[1] == pytest.approx(mu2, rel=5e-3)
 
 
@@ -274,6 +273,46 @@ def test_scaling_invariance():
     np.testing.assert_allclose(scaled.values, base.values / r**2, rtol=1e-10)
 
 
+# (domain of size s, finest levels): the polygons' levels 3 and 4 are reduced and level 5 is solved by
+# shift-invert; the disk's level 2 is reduced under Dirichlet only, and level 3 is solved by shift-invert
+SCALED_DOMAINS = {
+    "square": (lambda s: g.square(s), (4, 5)),
+    "equilateral": (lambda s: g.equilateral_triangle(s), (4, 5)),
+    "disk": (lambda s: g.Ellipse((0.0, 0.0), (s, s)), (2, 3)),
+}
+
+
+@pytest.mark.parametrize("finer", [0, 1], ids=["reduced", "shift-invert"])
+@pytest.mark.parametrize("name", list(SCALED_DOMAINS))
+def test_fem_spectra_are_scale_covariant(name, finer):
+    # s^2 lambda(s D, sigma / s) = lambda(D, sigma): the Neumann kernel is exactly 0 at every size, and the
+    # shift-invert shift, in eigenvalue units, stays below it however small the values get
+    domain, levels = SCALED_DOMAINS[name]
+    opts = fem.FemOptions(max_refinement=levels[finer])
+    for bc_of in (lambda s: ex.DIRICHLET, lambda s: ex.NEUMANN, lambda s: ex.robin(1.3 / s)):
+        base = fem.spectrum_fem(domain(1.0), bc_of(1.0), 4, opts)
+        neumann = bc_of(1.0).is_neumann_like
+        assert (base.values[0] == base.error_estimates[0] == 0.0) == neumann
+        for s in (1e-6, 1e-3, 1e3, 1e6):
+            spec = fem.spectrum_fem(domain(s), bc_of(s), 4, opts)
+            assert (spec.values[0] == spec.error_estimates[0] == 0.0) == neumann, s
+            np.testing.assert_allclose(spec.values * s**2, base.values, rtol=1e-10, atol=0.0)
+            np.testing.assert_allclose(spec.error_estimates * s**2, base.error_estimates, rtol=1e-6, atol=0.0)
+
+
+def test_a_value_too_coarse_to_extrapolate_is_reported_at_the_fine_level():
+    # an image stretched about 80:1: at levels 3 and 4 its fifth Neumann value reads about 3052 and 762, which
+    # (4 x fine - coarse) / 3 would turn into -1.57; the fine Ritz value stands, with an error estimate above it
+    d, T = g.equilateral_triangle(), g.LinearMap2(1.42961711, -1.8656577, 0.91862179, -1.29737752)
+    opts = fem.FemOptions(max_refinement=4)
+    coarse, fine = fem._solve_levels(d, T, ex.NEUMANN, 6, (3, 4), opts)
+    assert 4.0 * fine[4] - coarse[4] < 0.0
+    spec = fem.spectrum_fem(d, ex.NEUMANN, 6, opts, T)
+    assert spec.values[0] == 0.0 and np.all(spec.values[1:] > 0.0)
+    i = int(np.nonzero(spec.values == fine[4])[0][0])
+    assert spec.error_estimates[i] == (coarse[4] - fine[4]) / 3.0 >= spec.values[i]
+
+
 def test_rigid_motion_invariance():
     tri = g.Polygon([[0, 0], [2, 0], [0.3, 1.1]])
     R = g.rotation(12, 1).as_array()
@@ -286,7 +325,7 @@ def test_rigid_motion_invariance():
 def test_neumann_first_mode_small_everywhere():
     for d in (g.square(1.0), g.equilateral_triangle(), g.regular_polygon(6)):
         spec = fem.spectrum_fem(d, ex.NEUMANN, 2, fem.FemOptions(max_refinement=3))
-        assert abs(spec.values[0]) <= 1e-9 * spec.values[1]
+        assert spec.values[0] == spec.error_estimates[0] == 0.0 < spec.values[1]
 
 
 def test_robin_monotone_in_sigma_fixed_mesh():
@@ -356,8 +395,8 @@ def test_mapped_polygon_matches_meshing_the_image(d, bc):
     for T in _seeded_maps(17, 4):
         mapped = fem.spectrum_fem(d, bc, 4, opts, T).values
         meshed = fem.spectrum_fem(g.apply_map(T, d), bc, 4, opts).values
-        # the Neumann kernel value is roundoff, so it gets an absolute floor
-        np.testing.assert_allclose(mapped, meshed, rtol=1e-10, atol=1e-10 * meshed[-1])
+        assert (mapped[0] == meshed[0] == 0.0) == bc.is_neumann_like  # the Neumann kernel value is exactly 0
+        np.testing.assert_allclose(mapped, meshed, rtol=1e-10, atol=0.0)
 
 
 @pytest.mark.parametrize("bc", [ex.DIRICHLET, ex.NEUMANN], ids=["dirichlet", "neumann"])
@@ -368,7 +407,8 @@ def test_mapped_disk_within_error_estimate_of_meshing_the_image(bc):
     for T in _seeded_maps(5, 4):
         mapped = fem.spectrum_fem(disk, bc, 4, opts, T)
         meshed = fem.spectrum_fem(g.apply_map(T, disk), bc, 4, opts)
-        assert np.all(np.abs(mapped.values - meshed.values) <= meshed.error_estimates + 1e-10)
+        assert (mapped.values[0] == meshed.values[0] == 0.0) == bc.is_neumann_like
+        assert np.all(np.abs(mapped.values - meshed.values) <= meshed.error_estimates)
 
 
 def _seeded_similarities(seed, count):
@@ -392,11 +432,12 @@ def test_discrete_theorem_holds_on_symmetric_reference_mesh(d, level, bc):
     opts = fem.FemOptions(max_refinement=level, extrapolate=False)
     rhs_vals = fem.spectrum_fem(d, bc, 6, opts).values
     similarities = _seeded_similarities(23, 4)
-    first = 2 if bc.is_neumann_like else 1  # a Neumann 1-sum is the kernel's roundoff
+    assert (rhs_vals[0] == 0.0) == bc.is_neumann_like  # a Neumann 1-sum is exactly 0
     for T in _seeded_maps(29, 12) + similarities:
         coef = 0.5 * T.inverse().hs_norm_sq()
         lhs_vals = fem.spectrum_fem(d, bc, 6, opts, T).values
-        for n in range(first, 7):
+        assert (lhs_vals[0] == 0.0) == bc.is_neumann_like
+        for n in range(1, 7):
             lhs, rhs = lhs_vals[:n].sum(), coef * rhs_vals[:n].sum()
             assert lhs <= rhs * (1 + 1e-12)
             if T in similarities:
@@ -514,8 +555,8 @@ def test_an_off_centre_ellipse_matches_the_solve_of_its_own_mesh(name, bc, level
     K, M = fem.assemble(fem.mesh_domain(d, level), bc)
     own = fem.solve_eigs(K, M, 6, neumann_like=bc.is_neumann_like)
     got = fem.spectrum_fem(d, bc, 6, fem.FemOptions(max_refinement=level, extrapolate=False)).values
-    skip = 1 if bc.is_neumann_like else 0  # the Neumann kernel value is solver noise on either mesh
-    np.testing.assert_allclose(got[skip:], own[skip:], rtol=1e-12, atol=0)
+    assert (got[0] == own[0] == 0.0) == bc.is_neumann_like  # the Neumann kernel value is exactly 0 on either mesh
+    np.testing.assert_allclose(got, own, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("level", [2, 3])
@@ -678,25 +719,50 @@ def _block(n, dim, dense):
     return 1 if n == 1 and not dense else min(max(n, 6), dim)
 
 
+def _mass_scale(M):
+    """1 / 4^j with 4^j near the mean diagonal of M: shift-invert solves the pencil (K, M / 4^j)."""
+    return 4.0 ** -(math.frexp(M.diagonal().mean())[1] // 2)
+
+
+def _kernel_zeroed(vals, constants_overlap, neumann_like):
+    """vals, ascending, with a Neumann-like block's value whose vector overlaps the constants most set to 0."""
+    if neumann_like:
+        vals[np.abs(constants_overlap).argmax()] = 0.0
+    return np.sort(vals)
+
+
 def _plain_eigs(K, M, n, neumann_like):
-    """The first n values of the unmemoized block solve: eigh on the dense path, eigsh above it."""
+    """The first n values of the unmemoized block solve: eigh on the dense path, eigsh above it.
+
+    Shift-invert solves (K, M / 4^j) at the shift 0, or -1e-6 tr(K) / tr(M / 4^j) for a Neumann-like pencil,
+    and multiplies its values by 1 / 4^j; a Neumann-like block's kernel value, found by its vector, is 0.
+    """
     dim = K.shape[0]
     dense = dim <= fem.DENSE_THRESHOLD
     b = _block(n, dim, dense)
     if dense:
-        return scipy.linalg.eigh(K.toarray(), M.toarray(), subset_by_index=[0, b - 1])[0][:n]
-    sigma = 1e-8 * float(K.diagonal().sum()) / dim if neumann_like else 0.0
-    vals = splinalg.eigsh(sparse.csc_matrix(K), k=b, M=sparse.csc_matrix(M), sigma=sigma, which="LM",
-                          v0=np.random.default_rng(0).standard_normal(dim))[0]
-    return np.sort(vals)[:n]
+        vals, vecs = scipy.linalg.eigh(K.toarray(), M.toarray(), subset_by_index=[0, b - 1])
+    else:
+        scale = _mass_scale(M)
+        Ms = sparse.csc_matrix(M) * scale
+        sigma = -1e-6 * float(K.diagonal().sum() / Ms.diagonal().sum()) if neumann_like else 0.0
+        vals, vecs = splinalg.eigsh(sparse.csc_matrix(K), k=b, M=Ms, sigma=sigma, which="LM",
+                                    v0=np.random.default_rng(0).standard_normal(dim))
+        vals = vals * scale
+    return _kernel_zeroed(vals, vecs.T @ (M @ np.ones(dim)), neumann_like)[:n]
 
 
 def _plain_image_eigs(ref, T, bc, n):
-    """The first n values of the unmemoized solve of an image: eigh of its reduced form if any, else of its pencil."""
+    """The first n values of the unmemoized solve of an image: eigh of its reduced form if any, else of its pencil.
+
+    The reduced form's kernel vector is U 1 (M = U^T U), which is how a Neumann-like block's kernel value is found.
+    """
     if ref.C is not None:
         b = _block(n, ref.dim, True)
         C = ref.reduced(fem._metric(T), bc.sigma)
-        return scipy.linalg.eigh(C, lower=False, subset_by_index=[0, b - 1])[0][:n]
+        vals, vecs = scipy.linalg.eigh(C, lower=False, subset_by_index=[0, b - 1])
+        U = scipy.linalg.cholesky(ref.M.toarray())
+        return _kernel_zeroed(vals, vecs.T @ (U @ np.ones(ref.dim)), bc.is_neumann_like)[:n]
     A, M = ref.pencil(T, bc)
     return _plain_eigs(A, M, n, bc.is_neumann_like)
 
@@ -732,7 +798,10 @@ def test_shift_invert_blocks_skip_no_repeated_eigenvalue(d, level, bc, monkeypat
         got = fem._solve_levels(d, T, bc, 6, (level,), opts)[0]
         A, M = ref.pencil(carry, bc)
         want = scipy.linalg.eigh(A.toarray(), M.toarray(), subset_by_index=[0, 5], eigvals_only=True)
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * want[-1])
+        if bc.is_neumann_like:  # the kernel value is exactly 0, the generalized solve's its roundoff
+            assert got[0] == 0.0 and abs(want[0]) <= 1e-9 * want[1]
+            want[0] = 0.0
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
 
 
 def test_small_dense_pencils_equal_eigh():
@@ -780,15 +849,13 @@ def _assert_reduced_matches_generalized(ref, T, bc):
     A, M = ref.pencil(T, bc)
     want = scipy.linalg.eigh(A.toarray(), M.toarray(), subset_by_index=[0, b - 1])[0]
     C = ref.reduced(s, bc.sigma)
-    got = ref.solve(s, bc.sigma, b)
-    first = 0
-    if bc.is_neumann_like:  # the kernel value is roundoff
-        assert abs(got[0] - want[0]) <= 1e-9
-        first = 1
-    # both solves are backward stable: small values of strongly stretched images agree only to
-    # a few eps ||C(S) + U^-T B U^-1||, the largest eigenvalue of the whole discrete spectrum
+    got = ref.solve(s, bc.sigma, b, bc.is_neumann_like)
+    assert (got[0] == 0.0) == bc.is_neumann_like  # the Neumann kernel value is exactly 0
+    # both solves are backward stable: small values of strongly stretched images (and the generalized
+    # solve's kernel value) agree only to a few eps ||C(S) + U^-T B U^-1||, the largest eigenvalue of
+    # the whole discrete spectrum
     norm = scipy.linalg.eigh(C, lower=False, eigvals_only=True, subset_by_index=[ref.dim - 1] * 2)[0]
-    np.testing.assert_allclose(got[first:], want[first:], rtol=1e-12, atol=16 * np.finfo(float).eps * norm)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=16 * np.finfo(float).eps * norm)
 
 
 @pytest.mark.parametrize("name", ["equilateral", "square", "hexagon", "disk"])
@@ -847,7 +914,7 @@ def test_reduced_values_do_not_depend_on_call_order(monkeypatch):
         for T0 in _seeded_maps(41, 2):
             ref, T = _reference(d, 4, T0, bc.is_dirichlet)
             assert ref.C is not None
-            want = scipy.linalg.eigh(ref.reduced(fem._metric(T)), lower=False, subset_by_index=[0, 5])[0][:3]
+            want = _plain_image_eigs(ref, T, bc, 3)
             _fresh_caches(monkeypatch)
             cold = fem._solve_levels(d, T0, bc, 3, (4,), opts)[0]
             _fresh_caches(monkeypatch)
@@ -1011,10 +1078,12 @@ def _fingerprint(*matrices):
 
 
 def _solve_key(ref, T, bc):
-    """_count_solves's key for the solve of the image T of ref: its reduced matrix if any, else its pencil."""
+    """_count_solves's key for the solve of the image T of ref: its reduced matrix if any, else the pencil
+    (A, M / 4^j) that shift-invert solves."""
     if ref.C is not None:
         return ("reduced", _fingerprint(ref.reduced(fem._metric(T), bc.sigma)))
-    return _fingerprint(*ref.pencil(T, bc))
+    A, M = ref.pencil(T, bc)
+    return _fingerprint(A, M * _mass_scale(M))
 
 
 def _count_solves(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,42 @@ def test_vectorized_self_intersection_matches_the_pairwise_loop():
     assert verdicts == [_pairwise_self_intersects(v) for v in cases]
     assert verdicts[0] and verdicts[-1] and not verdicts[-2]
     assert 100 < sum(verdicts) < len(cases) - 300  # both verdicts are well represented
+
+def test_power_of_two_scaling_keeps_every_verdict_at_any_size():
+    # the self-intersection and symmetry tests read the vertices scaled exactly by a power of two: an ordinary
+    # polygon's verdicts are its raw vertices' own, and a huge or tiny polygon's products neither overflow nor vanish
+    rng = np.random.default_rng(33)
+    cases = [np.array([[0, 0], [1, 1], [1, 0], [0, 1]], float)]
+    for _ in range(200):
+        n = int(rng.integers(3, 13))
+        star = _star(rng, n) * 10.0 ** rng.uniform(-3, 3)
+        cases += [star, star @ rng.normal(size=(2, 2)), rng.integers(-2, 3, size=(n, 2)).astype(float)]
+        if n >= 4:
+            bow = star.copy()
+            bow[[0, n // 2]] = bow[[n // 2, 0]]
+            cases.append(bow)
+        k = int(rng.integers(3, 9))
+        cases.append(g.regular_polygon(k).vertices * 10.0 ** rng.uniform(-3, 3) + rng.uniform(-3, 3, 2))
+    orders = []
+    for v in cases:
+        u = g._unit_scaled(v)
+        assert 0.5 <= np.abs(u).max() < 1.0 and np.array_equal(np.ldexp(u, math.frexp(np.abs(v).max())[1]), v)
+        assert g._self_intersects(u) == g._self_intersects(v)
+        try:
+            g.Polygon(v)
+        except ValueError:  # zero area or self-intersecting: no symmetry order
+            continue
+        orders.append(g._polygon_symmetry_order(v))
+        assert g._polygon_symmetry_order(u) == orders[-1]
+    assert sum(order >= 3 for order in orders) > 150 and orders.count(1) > 300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e-160, 1e-100, 1e120, 1e150):
+            for k in (3, 4, 6):
+                assert g.symmetry_order(g.Polygon(g.regular_polygon(k).vertices * scale)) == k, (scale, k)
+            with pytest.raises(ValueError, match="self-intersecting"):
+                g.Polygon(np.array([[0, 0], [3, 2], [3, 0], [0, 1]], float) * scale)  # a bow-tie of area 1.5
+
 
 def test_polygon_normalizes_orientation():
     p = g.Polygon([[0, 1], [1, 0], [0, 0]])  # clockwise input
