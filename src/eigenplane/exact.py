@@ -341,7 +341,7 @@ def rectangle_spectrum(l1: float, l2: float, bc: BoundarySpec, n: int) -> Spectr
         return _rectangle_robin(l1, l2, bc.sigma, n)
     value = lambda j1, j2: math.pi**2 * ((j1 / l1) ** 2 + (j2 / l2) ** 2)  # noqa: E731
     out = _smallest(value, n, 1 if bc.is_dirichlet else 0)
-    return Spectrum(out, "exact", 1e-14 * np.maximum(out, 1.0))
+    return Spectrum(out, "exact", 1e-14 * out)
 
 
 def _rectangle_robin(l1: float, l2: float, sigma: float, n: int) -> Spectrum:

@@ -16,8 +16,14 @@ into reference matrices K11, K12, K22 and M on one sparse pattern; the image's
 stiffness is then S11 K11 + S12 K12 + S22 K22 with S = T^-1 T^-T (S12 negated
 on the reflected polygon), its mass M (|det T| cancels).  A bounded cache
 keeps these references between calls, and an untransformed domain is the
-case T = I, so every FEM spectrum takes the same path.  An ellipse is meshed
-centred at the origin, since a translation moves no eigenvalue: its
+case T = I, so every FEM spectrum takes the same path.  A triangle or
+parallelogram D is T0 of the equilateral triangle or the unit square (T0
+sends vertex i to vertex i) and is solved as (T T0)(model): midpoint
+refinement commutes with T0, which carries the model's mesh onto D's, so
+moved copies and isosceles apertures share the model's references.  D keeps
+its own mesh if cond(T0) > 16 (the two meshes' Neumann values part by about
+2e-14 cond^2) or its area is beyond 2^+-16 times the model's.  An ellipse is
+meshed centred at the origin, since a translation moves no eigenvalue: its
 reference depends on its shape alone, and a re-centred copy reuses it.
 
 A reference of at most FemOptions.dense_threshold unknowns (default
@@ -67,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exact import BoundarySpec, NumericalFailure, Spectrum
-from .geometry import DomainSpec, Ellipse, LinearMap2, Polygon, orient
+from .geometry import DomainSpec, Ellipse, LinearMap2, Polygon, equilateral_triangle, orient, square
 
 __all__ = [
     "Mesh",
@@ -477,6 +483,35 @@ def _metric(T: LinearMap2) -> np.ndarray:
     return (Ti @ Ti.T).take((0, 1, 3))
 
 
+#: Largest cond(T0) of a triangle or parallelogram solved as T0(model) (_model).
+_MODEL_MAX_COND = 16.0
+#: The model shape of the polygons with `sides` vertices, if any, built on first use.
+_model_of = functools.cache(lambda sides: equilateral_triangle() if sides == 3 else square() if sides == 4 else None)
+
+
+def _model(d: DomainSpec) -> tuple:
+    """(model, T0) with d = T0(model) up to translation, T0 sending vertex i to vertex i; () to solve d itself.
+
+    The rule and its bounds are the module docstring's; the area bound keeps
+    a tiny or huge d's size in its own mesh, out of the absolute singularity
+    test of (T T0).inverse().  v0 + v2 = v1 + v3 to 1e-12 of the longest
+    side makes a parallelogram.  Kept on d once found.
+    """
+    if isinstance(d, Ellipse):
+        return ()
+    if d._fem_model is None:
+        v, model, found = d.vertices, _model_of(len(d.vertices)), ()
+        if model is not None and not np.array_equal(v, model.vertices) and (len(v) == 3 or math.hypot(
+                *(v[0] + v[2] - v[1] - v[3])) <= 1e-12 * np.hypot(*(v - np.roll(v, 1, axis=0)).T).max()):
+            m = model.vertices
+            T0 = LinearMap2.from_array((v[[1, -1]] - v[0]).T @ np.linalg.inv((m[[1, -1]] - m[0]).T))
+            r1, r2 = T0.singular_values()
+            if r1 <= _MODEL_MAX_COND * r2 and 2.0**-16 <= T0.det <= 2.0**16:
+                found = (model, T0)
+        d._fem_model = found  # set once, so a concurrent caller never reads a half-made decision
+    return d._fem_model
+
+
 def _reference(d: DomainSpec, level: int, flip: bool, dirichlet: bool, dense_threshold: int = DENSE_THRESHOLD):
     """The reference at `level` of d, or of R(d) if `flip`, unbuilt: its cache key, its unknowns and its build.
 
@@ -737,12 +772,16 @@ def _solve_levels(d, T, bc, n, levels, opts) -> list[np.ndarray]:
 
     Each level is counted, routed, blocked and keyed (_reference, _block),
     the finest first (an oversized call names it), before anything is built.
-    T is read once: a polygon under det T < 0 is solved on R(d) at every
-    level (decided here alone), whose metric, that of T R, is S with S12
-    negated bit for bit, as (T R)^-1 = R T^-1: no map is composed.  Only a
-    memo miss asks the reference cache; it solves a reduced reference's
-    image by a standard dense eigh, any other by solve_eigs.
+    A triangle or parallelogram d = T0(model) is solved as (T T0)(model)
+    (_model).  Then T is read once: a polygon under det T < 0 is solved on
+    R(d) at every level (decided here alone), whose metric, that of T R, is
+    S with S12 negated bit for bit, as (T R)^-1 = R T^-1.  Only a memo
+    miss asks the reference cache; it solves a reduced reference's image by
+    a standard dense eigh, any other by solve_eigs.
     """
+    model = _model(d)
+    if model:
+        d, T = model[0], T @ model[1]
     flip = isinstance(d, Polygon) and T.det < 0
     plans = [_reference(d, level, flip, bc.is_dirichlet, opts.dense_threshold) for level in levels[::-1]][::-1]
     blocks = [_block(n, dim, dim <= opts.dense_threshold) for _, dim, _ in plans]

@@ -143,6 +143,7 @@ class Polygon:
         self.vertices = arr
         self._symmetry_order: int | None = None  # see symmetry_order
         self._model_shape: tuple | None = None  # (class,) once experiments.classify_model_shape has found it
+        self._fem_model: tuple | None = None  # see fem._model
 
     def __repr__(self):
         return f"Polygon({self.vertices.tolist()})"

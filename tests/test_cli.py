@@ -397,6 +397,19 @@ def test_a_huge_square_is_classified_without_overflow(capsys, monkeypatch, level
         assert captured.err == "" and json.loads(captured.out)["holds"]
 
 
+def test_a_huge_squares_tolerance_scales_as_its_values(capsys, monkeypatch):
+    # the rectangle's closed-form error estimate is relative: with an absolute floor of 1e-14, the side-1e120
+    # report's tolerance was 1.9e-14 against values of 6e-239
+    _fresh_caches(monkeypatch)
+    tolerance = {}
+    for side in (1.0, 1e60, 1e120):
+        argv = f"verify theorem1 --shape square --side {side:g} --map 1.2,0.3,0.1,-0.9 -n 2 --levels 3".split()
+        assert cli.run(argv) == 0
+        tolerance[side] = json.loads(capsys.readouterr().out)["tolerance"]
+    for side, tol in tolerance.items():
+        assert tol * side**2 == pytest.approx(tolerance[1.0], rel=1e-10)
+
+
 @pytest.mark.parametrize("argv", [
     "spectrum --shape rectangle --l1 2 --l2 1 --bc robin --sigma 1e16 -n 2",  # the root is within an ulp of pi / l
     "verify robin --shape square --map 2,0,0,1 --sigma 1e308 -n 2",  # sigma^2 overflows

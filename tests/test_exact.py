@@ -328,6 +328,15 @@ def test_rectangle_2x1_ground_state():
     assert s.values[0] == pytest.approx(1.25 * PI2, rel=1e-14)
 
 
+@pytest.mark.parametrize("side", [1e-120, 1e-3, 1.0, 1e120])
+def test_rectangle_error_estimates_are_relative(side):
+    # 1e-14 lambda, as the equilateral triangle's: no absolute floor, so a Neumann lambda_1 = 0 carries error 0
+    for bc in (ex.DIRICHLET, ex.NEUMANN, ex.robin(0.0)):
+        s = ex.rectangle_spectrum(side, 2 * side, bc, 6)
+        assert np.array_equal(s.error_estimates, 1e-14 * s.values)
+        assert (s.error_estimates[0] == 0.0) == (not bc.is_dirichlet)
+
+
 def test_rectangle_rejects_non_finite_sides():
     for l1 in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):

@@ -579,7 +579,8 @@ def test_an_ellipses_reference_mesh_is_its_origin_copys_own_mesh(name, level, mo
 @pytest.mark.parametrize("level", [3, 4])
 @pytest.mark.parametrize("s1", [1e2, 1e3, 1e4, 1e5])
 def test_thin_neumann_ellipses_keep_their_first_nonzero_value(s1, level):
-    # the thin-domain limit: lambda_2 s1^2 -> 4 for the semi-axes (s1, 1)
+    # lambda_2 s1^2 -> 4 for the semi-axes (s1, 1): 4 is the P1 limit on the disk's own mesh (the Rayleigh quotient of
+    # u = x), not the Laplacian's thin-domain limit, which is 3.5593
     spec = fem.spectrum_fem(g.Ellipse((0.0, 0.0), (s1, 1.0)), ex.NEUMANN, 2, fem.FemOptions(max_refinement=level))
     assert spec.values[1] * s1**2 == pytest.approx(4.0, rel=0.02)
 
@@ -665,8 +666,12 @@ PENCIL_DOMAINS = {
 def _reference(d, level, T, dirichlet, dense_threshold=fem.DENSE_THRESHOLD):
     """The cached reference that fem solves T(d) on at `level` (built if absent), and the map carrying it onto T(d).
 
-    A polygon under det T < 0 is solved on its reflection R(d), R = diag(1, -1), which T R carries onto T(d).
+    A triangle or parallelogram d = T0(model) (fem._model) is solved as the image (T T0)(model); a polygon under
+    det T < 0 is solved on its reflection R(d), R = diag(1, -1), which T R carries onto T(d).
     """
+    model = fem._model(d)
+    if model:
+        d, T = model[0], T @ model[1]
     flip = isinstance(d, g.Polygon) and T.det < 0
     key, _, build = fem._reference(d, level, flip, dirichlet, dense_threshold)
     return fem._REFERENCES.get(key, build), (T @ g.LinearMap2.diagonal(1.0, -1.0) if flip else T)
@@ -1240,3 +1245,102 @@ def test_value_memo_stays_within_its_byte_bound_under_threads(monkeypatch):
     assert max(sizes) <= memo.max_bytes
     assert memo._bytes == sum(v.nbytes for v in memo._entries.values()) <= memo.max_bytes
     assert 0 < len(memo._entries) < len(images) * 6
+
+
+# ---------------------------------------------------------------------------
+# triangles and parallelograms, solved as images of their model shapes
+# ---------------------------------------------------------------------------
+
+def _rotation(theta):
+    return np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+
+
+MODEL_IMAGES = {
+    "aperture 0.3": g.isosceles_triangle(0.3),
+    "aperture pi/6": g.isosceles_triangle(math.pi / 6),
+    "aperture 2.8": g.isosceles_triangle(2.8),
+    "moved square": g.Polygon(g.square(1.0).vertices @ _rotation(0.7).T + (0.4, -0.9)),
+    "sheared parallelogram": g.Polygon([[0.0, 0.0], [2.0, 0.0], [2.7, 1.3], [0.7, 1.3]]),
+    "rectangle 2 x 1": g.rectangle(2, 1),
+}
+#: Polygons solved on their own meshes: the models bit for bit, and an image beyond the condition bound (cond 1155).
+OWN_MESHES = {
+    "equilateral": g.equilateral_triangle(),
+    "square": g.square(1.0),
+    "aperture 1e-3": g.isosceles_triangle(1e-3),
+}
+
+
+def _own_mesh_eigs(d, level, T, bc, n):
+    """The first n values of T(d) at `level` on d's own mesh, R(d)'s under det T < 0, as every polygon was solved
+    before triangles and parallelograms became images of their models."""
+    flip = T.det < 0
+    R = g.LinearMap2.diagonal(1.0, -1.0)
+    ref = fem._Reference(fem.mesh_domain(g.apply_map(R, d) if flip else d, level), bc.is_dirichlet,
+                         fem.DENSE_THRESHOLD)
+    return _plain_image_eigs(ref, T @ R if flip else T, bc, n)
+
+
+@pytest.mark.parametrize("name", list(MODEL_IMAGES))
+def test_t0_carries_the_models_mesh_onto_the_polygons_own(name):
+    d = MODEL_IMAGES[name]
+    model, T0 = fem._model(d)
+    want = g.equilateral_triangle() if len(d.vertices) == 3 else g.square(1.0)
+    assert model.vertices.tobytes() == want.vertices.tobytes()
+    shift = d.vertices[0] - T0.apply(model.vertices[0])
+    for level in (0, 3):
+        own, ref = fem.mesh_domain(d, level), fem.mesh_domain(model, level)
+        np.testing.assert_allclose(ref.vertices @ T0.as_array().T + shift, own.vertices, rtol=0,
+                                   atol=1e-14 * np.abs(d.vertices).max())
+        assert np.array_equal(ref.triangles, own.triangles) and np.array_equal(ref.boundary_edges, own.boundary_edges)
+
+
+@pytest.mark.parametrize("level", [3, 4, 5])
+@pytest.mark.parametrize("bc", PENCIL_BCS, ids=lambda bc: bc.kind)
+@pytest.mark.parametrize("name", list(MODEL_IMAGES))
+def test_a_model_image_matches_the_solve_of_its_own_mesh(name, bc, level, monkeypatch):
+    _fresh_caches(monkeypatch)
+    d, identity = MODEL_IMAGES[name], g.LinearMap2.identity()
+    got = fem._solve_levels(d, identity, bc, 6, (level,), fem.FemOptions())[0]
+    own = _own_mesh_eigs(d, level, identity, bc, 6)
+    assert (got[0] == own[0] == 0.0) == bc.is_neumann_like  # the Neumann kernel value is exactly 0 on either mesh
+    np.testing.assert_allclose(got, own, rtol=1e-12 if bc.is_dirichlet else 1e-11, atol=0)
+
+
+@pytest.mark.parametrize("bc", PENCIL_BCS, ids=lambda bc: bc.kind)
+@pytest.mark.parametrize("name", list(OWN_MESHES))
+def test_models_and_images_beyond_the_bound_keep_their_own_meshes_bit_for_bit(name, bc, monkeypatch):
+    _fresh_caches(monkeypatch)
+    d = OWN_MESHES[name]
+    assert fem._model(d) == ()
+    for level in (3, 4, 5):
+        for T in [g.LinearMap2.identity()] + _seeded_maps(43 + level, 2):  # det T > 0, then det T < 0
+            got = fem._solve_levels(d, T, bc, 6, (level,), fem.FemOptions())[0]
+            assert np.array_equal(got, _own_mesh_eigs(d, level, T, bc, 6)), (level, T)
+
+
+def test_the_default_isosceles_sweep_meshes_once_per_level_and_boundary_kind(monkeypatch):
+    from eigenplane import experiments as xp
+
+    _fresh_caches(monkeypatch)
+    monkeypatch.setattr(fem, "_REFERENCES", fem._ReferenceCache(fem.REFERENCE_CACHE_BYTES))
+    calls = _count_meshes(monkeypatch)
+    apertures = [0.3 + i * (2.8 - 0.3) / 39 for i in range(40)]  # sweep isosceles --steps 40
+    xp.sweep_isosceles(1, apertures)
+    assert sorted(calls) == [4, 5]
+    xp.sweep_isosceles(2, apertures[::8], ex.NEUMANN)
+    xp.sweep_isosceles(2, apertures[::8], ex.robin(1.0))  # Robin shares Neumann's reference
+    assert sorted(calls) == [4, 4, 5, 5]
+
+
+@pytest.mark.parametrize("d", [g.isosceles_triangle(1.0), g.square(1.0)], ids=["triangle", "square"])
+def test_a_second_moved_copy_meshes_nothing(d, monkeypatch):
+    _fresh_caches(monkeypatch)
+    monkeypatch.setattr(fem, "_REFERENCES", fem._ReferenceCache(fem.REFERENCE_CACHE_BYTES))
+    calls = _count_meshes(monkeypatch)
+    opts = fem.FemOptions(max_refinement=4)
+    first, second = (g.Polygon(d.vertices @ _rotation(t).T + shift) for t, shift in ((0.4, (1, 2)), (2.9, (-3, 0.5))))
+    want = fem.spectrum_fem(first, ex.DIRICHLET, 3, opts).values
+    assert sorted(calls) == [3, 4]
+    np.testing.assert_allclose(fem.spectrum_fem(second, ex.DIRICHLET, 3, opts).values, want, rtol=1e-12, atol=0)
+    assert sorted(calls) == [3, 4]
